@@ -89,10 +89,14 @@ func run() error {
 	fmt.Println("no attacks in this stream — every ALARM below is false")
 	fmt.Printf("%-4s %-8s %-6s %-10s %-10s\n", "win", "activity", "steps", "ungated", "gated")
 	falseUngated, falseGated := 0, 0
+	rdet, err := peaks.NewRDetector(peaks.DetectorConfig{SampleRate: live.SampleRate})
+	if err != nil {
+		return err
+	}
 	for i, w := range wins {
 		// Runtime peak detection: R on the (corrupted) ECG, systolic on
 		// the trusted ABP.
-		r, err := peaks.DetectR(w.ECG, peaks.DetectorConfig{SampleRate: live.SampleRate})
+		r, err := rdet.Detect(w.ECG)
 		if err != nil {
 			return err
 		}

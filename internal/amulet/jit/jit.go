@@ -108,10 +108,10 @@ type block struct {
 // cmpInfo records a fused compare-and-branch terminator's structure so
 // the loop fuser can recognize `i < limit` headers after the fact.
 type cmpInfo struct {
-	op    amulet.Op
-	a, b  operand
-	isJz  bool
-	t, f  int // taken / fallthrough block ids
+	op   amulet.Op
+	a, b operand
+	isJz bool
+	t, f int // taken / fallthrough block ids
 }
 
 // loopKernel fast-forwards a counted loop (the builder's ForRange shape:

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrEmptySignal is returned by operations that require at least one sample.
@@ -98,27 +99,37 @@ func RMS(x []float64) float64 {
 // odd window size. Edges use the available (shorter) window. An even or
 // non-positive window is an error.
 func MovingAverage(x []float64, window int) ([]float64, error) {
+	return MovingAverageInto(nil, x, window)
+}
+
+// MovingAverageInto is MovingAverage writing into dst, which is grown
+// when its capacity is short, and returns dst[:len(x)]. It keeps one
+// running sum, so the cost is O(len(x)) whatever the window.
+func MovingAverageInto(dst, x []float64, window int) ([]float64, error) {
 	if window <= 0 || window%2 == 0 {
 		return nil, fmt.Errorf("dsp: moving average window must be positive and odd, got %d", window)
 	}
+	dst = slices.Grow(dst[:0], len(x))[:len(x)]
 	half := window / 2
-	out := make([]float64, len(x))
-	for i := range x {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half + 1
-		if hi > len(x) {
-			hi = len(x)
-		}
-		var s float64
-		for _, v := range x[lo:hi] {
-			s += v
-		}
-		out[i] = s / float64(hi-lo)
+	// s is the sum of the edge-clipped window x[i-half : i+half+1]. Each
+	// step adds the sample entering on the right and drops the one
+	// leaving on the left as one difference, zero where none crosses.
+	var s float64
+	for _, v := range x[:min(half, len(x))] {
+		s += v
 	}
-	return out, nil
+	for i := range x {
+		var in, out float64
+		if j := i + half; j < len(x) {
+			in = x[j]
+		}
+		if j := i - half - 1; j >= 0 {
+			out = x[j]
+		}
+		s += in - out
+		dst[i] = s / float64(min(i+half+1, len(x))-max(i-half, 0))
+	}
+	return dst, nil
 }
 
 // Diff returns the first difference of x (length len(x)-1); an empty or

@@ -3,6 +3,7 @@ package dsp
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +92,79 @@ func TestMovingAverage(t *testing.T) {
 		if !almostEqual(out[i], want[i], 1e-12) {
 			t.Errorf("MovingAverage[%d] = %v, want %v", i, out[i], want[i])
 		}
+	}
+}
+
+// movingAverageNaive is the O(n·w) oracle for MovingAverage: every
+// output re-sums its whole edge-clipped window from scratch.
+func movingAverageNaive(x []float64, window int) []float64 {
+	half := window / 2
+	out := make([]float64, len(x))
+	for i := range x {
+		lo, hi := max(i-half, 0), min(i+half+1, len(x))
+		var s float64
+		for _, v := range x[lo:hi] {
+			s += v
+		}
+		out[i] = s / float64(hi-lo)
+	}
+	return out
+}
+
+// TestMovingAverageMatchesNaive property-tests the running sum against the
+// naive oracle: random lengths (0 and 1 included), windows wider than the
+// signal, signed and non-negative inputs over many magnitudes, and a
+// destination buffer reused across calls of different lengths.
+func TestMovingAverageMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var dst []float64
+	check := func(x []float64, window int) {
+		t.Helper()
+		want := movingAverageNaive(x, window)
+		got, err := MovingAverageInto(dst, x, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst = got
+		alloc, err := MovingAverage(x, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(x) || len(alloc) != len(x) {
+			t.Fatalf("len(x)=%d window=%d: lengths %d/%d", len(x), window, len(got), len(alloc))
+		}
+		var scale float64
+		for _, v := range x {
+			scale = max(scale, math.Abs(v))
+		}
+		for i := range want {
+			if !almostEqual(got[i], want[i], 1e-12*scale) || alloc[i] != got[i] {
+				t.Fatalf("len(x)=%d window=%d: [%d] = %v (alloc %v), oracle %v",
+					len(x), window, i, got[i], alloc[i], want[i])
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 2} {
+		for _, w := range []int{1, 3, 5, 55} {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			check(x, w)
+		}
+	}
+	for trial := 0; trial < 3000; trial++ {
+		x := make([]float64, rng.Intn(400))
+		scale := math.Pow(10, float64(rng.Intn(13)-6))
+		squared := rng.Intn(2) == 0
+		for i := range x {
+			v := scale * rng.NormFloat64()
+			if squared {
+				v *= v
+			}
+			x[i] = v
+		}
+		check(x, 2*rng.Intn(120)+1)
 	}
 }
 
@@ -300,5 +374,19 @@ func TestResampleDownThenLengthMatches(t *testing.T) {
 	}
 	if len(out) != 251 {
 		t.Errorf("downsampled length = %d, want 251", len(out))
+	}
+}
+
+func BenchmarkMovingAverage(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := make([]float64, 1079) // one 3 s window's squared derivative at 360 Hz
+	for i := range x {
+		x[i] = rng.Float64()
+	}
+	dst := make([]float64, len(x))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, _ = MovingAverageInto(dst, x, 55)
 	}
 }

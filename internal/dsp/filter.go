@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Biquad is a direct-form-I second-order IIR section with normalized a0=1.
@@ -119,13 +120,17 @@ func (c *Cascade) Reset() {
 }
 
 // Apply filters a whole signal into a new slice, resetting state first.
-func (c *Cascade) Apply(x []float64) []float64 {
+func (c *Cascade) Apply(x []float64) []float64 { return c.ApplyInto(nil, x) }
+
+// ApplyInto is Apply writing into dst, which is grown when its capacity
+// is short, and returns dst[:len(x)]. x and dst may be the same slice.
+func (c *Cascade) ApplyInto(dst, x []float64) []float64 {
 	c.Reset()
-	out := make([]float64, len(x))
+	dst = slices.Grow(dst[:0], len(x))[:len(x)]
 	for i, v := range x {
-		out[i] = c.Step(v)
+		dst[i] = c.Step(v)
 	}
-	return out
+	return dst
 }
 
 // Resample converts x from rate fsIn to fsOut by linear interpolation.

@@ -82,9 +82,13 @@ func MotionStudy(env *Env, svmCfg svm.Config) ([]MotionRow, error) {
 			if err != nil {
 				return nil, err
 			}
+			rdet, err := peaks.NewRDetector(peaks.DetectorConfig{SampleRate: live.SampleRate})
+			if err != nil {
+				return nil, err
+			}
 			var verdicts []bool
 			for _, w := range wins {
-				r, err := peaks.DetectR(w.ECG, peaks.DetectorConfig{SampleRate: live.SampleRate})
+				r, err := rdet.Detect(w.ECG)
 				if err != nil {
 					return nil, err
 				}
@@ -152,9 +156,13 @@ func MotionStudy(env *Env, svmCfg svm.Config) ([]MotionRow, error) {
 // runtime detectors find on its actual samples.
 func redetectPeaks(set *dataset.LabeledSet, fs float64) error {
 	maxLag := int(dataset.MaxPairLagSec * fs)
+	rdet, err := peaks.NewRDetector(peaks.DetectorConfig{SampleRate: fs})
+	if err != nil {
+		return err
+	}
 	for i := range set.Windows {
 		w := &set.Windows[i]
-		r, err := peaks.DetectR(w.ECG, peaks.DetectorConfig{SampleRate: fs})
+		r, err := rdet.Detect(w.ECG)
 		if err != nil {
 			return err
 		}

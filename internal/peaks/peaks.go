@@ -12,6 +12,7 @@ package peaks
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/wiot-security/sift/internal/dsp"
 )
@@ -46,44 +47,87 @@ func (c DetectorConfig) fillDefaults() DetectorConfig {
 	return c
 }
 
-// DetectR locates R-peak sample indices in ecg.
+// DetectR locates R-peak sample indices in ecg. It is NewRDetector
+// followed by one Detect; callers that detect window after window should
+// keep an RDetector instead.
 func DetectR(ecg []float64, cfg DetectorConfig) ([]int, error) {
+	d, err := NewRDetector(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return d.Detect(ecg)
+}
+
+// RDetector is a reusable R-peak detector. The band-pass is designed
+// once and the intermediate signals live in buffers kept across calls,
+// so Detect allocates only the index slice it returns. An RDetector is
+// not safe for concurrent use.
+type RDetector struct {
+	band       *dsp.Cascade
+	win        int // moving-integration window, odd
+	refractory int
+	threshFrac float64
+
+	// Scratch reused across Detect calls.
+	filtered   []float64
+	energy     []float64 // squared first difference of filtered
+	integrated []float64
+	candidates []int
+}
+
+// NewRDetector validates cfg and designs its band-pass filter.
+func NewRDetector(cfg DetectorConfig) (*RDetector, error) {
 	cfg = cfg.fillDefaults()
 	if cfg.SampleRate <= 0 {
 		return nil, fmt.Errorf("peaks: sample rate must be positive, got %.3g", cfg.SampleRate)
 	}
-	if len(ecg) == 0 {
-		return nil, dsp.ErrEmptySignal
-	}
-
 	band, err := dsp.BandPass(cfg.BandLow, cfg.BandHigh, cfg.SampleRate)
 	if err != nil {
 		return nil, fmt.Errorf("peaks: band-pass design: %w", err)
 	}
-	filtered := band.Apply(ecg)
-	deriv := dsp.Diff(filtered)
-	squared := dsp.Square(deriv)
-
 	win := int(cfg.WindowSec * cfg.SampleRate)
 	if win%2 == 0 {
 		win++
 	}
-	integrated, err := dsp.MovingAverage(squared, win)
+	if win <= 0 {
+		return nil, fmt.Errorf("peaks: integration window must be positive, got %d samples", win)
+	}
+	return &RDetector{
+		band:       band,
+		win:        win,
+		refractory: int(cfg.Refractory * cfg.SampleRate),
+		threshFrac: cfg.ThreshFrac,
+	}, nil
+}
+
+// Detect locates R-peak sample indices in ecg. The returned slice is
+// freshly allocated and owned by the caller.
+func (d *RDetector) Detect(ecg []float64) ([]int, error) {
+	if len(ecg) == 0 {
+		return nil, dsp.ErrEmptySignal
+	}
+	d.filtered = d.band.ApplyInto(d.filtered, ecg)
+	// Derivative and squaring fused: energy[i-1] = (f[i] - f[i-1])².
+	n := len(ecg) - 1
+	d.energy = slices.Grow(d.energy[:0], n)[:n]
+	for i := range d.energy {
+		v := d.filtered[i+1] - d.filtered[i]
+		d.energy[i] = v * v
+	}
+	integrated, err := dsp.MovingAverageInto(d.integrated, d.energy, d.win)
 	if err != nil {
 		return nil, fmt.Errorf("peaks: integration window: %w", err)
 	}
-
-	refractory := int(cfg.Refractory * cfg.SampleRate)
-	candidates := thresholdPeaks(integrated, cfg.ThreshFrac, refractory)
+	d.integrated = integrated
+	d.candidates = thresholdPeaks(d.candidates[:0], integrated, d.threshFrac, d.refractory)
 
 	// Refine each candidate to the true ECG maximum in a neighborhood —
 	// the integrator peak lags the R wave by roughly half the window.
-	half := win
-	out := make([]int, 0, len(candidates))
-	for _, c := range candidates {
-		out = append(out, argmaxAround(ecg, c, half))
+	out := make([]int, 0, len(d.candidates))
+	for _, c := range d.candidates {
+		out = append(out, argmaxAround(ecg, c, d.win))
 	}
-	return dedupeSorted(out, refractory), nil
+	return dedupeSorted(out, d.refractory), nil
 }
 
 // DetectSystolic locates systolic-peak sample indices in abp: local maxima
@@ -125,15 +169,14 @@ func DetectSystolic(abp []float64, sampleRate float64) ([]int, error) {
 	return out, nil
 }
 
-// thresholdPeaks finds local maxima of x above frac·max(x), enforcing the
-// refractory separation.
-func thresholdPeaks(x []float64, frac float64, refractory int) []int {
+// thresholdPeaks appends to out the local maxima of x above
+// frac·max(x), enforcing the refractory separation.
+func thresholdPeaks(out []int, x []float64, frac float64, refractory int) []int {
 	_, maxV, err := dsp.MinMax(x)
 	if err != nil || maxV <= 0 {
-		return nil
+		return out
 	}
 	floor := frac * maxV
-	var out []int
 	last := -refractory
 	for i := 1; i < len(x)-1; i++ {
 		if x[i] < floor || x[i] < x[i-1] || x[i] <= x[i+1] {

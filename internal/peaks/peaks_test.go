@@ -2,9 +2,12 @@ package peaks
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/wiot-security/sift/internal/dsp"
+	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/physio"
 )
 
@@ -76,6 +79,9 @@ func TestDetectREmptyAndBadArgs(t *testing.T) {
 	}
 	if _, err := DetectR([]float64{1, 2}, DetectorConfig{}); err == nil {
 		t.Error("zero sample rate should error")
+	}
+	if _, err := DetectR([]float64{1, 2}, DetectorConfig{SampleRate: 360, WindowSec: -1}); err == nil {
+		t.Error("negative integration window should error")
 	}
 	if _, err := DetectSystolic(nil, 360); !errors.Is(err, dsp.ErrEmptySignal) {
 		t.Error("empty ABP should return ErrEmptySignal")
@@ -178,5 +184,148 @@ func TestSpectralHeartRateCrossChecksPeaks(t *testing.T) {
 	}
 	if diff := specHR - timeHR; diff < -8 || diff > 8 {
 		t.Errorf("spectral HR %.1f vs time-domain HR %.1f bpm disagree", specHR, timeHR)
+	}
+}
+
+// movingAverageNaive is the O(n·w) centered moving average the running
+// sum in dsp replaced; it is kept here as the oracle's integrator.
+func movingAverageNaive(x []float64, window int) []float64 {
+	half := window / 2
+	out := make([]float64, len(x))
+	for i := range x {
+		lo, hi := max(i-half, 0), min(i+half+1, len(x))
+		var s float64
+		for _, v := range x[lo:hi] {
+			s += v
+		}
+		out[i] = s / float64(hi-lo)
+	}
+	return out
+}
+
+// detectROracle is the unfused, allocate-everything R detector: a fresh
+// band-pass per call, separate Diff and Square passes, and the naive
+// moving-window integrator.
+func detectROracle(t *testing.T, ecg []float64, cfg DetectorConfig) []int {
+	t.Helper()
+	cfg = cfg.fillDefaults()
+	band, err := dsp.BandPass(cfg.BandLow, cfg.BandHigh, cfg.SampleRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	squared := dsp.Square(dsp.Diff(band.Apply(ecg)))
+	win := int(cfg.WindowSec * cfg.SampleRate)
+	if win%2 == 0 {
+		win++
+	}
+	integrated := movingAverageNaive(squared, win)
+	refractory := int(cfg.Refractory * cfg.SampleRate)
+	var out []int
+	for _, c := range thresholdPeaks(nil, integrated, cfg.ThreshFrac, refractory) {
+		out = append(out, argmaxAround(ecg, c, win))
+	}
+	return dedupeSorted(out, refractory)
+}
+
+// TestRDetectorMatchesOracle pins the reusable detector to the oracle on
+// the signals the station actually sees: cohort ECG quantized through
+// Q16.16 (the wire format), windows of varying length through one
+// detector, and hold-last concealment blocks standing in for lost frames.
+// Every window must yield identical indices.
+func TestRDetectorMatchesOracle(t *testing.T) {
+	const (
+		fs       = physio.DefaultSampleRate
+		wlen     = 1080 // 3 s at 360 Hz
+		frame    = 36   // samples per concealed frame
+		minCover = 4000
+	)
+	cfg := DetectorConfig{SampleRate: fs}
+	det, err := NewRDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subjects, err := physio.Cohort(16, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	windows, concealed := 0, 0
+	for k, s := range subjects {
+		rec, err := physio.Generate(s, 600, fs, int64(100+k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ecg := make([]float64, len(rec.ECG))
+		for i, v := range rec.ECG {
+			ecg[i] = fixedpoint.FromFloat(v).Float()
+		}
+		for off := 0; ; {
+			n := wlen
+			if rng.Intn(2) == 0 {
+				n = 1 + rng.Intn(2*wlen)
+			}
+			if off+n > len(ecg) {
+				break
+			}
+			w := slices.Clone(ecg[off : off+n])
+			off += n / 2 // half-overlapping windows
+			if n > 1 && rng.Intn(3) == 0 {
+				start := 1 + rng.Intn(n-1)
+				end := min(start+frame*(1+rng.Intn(20)), n)
+				for i := start; i < end; i++ {
+					w[i] = w[start-1]
+				}
+				concealed++
+			}
+			got, err := det.Detect(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := detectROracle(t, w, cfg); !slices.Equal(got, want) {
+				t.Fatalf("%s window %d (len %d): Detect = %v, oracle %v", s.ID, windows, n, got, want)
+			}
+			windows++
+		}
+	}
+	if windows < minCover || concealed < minCover/4 {
+		t.Fatalf("covered %d windows (%d concealed), want >= %d", windows, concealed, minCover)
+	}
+}
+
+// TestRDetectorAllocs pins Detect to one allocation: the returned slice.
+func TestRDetectorAllocs(t *testing.T) {
+	rec, err := physio.Generate(physio.DefaultSubject(), 3, physio.DefaultSampleRate, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := NewRDetector(DetectorConfig{SampleRate: rec.SampleRate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := det.Detect(rec.ECG); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("Detect allocates %.1f times per call, want <= 1", allocs)
+	}
+}
+
+func BenchmarkRDetectorDetect(b *testing.B) {
+	rec, err := physio.Generate(physio.DefaultSubject(), 3, physio.DefaultSampleRate, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	det, err := NewRDetector(DetectorConfig{SampleRate: rec.SampleRate})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := det.Detect(rec.ECG); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -168,15 +168,6 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return f, err
 }
 
-// FloatSamples converts the frame payload to float64.
-func (f *Frame) FloatSamples() []float64 {
-	out := make([]float64, len(f.Samples))
-	for i, q := range f.Samples {
-		out[i] = q.Float()
-	}
-	return out
-}
-
 // FrameFromFloats builds a frame from float64 samples, saturating values
 // outside the Q16.16 range.
 func FrameFromFloats(sensor SensorID, seq uint32, samples []float64) Frame {

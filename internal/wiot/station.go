@@ -9,6 +9,17 @@ import (
 	"github.com/wiot-security/sift/internal/peaks"
 )
 
+// ErrSeqGap reports a frame whose sequence jump would need more
+// concealment than the station synthesizes. The frame is dropped and the
+// sensor's cursor kept, so one forged or corrupt sequence number can
+// neither exhaust memory nor derail the stream.
+var ErrSeqGap = errors.New("wiot: sequence gap exceeds concealment bound")
+
+// concealWindows bounds loss concealment per frame, in windows: a gap
+// longer than this many windows' worth of samples is refused with
+// ErrSeqGap rather than filled with hold-last samples.
+const concealWindows = 8
+
 // Detector is the base station's pluggable classification back end; both
 // the host-reference detector and the emulated-device detector satisfy it
 // through small adapters.
@@ -76,6 +87,7 @@ type StationConfig struct {
 type BaseStation struct {
 	cfg  StationConfig
 	wlen int
+	rdet *peaks.RDetector // runtime R detector; nil when off
 
 	mu        sync.Mutex
 	ecg       []float64
@@ -110,9 +122,18 @@ func NewBaseStation(cfg StationConfig) (*BaseStation, error) {
 	if wlen <= 0 {
 		return nil, fmt.Errorf("wiot: degenerate window of %d samples", wlen)
 	}
+	var rdet *peaks.RDetector
+	if cfg.DetectPeaksAtRuntime {
+		d, err := peaks.NewRDetector(peaks.DetectorConfig{SampleRate: cfg.SampleRate})
+		if err != nil {
+			return nil, fmt.Errorf("wiot: runtime R detector: %w", err)
+		}
+		rdet = d
+	}
 	return &BaseStation{
 		cfg:       cfg,
 		wlen:      wlen,
+		rdet:      rdet,
 		nextSeq:   make(map[SensorID]uint32),
 		seqSynced: make(map[SensorID]bool),
 		lastVal:   make(map[SensorID]float64),
@@ -158,7 +179,9 @@ func (b *BaseStation) WindowsProcessed() int {
 // complete as a result. Sequence numbers drive the pipeline's loss
 // handling (Insight #1): a gap of k frames is concealed by synthesizing
 // k frames' worth of hold-last samples, so the ECG and ABP streams stay
-// mutually aligned; stale or duplicate frames are dropped.
+// mutually aligned; stale or duplicate frames are dropped. A gap needing
+// more than concealWindows windows of concealment drops the frame and
+// returns ErrSeqGap.
 func (b *BaseStation) HandleFrame(f Frame) error {
 	if !f.Sensor.Valid() {
 		return fmt.Errorf("%w: %d", ErrBadSensor, f.Sensor)
@@ -166,6 +189,10 @@ func (b *BaseStation) HandleFrame(f Frame) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 
+	buf := &b.abp
+	if f.Sensor == SensorECG {
+		buf = &b.ecg
+	}
 	want, synced := b.nextSeq[f.Sensor], b.seqSynced[f.Sensor]
 	seen := f.Seq
 	switch {
@@ -182,33 +209,27 @@ func (b *BaseStation) HandleFrame(f Frame) error {
 		return nil
 	case seqAfter(seen, want):
 		gap := int(seen - want)
+		if bound := concealWindows * b.wlen; len(f.Samples) > 0 && gap > bound/len(f.Samples) {
+			return fmt.Errorf("%w: sensor %v jumped %d frames of %d samples (bound %d samples)",
+				ErrSeqGap, f.Sensor, gap, len(f.Samples), bound)
+		}
 		b.seqErrors += gap
 		fill := gap * len(f.Samples)
 		b.concealed += fill
 		hold := b.lastVal[f.Sensor]
-		pad := make([]float64, fill)
-		for i := range pad {
-			pad[i] = hold
+		for i := 0; i < fill; i++ {
+			*buf = append(*buf, hold)
 		}
-		b.appendSamples(f.Sensor, pad)
 	}
 	b.nextSeq[f.Sensor] = seen + 1
 
-	samples := f.FloatSamples()
-	if len(samples) > 0 {
-		b.lastVal[f.Sensor] = samples[len(samples)-1]
+	if n := len(f.Samples); n > 0 {
+		b.lastVal[f.Sensor] = f.Samples[n-1].Float()
 	}
-	b.appendSamples(f.Sensor, samples)
+	for _, q := range f.Samples {
+		*buf = append(*buf, q.Float())
+	}
 	return b.drainWindows()
-}
-
-func (b *BaseStation) appendSamples(id SensorID, samples []float64) {
-	switch id {
-	case SensorECG:
-		b.ecg = append(b.ecg, samples...)
-	case SensorABP:
-		b.abp = append(b.abp, samples...)
-	}
 }
 
 // ConcealedSamples returns how many samples were synthesized to cover
@@ -229,12 +250,14 @@ func (b *BaseStation) StaleFrames() int {
 // drainWindows pops and classifies every complete window. Caller holds mu.
 func (b *BaseStation) drainWindows() error {
 	for len(b.ecg) >= b.wlen && len(b.abp) >= b.wlen {
+		// The window gets its own copies (detectors may retain it); the
+		// buffers are compacted in place so their capacity is reused.
 		ecg := make([]float64, b.wlen)
 		abp := make([]float64, b.wlen)
 		copy(ecg, b.ecg[:b.wlen])
 		copy(abp, b.abp[:b.wlen])
-		b.ecg = b.ecg[b.wlen:]
-		b.abp = b.abp[b.wlen:]
+		b.ecg = b.ecg[:copy(b.ecg, b.ecg[b.wlen:])]
+		b.abp = b.abp[:copy(b.abp, b.abp[b.wlen:])]
 
 		w := dataset.Window{
 			SubjectID: b.cfg.SubjectID,
@@ -243,7 +266,7 @@ func (b *BaseStation) drainWindows() error {
 			ABP:       abp,
 		}
 		if b.cfg.DetectPeaksAtRuntime {
-			r, err := peaks.DetectR(ecg, peaks.DetectorConfig{SampleRate: b.cfg.SampleRate})
+			r, err := b.rdet.Detect(ecg)
 			if err != nil {
 				return fmt.Errorf("wiot: runtime R detection: %w", err)
 			}

@@ -521,7 +521,9 @@ func (s *TCPStation) handleCtrl(c ctrlRecord, ss *stationSession) {
 
 // handleReliable runs the go-back-N receive side for one checksummed
 // frame: in-order frames are handled and acked, stale ones re-acked,
-// and a gap provokes a nack naming the sequence we still need.
+// and a gap provokes a nack naming the sequence we still need. An ack is
+// counted before it is written, so a sensor that has seen it never reads
+// a smaller Acks.
 func (s *TCPStation) handleReliable(conn net.Conn, f Frame) {
 	s.handleMu.Lock()
 	want := s.want[f.Sensor]
@@ -538,16 +540,16 @@ func (s *TCPStation) handleReliable(conn net.Conn, f Frame) {
 			obsTCPFrameErrors.Add(1)
 			s.recordErr(err)
 		}
-		s.sendCtrl(conn, ctrlRecord{Kind: ctrlAck, Sensor: f.Sensor, Seq: f.Seq})
 		s.acks.Add(1)
 		obsTCPAcks.Add(1)
+		s.sendCtrl(conn, ctrlRecord{Kind: ctrlAck, Sensor: f.Sensor, Seq: f.Seq})
 	case seqBefore(f.Seq, want):
 		s.handleMu.Unlock()
 		// Duplicate from a retransmit overlap; re-ack so the sender's
 		// window advances.
-		s.sendCtrl(conn, ctrlRecord{Kind: ctrlAck, Sensor: f.Sensor, Seq: want - 1})
 		s.acks.Add(1)
 		obsTCPAcks.Add(1)
+		s.sendCtrl(conn, ctrlRecord{Kind: ctrlAck, Sensor: f.Sensor, Seq: want - 1})
 	default:
 		s.handleMu.Unlock()
 		s.sendCtrl(conn, ctrlRecord{Kind: ctrlNack, Sensor: f.Sensor, Seq: want})

@@ -27,8 +27,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if got.Sensor != SensorECG || got.Seq != 7 || len(got.Samples) != 3 {
 		t.Errorf("decoded frame = %+v", got)
 	}
-	for i, v := range got.FloatSamples() {
-		if diff := v - f.Samples[i].Float(); diff != 0 {
+	for i, q := range got.Samples {
+		if diff := q.Float() - f.Samples[i].Float(); diff != 0 {
 			t.Errorf("sample %d drifted by %v", i, diff)
 		}
 	}
