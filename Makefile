@@ -36,7 +36,7 @@ race:
 # under the race detector and run twice (-count=2 catches state leaking
 # between runs through package-level counters or lingering goroutines).
 chaos:
-	$(GO) test -race -count=2 ./internal/wiot/chaos/ ./internal/wiot/ -run 'Chaos|Reconnect|RunScenarioOverTCP|FrameScanner|ServeTCP|ServeConn|TCPStation|PeekRecord|AcceptLoop|ConnSink|ErrorRing|RequireChecksums|DialSensor|Corruption|Cut|Partition|ControlRecords|Latency'
+	$(GO) test -race -count=2 ./internal/wiot/chaos/ ./internal/wiot/ -run 'Chaos|Reconnect|RunScenarioOverTCP|FrameScanner|ServeTCP|ServeConn|TCPStation|PeekRecord|AcceptLoop|ErrorRing|BareFrameBody|Corruption|Cut|Partition|ControlRecords|Latency'
 	$(GO) test -race -count=2 ./internal/fleet/ -run 'FleetRunnerOverChaosTCP'
 
 # The sharded control plane under the race detector: the coordinator's
@@ -82,10 +82,10 @@ auth:
 	$(GO) test -race -count=1 ./internal/attack/
 	$(GO) test -race -count=1 ./internal/campaign/ -run 'AuthAdversary|AuthParity'
 
-# Short coverage-guided session on the frame codec (beyond the seed
-# corpus that `go test` always runs).
+# Short coverage-guided session on the frame codec and the station's
+# wire scanner (beyond the seed corpus that `go test` always runs).
 fuzz:
-	$(GO) test ./internal/wiot/ -fuzz FuzzFrameRoundTrip -fuzztime 30s
+	$(GO) test ./internal/wiot/ -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime 30s
 
 # Differential fuzz: vmlint's static verdicts against the interpreter's
 # actual behaviour. Minimization is capped so wall time goes to new

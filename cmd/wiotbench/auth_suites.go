@@ -24,7 +24,7 @@ var authBenchMaster = func() []byte {
 // handshake with every frame sealed and verified under wire v3
 // (auth/hmac). The two run the identical fixture scenario, so their
 // ratio is exactly what authentication costs end to end; -compare
-// gates it with gateAuthOverhead.
+// gates it with the auth overhead entry of the gates table.
 func authScenarioSuite(authed bool) suite {
 	name := "auth/off"
 	describe := "end-to-end TCP scenario on the plain v2 wire (auth disabled)"

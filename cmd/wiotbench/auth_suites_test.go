@@ -7,44 +7,6 @@ import (
 	"github.com/wiot-security/sift/internal/wiot"
 )
 
-func TestGateAuthOverheadWithinCeiling(t *testing.T) {
-	cur := report(
-		Result{Name: "auth/off", MeanNS: 1000, MinNS: 1000},
-		Result{Name: "auth/hmac", MeanNS: 1080, MinNS: 1080},
-	)
-	var sb strings.Builder
-	if n := gateAuthOverhead(cur, &sb); n != 0 {
-		t.Errorf("8%% overhead failed the %.0f%% ceiling:\n%s", authOverheadCeilingPct, sb.String())
-	}
-	if !strings.Contains(sb.String(), "within ceiling") {
-		t.Errorf("output missing ceiling verdict:\n%s", sb.String())
-	}
-}
-
-func TestGateAuthOverheadOverCeiling(t *testing.T) {
-	cur := report(
-		Result{Name: "auth/off", MeanNS: 1000, MinNS: 1000},
-		Result{Name: "auth/hmac", MeanNS: 1400, MinNS: 1400},
-	)
-	var sb strings.Builder
-	if n := gateAuthOverhead(cur, &sb); n != 1 {
-		t.Errorf("40%% overhead passed the %.0f%% ceiling:\n%s", authOverheadCeilingPct, sb.String())
-	}
-	if !strings.Contains(sb.String(), "OVER CEILING") {
-		t.Errorf("output missing OVER CEILING verdict:\n%s", sb.String())
-	}
-}
-
-func TestGateAuthOverheadSkipsWhenSuitesAbsent(t *testing.T) {
-	var sb strings.Builder
-	if n := gateAuthOverhead(report(Result{Name: "auth/off", MinNS: 1000}), &sb); n != 0 {
-		t.Errorf("gate fired without both auth suites: %d", n)
-	}
-	if sb.Len() != 0 {
-		t.Errorf("gate printed without both auth suites: %q", sb.String())
-	}
-}
-
 func TestCompareRunsAuthOverheadGate(t *testing.T) {
 	old := report(Result{Name: "auth/off", MinNS: 1000}, Result{Name: "auth/hmac", MinNS: 1050})
 	cur := report(Result{Name: "auth/off", MinNS: 1000}, Result{Name: "auth/hmac", MinNS: 1500})

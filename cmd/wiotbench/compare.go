@@ -59,13 +59,56 @@ func compareReports(old, cur Report, thresholdPct float64, w io.Writer) int {
 			fmt.Fprintf(w, "%-20s %14s %14.0f %9s  new suite\n", n.Name, "-", compared(n), "-")
 		}
 	}
-	regressions += gateTraceOverhead(cur, thresholdPct, w)
-	regressions += gateJITSpeedup(cur, w)
-	regressions += gateShardOverhead(cur, w)
-	regressions += gateFederateOverhead(cur, w)
-	regressions += gateAuthOverhead(cur, w)
-	return regressions
+	return regressions + runGates(cur, thresholdPct, w)
 }
+
+// gateKind is how a gate judges its candidate suite against its base.
+type gateKind int
+
+const (
+	// overheadCeiling fails when the candidate costs more than limit
+	// percent over the base.
+	overheadCeiling gateKind = iota
+	// overheadBudget is overheadCeiling with the CLI -threshold as its
+	// limit.
+	overheadBudget
+	// speedupFloor fails when base/candidate falls below limit.
+	speedupFloor
+)
+
+// benchGate is one intra-report gate. Each is an absolute property of
+// the build under test, not a drift check, so it compares two suites
+// within the new report and silently skips when either is absent. A
+// base and candidate that end in "/" name suite families: every
+// candidate-prefixed suite with a base-prefixed twin is gated.
+type benchGate struct {
+	label           string
+	base, candidate string
+	kind            gateKind
+	limit           float64
+}
+
+// jitSpeedupFloor is the minimum ratio each jit/* suite must hold over
+// its interpreter-pinned vm/* twin. Template compilation only earns its
+// complexity if it removes the dispatch loop wholesale, so the floor is
+// an order of magnitude, not a percentage.
+const jitSpeedupFloor = 10.0
+
+// shardOverheadCeilingPct bounds what the sharded control plane may
+// cost over the plain fleet engine at the same total worker budget:
+// fleet/sharded/S4 (4 stations × 2 workers) versus fleet/W8. Station
+// queues, verdict batching, and the merge loop are bookkeeping around
+// the same scenario work, so anything past a modest ceiling means the
+// control plane started showing up in the per-window budget.
+const shardOverheadCeilingPct = 15.0
+
+// federateOverheadCeilingPct bounds what metrics federation may cost on
+// the sharded run it observes: federate/on versus federate/off over the
+// identical cohort. Publishing is a cumulative snapshot copy per station
+// per tick plus a mutex-guarded absorb on the coordinator — bookkeeping
+// entirely off the frame hot path — so federation that shows up beyond
+// a tenth of the per-scenario budget means a publisher regression.
+const federateOverheadCeilingPct = 10.0
 
 // authOverheadCeilingPct bounds what wire v3 authentication may cost on
 // an end-to-end stream: auth/hmac (HMAC onboarding plus a truncated
@@ -76,183 +119,77 @@ func compareReports(old, cur Report, thresholdPct float64, w io.Writer) int {
 // or verify path regressed onto the hot path.
 const authOverheadCeilingPct = 15.0
 
-// gateAuthOverhead enforces the authentication overhead ceiling inside
-// the new report. Like the other intra-report gates it is an absolute
-// property of the build under test and silently skips when either suite
-// is absent.
-func gateAuthOverhead(cur Report, w io.Writer) int {
-	byName := make(map[string]Result, len(cur.Suites))
-	for _, s := range cur.Suites {
-		byName[s.Name] = s
-	}
-	base, okBase := byName["auth/off"]
-	authed, okAuthed := byName["auth/hmac"]
-	if !okBase || !okAuthed {
-		return 0
-	}
-	baseNS, authNS := compared(base), compared(authed)
-	if baseNS <= 0 {
-		return 0
-	}
-	overhead := (authNS - baseNS) / baseNS * 100
-	verdict := "within ceiling"
-	fail := 0
-	if overhead > authOverheadCeilingPct {
-		verdict = "OVER CEILING"
-		fail = 1
-	}
-	fmt.Fprintf(w, "auth overhead: auth/hmac %+.1f%% vs auth/off (ceiling %.1f%%) — %s\n",
-		overhead, authOverheadCeilingPct, verdict)
-	return fail
+// gates lists every intra-report gate in the order compare prints them.
+// The flight-recorder gate bounds trace/on (the instrumented
+// classification path with a recorder attached) against trace/off by
+// the CLI -threshold.
+var gates = []benchGate{
+	{label: "flight recorder overhead", base: "trace/off", candidate: "trace/on", kind: overheadBudget},
+	{label: "jit speedup", base: "vm/", candidate: "jit/", kind: speedupFloor, limit: jitSpeedupFloor},
+	{label: "shard overhead", base: "fleet/W8", candidate: "fleet/sharded/S4", kind: overheadCeiling, limit: shardOverheadCeilingPct},
+	{label: "federation overhead", base: "federate/off", candidate: "federate/on", kind: overheadCeiling, limit: federateOverheadCeilingPct},
+	{label: "auth overhead", base: "auth/off", candidate: "auth/hmac", kind: overheadCeiling, limit: authOverheadCeilingPct},
 }
 
-// shardOverheadCeilingPct bounds what the sharded control plane may
-// cost over the plain fleet engine at the same total worker budget:
-// fleet/sharded/S4 (4 stations × 2 workers) versus fleet/W8. Station
-// queues, verdict batching, and the merge loop are bookkeeping around
-// the same scenario work, so anything past a modest ceiling means the
-// control plane started showing up in the per-window budget.
-const shardOverheadCeilingPct = 15.0
-
-// gateShardOverhead enforces the control plane's overhead ceiling
-// inside the new report. Like the trace and JIT gates it is an absolute
-// property of the build under test, so it compares within one report
-// and silently skips when either suite is absent.
-func gateShardOverhead(cur Report, w io.Writer) int {
-	byName := make(map[string]Result, len(cur.Suites))
-	for _, s := range cur.Suites {
-		byName[s.Name] = s
-	}
-	base, okBase := byName["fleet/W8"]
-	sharded, okSharded := byName["fleet/sharded/S4"]
-	if !okBase || !okSharded {
-		return 0
-	}
-	baseNS, shardNS := compared(base), compared(sharded)
-	if baseNS <= 0 {
-		return 0
-	}
-	overhead := (shardNS - baseNS) / baseNS * 100
-	verdict := "within ceiling"
-	fail := 0
-	if overhead > shardOverheadCeilingPct {
-		verdict = "OVER CEILING"
-		fail = 1
-	}
-	fmt.Fprintf(w, "shard overhead: fleet/sharded/S4 %+.1f%% vs fleet/W8 (ceiling %.1f%%) — %s\n",
-		overhead, shardOverheadCeilingPct, verdict)
-	return fail
-}
-
-// federateOverheadCeilingPct bounds what metrics federation may cost on
-// the sharded run it observes: federate/on versus federate/off over the
-// identical cohort. Publishing is a cumulative snapshot copy per station
-// per tick plus a mutex-guarded absorb on the coordinator — bookkeeping
-// entirely off the frame hot path — so federation that shows up beyond
-// a tenth of the per-scenario budget means a publisher regression.
-const federateOverheadCeilingPct = 10.0
-
-// gateFederateOverhead enforces the federation overhead ceiling inside
-// the new report. Like the other intra-report gates it is an absolute
-// property of the build under test and silently skips when either suite
-// is absent.
-func gateFederateOverhead(cur Report, w io.Writer) int {
-	byName := make(map[string]Result, len(cur.Suites))
-	for _, s := range cur.Suites {
-		byName[s.Name] = s
-	}
-	base, okBase := byName["federate/off"]
-	fed, okFed := byName["federate/on"]
-	if !okBase || !okFed {
-		return 0
-	}
-	baseNS, fedNS := compared(base), compared(fed)
-	if baseNS <= 0 {
-		return 0
-	}
-	overhead := (fedNS - baseNS) / baseNS * 100
-	verdict := "within ceiling"
-	fail := 0
-	if overhead > federateOverheadCeilingPct {
-		verdict = "OVER CEILING"
-		fail = 1
-	}
-	fmt.Fprintf(w, "federation overhead: federate/on %+.1f%% vs federate/off (ceiling %.1f%%) — %s\n",
-		overhead, federateOverheadCeilingPct, verdict)
-	return fail
-}
-
-// jitSpeedupFloor is the minimum ratio each jit/* suite must hold over
-// its interpreter-pinned vm/* twin. Template compilation only earns its
-// complexity if it removes the dispatch loop wholesale, so the floor is
-// an order of magnitude, not a percentage.
-const jitSpeedupFloor = 10.0
-
-// gateJITSpeedup enforces the compiled backend's speedup floor inside
-// the new report: for every jit/<prog> suite with a vm/<prog> twin, the
-// interpreter-to-JIT latency ratio must be at least jitSpeedupFloor.
-// Like the trace-overhead gate this is an absolute property of the build
-// under test, so it compares within one report.
-func gateJITSpeedup(cur Report, w io.Writer) int {
+// runGates evaluates gates against the new report, prints one verdict
+// line per gated pair, and returns the number that failed.
+func runGates(cur Report, thresholdPct float64, w io.Writer) int {
 	byName := make(map[string]Result, len(cur.Suites))
 	for _, s := range cur.Suites {
 		byName[s.Name] = s
 	}
 	fail := 0
-	for _, s := range cur.Suites {
-		if !strings.HasPrefix(s.Name, "jit/") {
-			continue
+	for _, g := range gates {
+		limit := g.limit
+		if g.kind == overheadBudget {
+			limit = thresholdPct
 		}
-		prog := strings.TrimPrefix(s.Name, "jit/")
-		vm, ok := byName["vm/"+prog]
-		if !ok {
-			continue
+		for _, c := range cur.Suites {
+			baseName := g.base
+			if strings.HasSuffix(g.candidate, "/") {
+				if !strings.HasPrefix(c.Name, g.candidate) {
+					continue
+				}
+				baseName += strings.TrimPrefix(c.Name, g.candidate)
+			} else if c.Name != g.candidate {
+				continue
+			}
+			base, ok := byName[baseName]
+			if !ok {
+				continue
+			}
+			baseNS, candNS := compared(base), compared(c)
+			if g.kind == speedupFloor {
+				if candNS <= 0 {
+					continue
+				}
+				speedup := baseNS / candNS
+				verdict := "ok"
+				if speedup < limit {
+					verdict = "BELOW FLOOR"
+					fail++
+				}
+				fmt.Fprintf(w, "%s: %-14s %6.1fx vs %s%-10s (floor %.0fx) — %s\n",
+					g.label, c.Name, speedup, g.base, strings.TrimPrefix(baseName, g.base), limit, verdict)
+				continue
+			}
+			if baseNS <= 0 {
+				continue
+			}
+			bound := "ceiling"
+			if g.kind == overheadBudget {
+				bound = "budget"
+			}
+			overhead := (candNS - baseNS) / baseNS * 100
+			verdict := "within " + bound
+			if overhead > limit {
+				verdict = "OVER " + strings.ToUpper(bound)
+				fail++
+			}
+			fmt.Fprintf(w, "%s: %s %+.1f%% vs %s (%s %.1f%%) — %s\n",
+				g.label, c.Name, overhead, baseName, bound, limit, verdict)
 		}
-		jitNS := compared(s)
-		if jitNS <= 0 {
-			continue
-		}
-		speedup := compared(vm) / jitNS
-		verdict := "ok"
-		if speedup < jitSpeedupFloor {
-			verdict = "BELOW FLOOR"
-			fail++
-		}
-		fmt.Fprintf(w, "jit speedup: %-14s %6.1fx vs vm/%-10s (floor %.0fx) — %s\n",
-			s.Name, speedup, prog, jitSpeedupFloor, verdict)
 	}
-	return fail
-}
-
-// gateTraceOverhead enforces the flight-recorder budget inside the new
-// report: the instrumented classification path with a recorder attached
-// (trace/on) may cost at most thresholdPct percent more than the same
-// path without one (trace/off). This is an absolute property of the
-// build under test, not a drift check, so it compares within one report
-// rather than across the two.
-func gateTraceOverhead(cur Report, thresholdPct float64, w io.Writer) int {
-	byName := make(map[string]Result, len(cur.Suites))
-	for _, s := range cur.Suites {
-		byName[s.Name] = s
-	}
-	off, okOff := byName["trace/off"]
-	on, okOn := byName["trace/on"]
-	if !okOff || !okOn {
-		return 0
-	}
-	offNS, onNS := compared(off), compared(on)
-	if offNS <= 0 {
-		return 0
-	}
-	overhead := (onNS - offNS) / offNS * 100
-	verdict := "within budget"
-	fail := 0
-	if overhead > thresholdPct {
-		verdict = "OVER BUDGET"
-		fail = 1
-	}
-	fmt.Fprintf(w, "flight recorder overhead: trace/on %+.1f%% vs trace/off (budget %.1f%%) — %s\n",
-		overhead, thresholdPct, verdict)
 	return fail
 }
 

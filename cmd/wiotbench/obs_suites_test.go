@@ -7,44 +7,6 @@ import (
 	"github.com/wiot-security/sift/internal/obs/trace"
 )
 
-func TestGateTraceOverheadWithinBudget(t *testing.T) {
-	cur := report(
-		Result{Name: "trace/off", MeanNS: 1000, MinNS: 1000},
-		Result{Name: "trace/on", MeanNS: 1050, MinNS: 1050},
-	)
-	var sb strings.Builder
-	if n := gateTraceOverhead(cur, 10, &sb); n != 0 {
-		t.Errorf("5%% overhead failed a 10%% budget:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "within budget") {
-		t.Errorf("output missing budget verdict:\n%s", sb.String())
-	}
-}
-
-func TestGateTraceOverheadOverBudget(t *testing.T) {
-	cur := report(
-		Result{Name: "trace/off", MeanNS: 1000, MinNS: 1000},
-		Result{Name: "trace/on", MeanNS: 1300, MinNS: 1300},
-	)
-	var sb strings.Builder
-	if n := gateTraceOverhead(cur, 10, &sb); n != 1 {
-		t.Errorf("30%% overhead passed a 10%% budget:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "OVER BUDGET") {
-		t.Errorf("output missing OVER BUDGET verdict:\n%s", sb.String())
-	}
-}
-
-func TestGateTraceOverheadSkipsWhenSuitesAbsent(t *testing.T) {
-	var sb strings.Builder
-	if n := gateTraceOverhead(report(Result{Name: "vm/Original", MeanNS: 1}), 10, &sb); n != 0 {
-		t.Errorf("gate fired without trace suites: %d", n)
-	}
-	if sb.Len() != 0 {
-		t.Errorf("gate printed without trace suites: %q", sb.String())
-	}
-}
-
 func TestCompareRunsOverheadGate(t *testing.T) {
 	old := report(Result{Name: "trace/off", MinNS: 1000}, Result{Name: "trace/on", MinNS: 1010})
 	cur := report(Result{Name: "trace/off", MinNS: 1000}, Result{Name: "trace/on", MinNS: 1500})

@@ -5,44 +5,6 @@ import (
 	"testing"
 )
 
-func TestGateShardOverheadWithinCeiling(t *testing.T) {
-	cur := report(
-		Result{Name: "fleet/W8", MeanNS: 1000, MinNS: 1000},
-		Result{Name: "fleet/sharded/S4", MeanNS: 1080, MinNS: 1080},
-	)
-	var sb strings.Builder
-	if n := gateShardOverhead(cur, &sb); n != 0 {
-		t.Errorf("8%% overhead failed the %.0f%% ceiling:\n%s", shardOverheadCeilingPct, sb.String())
-	}
-	if !strings.Contains(sb.String(), "within ceiling") {
-		t.Errorf("output missing ceiling verdict:\n%s", sb.String())
-	}
-}
-
-func TestGateShardOverheadOverCeiling(t *testing.T) {
-	cur := report(
-		Result{Name: "fleet/W8", MeanNS: 1000, MinNS: 1000},
-		Result{Name: "fleet/sharded/S4", MeanNS: 1400, MinNS: 1400},
-	)
-	var sb strings.Builder
-	if n := gateShardOverhead(cur, &sb); n != 1 {
-		t.Errorf("40%% overhead passed the %.0f%% ceiling:\n%s", shardOverheadCeilingPct, sb.String())
-	}
-	if !strings.Contains(sb.String(), "OVER CEILING") {
-		t.Errorf("output missing OVER CEILING verdict:\n%s", sb.String())
-	}
-}
-
-func TestGateShardOverheadSkipsWhenSuitesAbsent(t *testing.T) {
-	var sb strings.Builder
-	if n := gateShardOverhead(report(Result{Name: "fleet/W8", MeanNS: 1}), &sb); n != 0 {
-		t.Errorf("gate fired without the sharded suite: %d", n)
-	}
-	if sb.Len() != 0 {
-		t.Errorf("gate printed without the sharded suite: %q", sb.String())
-	}
-}
-
 func TestCompareRunsShardOverheadGate(t *testing.T) {
 	old := report(
 		Result{Name: "fleet/W8", MinNS: 1000},

@@ -239,18 +239,6 @@ func codecSuite(name string) suite {
 	}
 }
 
-// hostDetector adapts the host-side SIFT detector to the station's
-// Detector interface (same shape cmd/wiotsim uses).
-type hostDetector struct{ d *sift.Detector }
-
-func (h hostDetector) Classify(w dataset.Window) (bool, error) {
-	r, err := h.d.Classify(w)
-	if err != nil {
-		return false, err
-	}
-	return r.Altered, nil
-}
-
 // fleetFixture is the shared cohort for the fleet suites: one trained
 // detector and pregenerated live recordings, so the timed region is the
 // engine plus the scenario pipeline, not training or signal synthesis.
@@ -323,7 +311,7 @@ func buildFleetFixture(quick bool) (*fleetFixture, error) {
 		donor := live[(index+1)%len(live)]
 		return wiot.Scenario{
 			Record:     live[index],
-			Detector:   hostDetector{det},
+			Detector:   sift.HostDetector{D: det},
 			Attack:     &wiot.SubstitutionMITM{Donor: donor.ECG, ActiveFrom: attackFrom},
 			AttackFrom: attackFrom,
 			Channel:    ch,
@@ -377,7 +365,8 @@ const shardTotalWorkers = 8
 // shardSuite measures the sharded control plane end to end on the same
 // fixture as the fleet/W* suites: one op runs the whole cohort through
 // shard.Run at S stations with the 8-worker budget split evenly. The
-// fleet/sharded/S4-vs-fleet/W8 ratio is gated by gateShardOverhead.
+// fleet/sharded/S4-vs-fleet/W8 ratio is gated by the shard overhead
+// entry of the gates table.
 func shardSuite(shards int) suite {
 	name := fmt.Sprintf("fleet/sharded/S%d", shards)
 	workers := shardTotalWorkers / shards

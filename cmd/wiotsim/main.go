@@ -42,16 +42,6 @@ func main() {
 	}
 }
 
-type hostDetector struct{ d *sift.Detector }
-
-func (h hostDetector) Classify(w dataset.Window) (bool, error) {
-	r, err := h.d.Classify(w)
-	if err != nil {
-		return false, err
-	}
-	return r.Altered, nil
-}
-
 func run() error {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	liveSec := flag.Float64("live", 120, "seconds of live signal to stream")
@@ -189,7 +179,7 @@ func run() error {
 	fmt.Printf("streaming %.0f s live; MITM hijacks ECG at t=%.0f s\n", *liveSec, *attackAt)
 	res, err := wiot.RunScenario(wiot.Scenario{
 		Record:     live,
-		Detector:   hostDetector{det},
+		Detector:   sift.HostDetector{D: det},
 		Attack:     mitm,
 		AttackFrom: attackFrom,
 	})
@@ -305,8 +295,8 @@ func fleetCampaign(opt fleetOptions) campaign.Campaign {
 // metrics, trace capture) attaches through synthesis options and config
 // hooks so it never enters the declaration or changes verdicts.
 func runFleet(opt fleetOptions) error {
-	if opt.subjects < 2 {
-		return fmt.Errorf("-fleet %d needs at least 2 subjects (each wearer's MITM borrows a cohort neighbour's ECG)", opt.subjects)
+	if opt.subjects < campaign.MinFleetSubjects {
+		return fmt.Errorf("-fleet %d needs at least %d subjects (each wearer trains against two other members as donors)", opt.subjects, campaign.MinFleetSubjects)
 	}
 	subjects, err := physio.Cohort(opt.subjects, opt.seed)
 	if err != nil {

@@ -9,9 +9,9 @@ import (
 )
 
 func TestRunFleetRejectsTinyCohorts(t *testing.T) {
-	for _, n := range []int{-1, 0, 1} {
+	for _, n := range []int{-1, 0, 1, 2} {
 		err := runFleet(fleetOptions{subjects: n, version: features.Original})
-		if err == nil || !strings.Contains(err.Error(), "at least 2") || strings.Contains(err.Error(), "wiotsim:") {
+		if err == nil || !strings.Contains(err.Error(), "at least 3") || strings.Contains(err.Error(), "wiotsim:") {
 			t.Errorf("runFleet(subjects=%d) = %v, want cohort-size error", n, err)
 		}
 	}

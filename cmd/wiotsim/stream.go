@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/wiot-security/sift/internal/campaign"
 	"github.com/wiot-security/sift/internal/fleet/shard"
 	"github.com/wiot-security/sift/internal/obs"
 	"github.com/wiot-security/sift/internal/physio"
@@ -28,8 +29,8 @@ const streamProfiles = 64
 // hard failure. The digest line at the end is canonical: it must be
 // byte-identical for any -shards/-workers split of the same cohort.
 func runStreamFleet(opt fleetOptions) error {
-	if opt.subjects < 2 {
-		return fmt.Errorf("-fleet %d: the streamed smoke needs at least 2 wearers (each MITM borrows a neighbour profile's ECG)", opt.subjects)
+	if opt.subjects < campaign.MinFleetSubjects {
+		return fmt.Errorf("-fleet %d: the streamed smoke needs at least %d wearers (the shared detector trains against two other profiles as donors)", opt.subjects, campaign.MinFleetSubjects)
 	}
 	profiles := streamProfiles
 	if opt.subjects < profiles {
@@ -55,7 +56,7 @@ func runStreamFleet(opt fleetOptions) error {
 	if err != nil {
 		return err
 	}
-	donorB, err := gen(subjects[2%profiles], opt.trainSec, opt.seed+3)
+	donorB, err := gen(subjects[2], opt.trainSec, opt.seed+3)
 	if err != nil {
 		return err
 	}
@@ -85,7 +86,7 @@ func runStreamFleet(opt fleetOptions) error {
 		}
 		return wiot.Scenario{
 			Record:     live,
-			Detector:   hostDetector{det},
+			Detector:   sift.HostDetector{D: det},
 			Attack:     &wiot.SubstitutionMITM{Donor: donorLive.ECG, ActiveFrom: attackFrom},
 			AttackFrom: attackFrom,
 			Channel:    wiot.Reliable{},

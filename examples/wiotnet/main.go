@@ -6,8 +6,8 @@
 //
 // The wire is deliberately hostile: a chaos proxy corrupts ~5% of frames
 // and occasionally severs a connection mid-frame. The sensors stream
-// through reconnecting sinks and the station requires checksums, so the
-// detector still sees every sample exactly once.
+// through reconnecting sinks and every wire record carries a checksum,
+// so the detector still sees every sample exactly once.
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"net"
 	"time"
 
-	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
 	"github.com/wiot-security/sift/internal/physio"
 	"github.com/wiot-security/sift/internal/sift"
@@ -30,16 +29,6 @@ func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
 	}
-}
-
-type hostDetector struct{ d *sift.Detector }
-
-func (h hostDetector) Classify(w dataset.Window) (bool, error) {
-	r, err := h.d.Classify(w)
-	if err != nil {
-		return false, err
-	}
-	return r.Altered, nil
 }
 
 func run() error {
@@ -72,7 +61,7 @@ func run() error {
 	station, err := wiot.NewBaseStation(wiot.StationConfig{
 		SubjectID:            subjects[0].ID,
 		SampleRate:           physio.DefaultSampleRate,
-		Detector:             hostDetector{det},
+		Detector:             sift.HostDetector{D: det},
 		Sink:                 sink,
 		DetectPeaksAtRuntime: true,
 	})
@@ -87,7 +76,7 @@ func run() error {
 	// Every sensor byte crosses this fault injector before the station
 	// sees it.
 	faulty := chaos.Wrap(lis, chaos.Config{Seed: 7, CorruptProb: 0.05, CutProb: 0.02})
-	srv, err := wiot.ServeTCPConfig(context.Background(), faulty, station, wiot.TCPConfig{RequireChecksums: true})
+	srv, err := wiot.ServeTCP(context.Background(), faulty, station)
 	if err != nil {
 		return err
 	}
@@ -120,8 +109,7 @@ func run() error {
 			f, ok := sensor.Next()
 			if !ok {
 				// Close blocks until every buffered frame is acknowledged
-				// (or the drain deadline passes) — this is the delivery
-				// guarantee the plain DialSensor path never had.
+				// (or the drain deadline passes).
 				return out.Close()
 			}
 			if err := out.HandleFrame(intercept.Intercept(f)); err != nil {

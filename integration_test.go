@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -125,22 +126,22 @@ func TestEndToEndFirmwareOverTCP(t *testing.T) {
 	mitm := &wiot.SubstitutionMITM{Donor: donorLive.ECG, ActiveFrom: attackFrom}
 
 	stream := func(id wiot.SensorID, icpt wiot.Interceptor) error {
-		out, closeFn, err := wiot.DialSensor(lis.Addr().String())
+		out, err := wiot.NewReconnectSink(wiot.ReconnectConfig{Addr: lis.Addr().String(), Seed: int64(id)})
 		if err != nil {
 			return err
 		}
-		defer closeFn()
 		sensor, err := wiot.NewSensor(id, live, 90)
 		if err != nil {
-			return err
+			return errors.Join(err, out.Close())
 		}
 		for {
 			f, ok := sensor.Next()
 			if !ok {
-				return nil
+				// Close returns once the station has acked every frame.
+				return out.Close()
 			}
 			if err := out.HandleFrame(icpt.Intercept(f)); err != nil {
-				return err
+				return errors.Join(err, out.Close())
 			}
 		}
 	}

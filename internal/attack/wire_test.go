@@ -33,8 +33,7 @@ func wireStation(t *testing.T) (*wiot.TCPStation, string) {
 		t.Fatal(err)
 	}
 	st, err := wiot.ServeTCPConfig(context.Background(), lis, station, wiot.TCPConfig{
-		RequireChecksums: true,
-		Keys:             wiot.KeyStoreFromMaster(wireMaster, wiot.SensorECG, wiot.SensorABP),
+		Keys: wiot.KeyStoreFromMaster(wireMaster, wiot.SensorECG, wiot.SensorABP),
 	})
 	if err != nil {
 		t.Fatal(err)

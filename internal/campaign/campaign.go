@@ -178,6 +178,11 @@ func (d DigestMode) String() string {
 	return fmt.Sprintf("DigestMode(%d)", int(d))
 }
 
+// MinFleetSubjects is the smallest cohort fleet synthesis accepts: each
+// wearer's detector trains against the next two cohort members as
+// donors, so a smaller cohort would train a wearer against themself.
+const MinFleetSubjects = 3
+
 // Cohort declares who is being simulated and for how long.
 type Cohort struct {
 	// Subjects is the cohort size (wearers). Adaptive campaigns use the
@@ -307,6 +312,9 @@ func (c Campaign) Validate() error {
 	}
 	if c.Cohort.Subjects <= 0 && c.Kind != KindAdaptive {
 		report("campaign %q: Cohort.Subjects %d must be positive", c.Name, c.Cohort.Subjects)
+	} else if (c.Kind == KindFleet || c.Kind == KindAuthAdversary) && c.Cohort.Subjects < MinFleetSubjects {
+		report("campaign %q: Cohort.Subjects %d: fleet cohorts need at least %d subjects (each wearer trains against two other members as donors)",
+			c.Name, c.Cohort.Subjects, MinFleetSubjects)
 	}
 	if c.Cohort.LiveSec <= 0 {
 		report("campaign %q: Cohort.LiveSec %g must be positive", c.Name, c.Cohort.LiveSec)

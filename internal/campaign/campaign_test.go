@@ -65,6 +65,13 @@ func TestValidateFindings(t *testing.T) {
 			}
 		}, "share Seed"},
 		{"fleet non-substitution", func(c *Campaign) { c.Attacks[0].Kind = AttackFlatline }, "only substitution"},
+		{"fleet cohort of two", func(c *Campaign) { c.Cohort.Subjects = 2 }, "at least 3 subjects"},
+		{"auth-adversary cohort of two", func(c *Campaign) {
+			c.Kind = KindAuthAdversary
+			c.Attacks = nil
+			c.Topology = Topology{Kind: TopoTCP, Auth: true}
+			c.Cohort.Subjects = 2
+		}, "at least 3 subjects"},
 		{"sharded needs shards", func(c *Campaign) { c.Topology.Kind = TopoSharded }, "Shards > 0"},
 		{"cycle budget unsatisfiable", func(c *Campaign) { c.Budget.MaxCyclesPerWindow = 10 }, "campbudget"},
 		{"sram budget unsatisfiable", func(c *Campaign) { c.Budget.MaxSRAMBytes = 8 }, "campbudget"},
@@ -141,7 +148,7 @@ func TestCanonicalRoundTrip(t *testing.T) {
 		},
 		{
 			Name: "authed", Description: "byzantine wire", Kind: KindAuthAdversary,
-			Cohort:   Cohort{Subjects: 2, BaseSeed: 17, TrainSec: 60, LiveSec: 12},
+			Cohort:   Cohort{Subjects: 3, BaseSeed: 17, TrainSec: 60, LiveSec: 12},
 			Detector: Detector{Version: "Reduced"},
 			Topology: Topology{Kind: TopoTCP, Workers: 2, Auth: true},
 			Digest:   DigestRequired,

@@ -109,7 +109,7 @@ var AuthAdversary = campaign.Campaign{
 	Name:        "auth-adversary",
 	Description: "v3 wire under a byzantine peer: verdicts converge, forgeries rejected",
 	Kind:        campaign.KindAuthAdversary,
-	Cohort:      campaign.Cohort{Subjects: 2, BaseSeed: 17, TrainSec: 60, LiveSec: 12},
+	Cohort:      campaign.Cohort{Subjects: 3, BaseSeed: 17, TrainSec: 60, LiveSec: 12},
 	Detector:    campaign.Detector{Version: "Reduced"},
 	Topology:    campaign.Topology{Kind: campaign.TopoTCP, Workers: 2, Auth: true},
 	Digest:      campaign.DigestRequired,

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/fleet"
 	"github.com/wiot-security/sift/internal/fleet/shard"
 	"github.com/wiot-security/sift/internal/physio"
@@ -155,8 +154,8 @@ func (c Campaign) fleetSource(wrap DetectorWrapper) (fleet.Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Cohort.Subjects < 2 {
-		return nil, fmt.Errorf("campaign %q: fleet cohorts need at least 2 subjects (each wearer's MITM borrows a cohort neighbour's ECG)", c.Name)
+	if c.Cohort.Subjects < MinFleetSubjects {
+		return nil, fmt.Errorf("campaign %q: fleet cohorts need at least %d subjects (each wearer trains against two other members as donors)", c.Name, MinFleetSubjects)
 	}
 	var attackArm *AttackWindow
 	if len(c.Attacks) == 1 {
@@ -217,7 +216,7 @@ func (c Campaign) fleetSource(wrap DetectorWrapper) (fleet.Source, error) {
 
 		sc := wiot.Scenario{
 			Record:   live,
-			Detector: hostDetector{det},
+			Detector: sift.HostDetector{D: det},
 			Channel:  ch,
 		}
 		if attackArm != nil {
@@ -238,19 +237,6 @@ func (c Campaign) fleetSource(wrap DetectorWrapper) (fleet.Source, error) {
 		}
 		return sc, nil
 	}, nil
-}
-
-// hostDetector adapts the trained SIFT detector to the station's
-// boolean-verdict interface (identical to the adapter wiotsim used).
-type hostDetector struct{ d *sift.Detector }
-
-// Classify implements wiot.Detector.
-func (h hostDetector) Classify(w dataset.Window) (bool, error) {
-	r, err := h.d.Classify(w)
-	if err != nil {
-		return false, err
-	}
-	return r.Altered, nil
 }
 
 // partitionChannel drops every frame whose first sample falls inside a

@@ -189,8 +189,7 @@ func (c Campaign) runWireCampaigns(ctx context.Context) ([]attack.WireReport, in
 		return nil, 0, err
 	}
 	st, err := wiot.ServeTCPConfig(ctx, lis, station, wiot.TCPConfig{
-		RequireChecksums: true,
-		Keys:             wiot.KeyStoreFromMaster(master, wiot.SensorECG, wiot.SensorABP),
+		Keys: wiot.KeyStoreFromMaster(master, wiot.SensorECG, wiot.SensorABP),
 	})
 	if err != nil {
 		_ = lis.Close()

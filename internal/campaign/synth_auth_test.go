@@ -105,7 +105,7 @@ func TestFleetTopologyAuthParity(t *testing.T) {
 	base := campaign.Campaign{
 		Name:     "auth-parity",
 		Kind:     campaign.KindFleet,
-		Cohort:   campaign.Cohort{Subjects: 2, BaseSeed: 17, TrainSec: 60, LiveSec: 12},
+		Cohort:   campaign.Cohort{Subjects: 3, BaseSeed: 17, TrainSec: 60, LiveSec: 12},
 		Detector: campaign.Detector{Version: "Reduced"},
 		Topology: campaign.Topology{Kind: campaign.TopoTCP, Workers: 2},
 		Digest:   campaign.DigestRequired,

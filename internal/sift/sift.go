@@ -109,6 +109,20 @@ func (d *Detector) Classify(w dataset.Window) (Result, error) {
 	return Result{Altered: margin >= 0, Margin: margin}, nil
 }
 
+// HostDetector adapts a trained Detector to the base station's
+// boolean-verdict interface (wiot.Detector), which needs only whether a
+// window was altered.
+type HostDetector struct{ D *Detector }
+
+// Classify implements wiot.Detector.
+func (h HostDetector) Classify(w dataset.Window) (bool, error) {
+	r, err := h.D.Classify(w)
+	if err != nil {
+		return false, err
+	}
+	return r.Altered, nil
+}
+
 // Evaluate classifies every window in the set and accumulates a confusion
 // matrix against the ground-truth labels.
 func (d *Detector) Evaluate(set *dataset.LabeledSet) (metrics.Confusion, error) {

@@ -245,30 +245,23 @@ func frameMACWith(key []byte, alg MACAlg, msg []byte) uint64 {
 // replayed at a different window position, and the session id, so a
 // frame cannot be spliced into another session.
 func (s *Session) SealFrame(f *Frame) ([]byte, error) {
-	buf, err := f.Encode()
+	body, err := f.encode(frameMagicV3, authTrailerSize)
 	if err != nil {
 		return nil, err
 	}
-	buf[0] = frameMagicV3
-	return s.sealEncoded(buf), nil
+	return s.seal(body), nil
 }
 
-// sealEncoded appends sid/mac/crc to an already v3-magic'd frame body.
-func (s *Session) sealEncoded(body []byte) []byte {
-	body = binary.LittleEndian.AppendUint32(body, s.ID)
-	tag := s.frameMAC(body)
-	body = binary.LittleEndian.AppendUint64(body, tag)
-	return appendCRC(body)
-}
-
-// sealV2Payload rebuilds a buffered v2 record (checksummed frame) as a
-// v3 record under this session — the reconnect sink calls it at
+// seal turns body, a frame body under any frame magic, into a v3 record
+// in place: the v3 magic, then the session id, the MAC and the CRC
+// trailer appended. The reconnect sink seals its buffered v2 bodies at
 // transmit time, so frames buffered before a reconnect are re-MAC'd
 // under the new session's id and key.
-func (s *Session) sealV2Payload(v2 []byte) []byte {
-	body := append([]byte(nil), v2[:len(v2)-crcSize]...)
+func (s *Session) seal(body []byte) []byte {
 	body[0] = frameMagicV3
-	return s.sealEncoded(body)
+	body = binary.LittleEndian.AppendUint32(body, s.ID)
+	body = binary.LittleEndian.AppendUint64(body, s.frameMAC(body))
+	return appendCRC(body)
 }
 
 // aesCMAC is AES-128-CMAC (RFC 4493). The Go standard library ships no
@@ -360,16 +353,14 @@ func (c AuthConfig) withDefaults() AuthConfig {
 }
 
 // Handshake performs the sensor-side onboarding exchange on a fresh
-// connection: hello (latching the station into checksummed mode), auth
-// hello, challenge, response, station proof. On success the returned
-// session seals frames for this connection; the station will reject
-// everything else.
+// connection: hello, auth hello, challenge, response, station proof.
+// On success the returned session seals frames for this connection;
+// the station will reject everything else.
 func Handshake(conn net.Conn, cfg AuthConfig) (*Session, error) {
 	if err := writeDeadlined(conn, appendCtrl(nil, ctrlRecord{Kind: ctrlHello}), cfg.Timeout); err != nil {
 		return nil, err
 	}
-	sc := newFrameScanner(conn, false)
-	return clientHandshake(conn, sc, cfg, cfg.Timeout)
+	return clientHandshake(conn, newFrameScanner(conn), cfg, cfg.Timeout)
 }
 
 func writeDeadlined(conn net.Conn, payload []byte, timeout time.Duration) error {
@@ -470,9 +461,9 @@ func readAuthReply(sc *frameScanner, want ctrlKind, sensor SensorID) (ctrlRecord
 
 // DialAuthSensor dials a station and completes the v3 handshake,
 // returning a FrameSink whose frames are sealed under the established
-// session. It is the authenticated twin of DialSensor — the simplest
-// honest client, and the building block the attack campaigns use for
-// their "legitimately authenticated, then hostile" arms.
+// session. It is the simplest honest v3 client, and the building block
+// the attack campaigns use for their "legitimately authenticated, then
+// hostile" arms; ReconnectSink is the production client.
 func DialAuthSensor(addr string, cfg AuthConfig) (FrameSink, func() error, error) {
 	cfg = cfg.withDefaults()
 	conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)

@@ -27,8 +27,7 @@ func authHarness(t *testing.T, det Detector) (*TCPStation, *MemorySink, string) 
 		t.Fatal(err)
 	}
 	st, err := ServeTCPConfig(context.Background(), lis, station, TCPConfig{
-		RequireChecksums: true,
-		Keys:             KeyStoreFromMaster(testMaster, SensorECG, SensorABP),
+		Keys: KeyStoreFromMaster(testMaster, SensorECG, SensorABP),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +189,7 @@ func TestAuthImpersonationRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2, err := ServeTCPConfig(context.Background(), lis, newTestStation(t, &flagEveryOther{}, lisSink), TCPConfig{
-		RequireChecksums: true, Keys: ks,
+		Keys: ks,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +243,7 @@ func TestAuthSessionBindingRejectsForgedFrames(t *testing.T) {
 	if err := writeDeadlined(conn, appendCtrl(nil, ctrlRecord{Kind: ctrlHello}), time.Second); err != nil {
 		t.Fatal(err)
 	}
-	sc := newFrameScanner(conn, false)
+	sc := newFrameScanner(conn)
 	sess, err := clientHandshake(conn, sc, cfg, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +366,7 @@ func TestAuthReplayedHandshakeRejected(t *testing.T) {
 	if _, err := conn.Write(helloRec); err != nil {
 		t.Fatal(err)
 	}
-	sc := newFrameScanner(conn, false)
+	sc := newFrameScanner(conn)
 	challenge, err := readAuthReply(sc, ctrlAuthChallenge, SensorECG)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +392,7 @@ func TestAuthReplayedHandshakeRejected(t *testing.T) {
 	if _, err := replay.Write(helloRec); err != nil {
 		t.Fatal(err)
 	}
-	rsc := newFrameScanner(replay, false)
+	rsc := newFrameScanner(replay)
 	replayChal, err := readAuthReply(rsc, ctrlAuthChallenge, SensorECG)
 	if err != nil {
 		t.Fatal(err)
@@ -454,8 +453,7 @@ func TestAuthHandshakeSurvivesMidDialStationKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, err := ServeTCPConfig(context.Background(), &killFirstConnListener{Listener: lis}, station, TCPConfig{
-		RequireChecksums: true,
-		Keys:             KeyStoreFromMaster(testMaster, SensorECG, SensorABP),
+		Keys: KeyStoreFromMaster(testMaster, SensorECG, SensorABP),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -329,8 +329,7 @@ func (c *faultConn) deliverFrame(rec []byte) {
 
 // applyAdversary runs the scheduled in-place forgeries for frame number
 // total. Forgeries keep a valid CRC so only MAC verification can reject
-// them; records without a repairable CRC trailer (legacy v1 frames) pass
-// through untouched. Each forgery type claims a record's (sensor, seq)
+// them. Each forgery type claims a record's (sensor, seq)
 // identity before striking, so a retransmitted frame is forged at most
 // once per type and delivery always makes progress.
 func (c *faultConn) applyAdversary(rec []byte, total int64) []byte {

@@ -4,16 +4,15 @@
 // detector and forwards alerts to a resource-rich sink.
 //
 // Two transports are provided: an in-process one for deterministic
-// simulation, and a TCP loopback one whose wire format is the binary
-// frame defined here. A man-in-the-middle hook on the ECG channel is how
-// sensor-hijacking attacks enter the system.
+// simulation, and a TCP loopback one whose records (protocol.go) wrap
+// the binary frame body defined here. A man-in-the-middle hook on the
+// ECG channel is how sensor-hijacking attacks enter the system.
 package wiot
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"github.com/wiot-security/sift/internal/fixedpoint"
@@ -64,7 +63,9 @@ type Frame struct {
 	Samples []fixedpoint.Q
 }
 
-// frameMagic guards against desynchronized streams.
+// frameMagic heads a bare frame body, the codec form Encode and
+// DecodeFrame speak. The wire never carries it: every wire record
+// (protocol.go) swaps in its own magic and adds a CRC32-C trailer.
 const frameMagic = 0xA5
 
 // MaxFrameSamples bounds a frame's payload (one BLE connection event's
@@ -82,8 +83,15 @@ var (
 // EncodedSize returns the wire size of a frame with n samples.
 func EncodedSize(n int) int { return 1 + 1 + 4 + 2 + 4*n }
 
-// Encode serializes the frame.
+// Encode serializes the frame body.
 func (f *Frame) Encode() ([]byte, error) {
+	return f.encode(frameMagic, 0)
+}
+
+// encode serializes the frame body under magic into a buffer with
+// trailer bytes of spare capacity, so a record wrapper can append its
+// trailer without regrowing.
+func (f *Frame) encode(magic byte, trailer int) ([]byte, error) {
 	span := obsEncode.Start()
 	defer span.End()
 	if !f.Sensor.Valid() {
@@ -92,8 +100,8 @@ func (f *Frame) Encode() ([]byte, error) {
 	if len(f.Samples) > MaxFrameSamples {
 		return nil, fmt.Errorf("%w: %d samples", ErrFrameSize, len(f.Samples))
 	}
-	buf := make([]byte, 0, EncodedSize(len(f.Samples)))
-	buf = append(buf, frameMagic, byte(f.Sensor))
+	buf := make([]byte, 0, EncodedSize(len(f.Samples))+trailer)
+	buf = append(buf, magic, byte(f.Sensor))
 	buf = binary.LittleEndian.AppendUint32(buf, f.Seq)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(f.Samples)))
 	for _, q := range f.Samples {
@@ -104,15 +112,21 @@ func (f *Frame) Encode() ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeFrame parses one frame from buf, returning the frame and the
-// number of bytes consumed.
+// DecodeFrame parses one frame body from buf, returning the frame and
+// the number of bytes consumed.
 func DecodeFrame(buf []byte) (Frame, int, error) {
+	return decodeBody(buf, frameMagic)
+}
+
+// decodeBody parses a frame body headed by magic. The wire scanner
+// decodes each record's body in place through it.
+func decodeBody(buf []byte, magic byte) (Frame, int, error) {
 	span := obsDecode.Start()
 	defer span.End()
 	if len(buf) < EncodedSize(0) {
 		return Frame{}, 0, ErrShortFrame
 	}
-	if buf[0] != frameMagic {
+	if buf[0] != magic {
 		return Frame{}, 0, ErrBadMagic
 	}
 	sensor := SensorID(buf[1])
@@ -134,38 +148,6 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 		f.Samples[i] = fixedpoint.FromRaw(int32(raw))
 	}
 	return f, total, nil
-}
-
-// WriteFrame encodes and writes a frame to w.
-func WriteFrame(w io.Writer, f *Frame) error {
-	buf, err := f.Encode()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadFrame reads exactly one frame from r.
-func ReadFrame(r io.Reader) (Frame, error) {
-	hdr := make([]byte, EncodedSize(0))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return Frame{}, err
-	}
-	if hdr[0] != frameMagic {
-		return Frame{}, ErrBadMagic
-	}
-	n := int(binary.LittleEndian.Uint16(hdr[6:]))
-	if n > MaxFrameSamples {
-		return Frame{}, fmt.Errorf("%w: %d samples", ErrFrameSize, n)
-	}
-	payload := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, fmt.Errorf("wiot: frame payload: %w", err)
-	}
-	full := append(hdr, payload...)
-	f, _, err := DecodeFrame(full)
-	return f, err
 }
 
 // FrameFromFloats builds a frame from float64 samples, saturating values

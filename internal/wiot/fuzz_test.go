@@ -2,7 +2,10 @@ package wiot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -22,40 +25,108 @@ func randomFrame(rng *rand.Rand) Frame {
 	return Frame{Sensor: sensor, Seq: rng.Uint32(), Samples: samples}
 }
 
-// FuzzFrameRoundTrip feeds arbitrary bytes to the frame decoder: it must
-// never panic, and whenever it accepts an input, re-encoding the decoded
-// frame must reproduce exactly the bytes consumed — the wire format is
-// canonical.
+// FuzzFrameRoundTrip feeds arbitrary bytes to the frame-body decoder
+// and to the station's wire scanner. Neither may panic. Whenever the
+// decoder accepts an input, re-encoding the decoded frame must
+// reproduce exactly the bytes consumed — the body codec is canonical.
+// The scanner is held to the same rule per surfaced record, and may
+// surface only CRC-valid records, never a bare 0xA5 frame body.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{frameMagic})
 	f.Add([]byte{frameMagic, byte(SensorECG), 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{frameMagic, byte(SensorABP), 1, 0, 0, 0, 2, 0, 0xAA, 0xBB, 0xCC, 0xDD})
-	seed, err := (&Frame{Sensor: SensorECG, Seq: 7, Samples: []fixedpoint.Q{fixedpoint.FromFloat(1.5)}}).Encode()
+	fr := Frame{Sensor: SensorECG, Seq: 7, Samples: []fixedpoint.Q{fixedpoint.FromFloat(1.5)}}
+	seed, err := fr.Encode()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	v2, err := fr.EncodeChecksummed()
+	if err != nil {
+		f.Fatal(err)
+	}
+	v3, err := ForgeSession(3, SensorECG, MACHMAC, []byte("fuzz")).SealFrame(&fr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ctrl := appendCtrl(nil, ctrlRecord{Kind: ctrlAck, Sensor: SensorABP, Seq: 9})
+	f.Add(v2)
+	f.Add(v3)
+	f.Add(append(append(append(append([]byte{0x13}, seed...), v2...), ctrl...), v3...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, err := DecodeFrame(data)
+		checkBodyRoundTrip(t, data)
+		checkScannerRoundTrip(t, data)
+	})
+}
+
+// checkBodyRoundTrip holds DecodeFrame to the canonical body encoding.
+func checkBodyRoundTrip(t *testing.T, data []byte) {
+	fr, n, err := DecodeFrame(data)
+	if err != nil {
+		return
+	}
+	if n < EncodedSize(0) || n > len(data) {
+		t.Fatalf("consumed %d of %d bytes", n, len(data))
+	}
+	if n != EncodedSize(len(fr.Samples)) {
+		t.Fatalf("consumed %d bytes for %d samples, want %d", n, len(fr.Samples), EncodedSize(len(fr.Samples)))
+	}
+	enc, err := fr.Encode()
+	if err != nil {
+		t.Fatalf("re-encoding a decoded frame failed: %v", err)
+	}
+	if !bytes.Equal(enc, data[:n]) {
+		t.Fatalf("round trip diverged:\n in: %x\nout: %x", data[:n], enc)
+	}
+}
+
+// checkScannerRoundTrip drives the station's frameScanner over data and
+// checks every surfaced record against the exact bytes it consumed.
+func checkScannerRoundTrip(t *testing.T, data []byte) {
+	src := bytes.NewReader(data)
+	sc := newFrameScanner(src)
+	prevEnd, prevSkipped := 0, int64(0)
+	for {
+		rec, err := sc.next()
 		if err != nil {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("scanner over an in-memory stream failed: %v", err)
+			}
 			return
 		}
-		if n < EncodedSize(0) || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		// Skipped junk sits between the previous record and this one.
+		end := len(data) - src.Len() - len(sc.buf)
+		raw := data[prevEnd+int(sc.skipped-prevSkipped) : end]
+		prevEnd, prevSkipped = end, sc.skipped
+		if raw[0] == frameMagic {
+			t.Fatalf("scanner surfaced a bare frame body: %x", raw)
 		}
-		if n != EncodedSize(len(fr.Samples)) {
-			t.Fatalf("consumed %d bytes for %d samples, want %d", n, len(fr.Samples), EncodedSize(len(fr.Samples)))
+		if len(raw) < crcSize || crc32.Checksum(raw[:len(raw)-crcSize], crcTable) != binary.LittleEndian.Uint32(raw[len(raw)-crcSize:]) {
+			t.Fatalf("scanner surfaced a record without a valid CRC: %x", raw)
 		}
-		enc, err := fr.Encode()
+		var enc []byte
+		switch {
+		case rec.isCtrl:
+			enc = appendCtrl(nil, rec.ctrl)
+		case rec.authed:
+			if !bytes.Equal(rec.macMsg, raw[:len(raw)-authTagSize-crcSize]) {
+				t.Fatalf("MAC message %x is not the record prefix %x", rec.macMsg, raw)
+			}
+			enc, err = rec.frame.encode(frameMagicV3, authTrailerSize)
+			enc = binary.LittleEndian.AppendUint32(enc, rec.sid)
+			enc = appendCRC(binary.LittleEndian.AppendUint64(enc, rec.mac))
+		default:
+			enc, err = rec.frame.EncodeChecksummed()
+		}
 		if err != nil {
-			t.Fatalf("re-encoding a decoded frame failed: %v", err)
+			t.Fatalf("re-encoding a surfaced record failed: %v", err)
 		}
-		if !bytes.Equal(enc, data[:n]) {
-			t.Fatalf("round trip diverged:\n in: %x\nout: %x", data[:n], enc)
+		if !bytes.Equal(enc, raw) {
+			t.Fatalf("record round trip diverged:\n in: %x\nout: %x", raw, enc)
 		}
-	})
+	}
 }
 
 // TestFrameRoundTripRandom is the deterministic counterpart of the fuzz
@@ -144,24 +215,25 @@ func TestFrameDecodeCorrupted(t *testing.T) {
 	}
 }
 
-// TestReadFrameTruncatedStream drives the io.Reader path with partial
-// streams; it must surface an error rather than hang or panic.
+// TestReadFrameTruncatedStream drives the scanner with every truncation
+// of a record stream: a cut record must surface an error rather than a
+// frame, a hang, or a panic.
 func TestReadFrameTruncatedStream(t *testing.T) {
 	fr := Frame{Sensor: SensorECG, Seq: 3, Samples: []fixedpoint.Q{fixedpoint.FromFloat(2)}}
-	buf, err := fr.Encode()
+	buf, err := fr.EncodeChecksummed()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(buf); cut++ {
-		if _, err := ReadFrame(bytes.NewReader(buf[:cut])); err == nil {
-			t.Fatalf("ReadFrame on %d of %d bytes succeeded", cut, len(buf))
+		if rec, err := newFrameScanner(bytes.NewReader(buf[:cut])).next(); err == nil {
+			t.Fatalf("scan of %d of %d bytes surfaced %+v", cut, len(buf), rec)
 		}
 	}
-	got, err := ReadFrame(bytes.NewReader(buf))
+	rec, err := newFrameScanner(bytes.NewReader(buf)).next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != 3 || got.Sensor != SensorECG || len(got.Samples) != 1 {
+	if got := rec.frame; got.Seq != 3 || got.Sensor != SensorECG || len(got.Samples) != 1 {
 		t.Errorf("full read = %+v", got)
 	}
 }

@@ -9,8 +9,7 @@ import (
 
 // NetConfig tunes RunScenarioOverTCP.
 type NetConfig struct {
-	// Station tunes the receiving transport. RequireChecksums is forced
-	// on: the runner's sensors always speak the reliable v2 protocol.
+	// Station tunes the receiving transport.
 	Station TCPConfig
 	// Sink tunes both sensor clients; Addr is filled in by the runner
 	// and Seed (when zero) is derived from Seed below per sensor.
@@ -82,7 +81,6 @@ func RunScenarioOverTCP(ctx context.Context, sc Scenario, nc NetConfig) (Scenari
 		wrapped = nc.WrapListener(lis)
 	}
 	stCfg := nc.Station
-	stCfg.RequireChecksums = true
 	if nc.Auth != nil && stCfg.Keys == nil {
 		stCfg.Keys = KeyStoreFromMaster(nc.Auth.Master, SensorECG, SensorABP)
 	}

@@ -8,14 +8,12 @@ import (
 	"io"
 )
 
-// Wire protocol v2 — the reliability layer the hardened transport speaks.
+// The wire protocol. The sensor→station byte stream is a sequence of
+// records, each starting with a magic byte:
 //
-// The sensor→station byte stream is a sequence of records, each starting
-// with a magic byte:
-//
-//	0xA5  legacy frame        — the original unchecksummed encoding
-//	0xA7  checksummed frame   — same layout, magic 0xA7, CRC32-C trailer
-//	                            over every preceding byte of the record
+//	0xA7  checksummed frame   — v2: the frame body (frame.go) under magic
+//	                            0xA7, then a CRC32-C trailer over every
+//	                            preceding byte of the record
 //	0xA9  authenticated frame — v3: the checksummed layout followed by
 //	                            [sid u32 LE, mac u64 LE] before the CRC
 //	                            trailer; the truncated MAC covers every
@@ -23,13 +21,15 @@ import (
 //	0x5C  control record      — [magic, kind, sensor, seq u32 LE, crc u32 LE]
 //	                            (kinds 5–9 use wider layouts, sized below)
 //
-// The station→sensor direction carries only control records (acks,
-// nacks, and the station's half of the auth handshake). A receiver that
-// loses framing — a corrupted length field, a mid-frame cut followed by
-// a reconnect replay — scans forward to the next plausible magic byte
-// instead of dropping the connection; the CRC trailers make a phantom
-// record (a magic byte inside payload data) vanishingly unlikely to be
-// accepted once a peer speaks v2.
+// Every record carries a CRC, so no unchecked byte reaches a station. A
+// bare frame body (magic 0xA5) is not a record: a receiver treats it as
+// junk. The station→sensor direction carries only control records
+// (acks, nacks, and the station's half of the auth handshake). A
+// receiver that loses framing — a corrupted length field, a mid-frame
+// cut followed by a reconnect replay — scans forward to the next
+// plausible magic byte instead of dropping the connection; the CRC
+// trailers make a phantom record (a magic byte inside payload data)
+// vanishingly unlikely to be accepted.
 const (
 	frameMagicV2 = 0xA7
 	frameMagicV3 = 0xA9
@@ -70,7 +70,8 @@ const (
 	// waiting and conceal.
 	ctrlGap
 	// ctrlHello (sensor→station): sent first on every connection by a
-	// reliable sender, latching the receiver into checksummed mode.
+	// reliable sender. Receivers ignore it; it stays on the wire so a
+	// sender's byte stream is unchanged.
 	ctrlHello
 	// ctrlTrace (sensor→station): trace-context propagation — the sink's
 	// connection span ID and its fleet-side parent, sent once after hello
@@ -203,16 +204,15 @@ func decodeCtrl(buf []byte) (ctrlRecord, error) {
 	return c, nil
 }
 
-// EncodeChecksummed serializes the frame as a v2 record: the standard
-// encoding with the v2 magic and a CRC32-C trailer, so the receiver can
-// reject in-flight byte corruption instead of classifying garbage.
+// EncodeChecksummed serializes the frame as a v2 record: the frame body
+// under the v2 magic and a CRC32-C trailer, so the receiver can reject
+// in-flight byte corruption instead of classifying garbage.
 func (f *Frame) EncodeChecksummed() ([]byte, error) {
-	buf, err := f.Encode()
+	buf, err := f.encode(frameMagicV2, crcSize)
 	if err != nil {
 		return nil, err
 	}
-	buf[0] = frameMagicV2
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable)), nil
+	return appendCRC(buf), nil
 }
 
 // RecordKind classifies a wire record for stream middleware (the chaos
@@ -220,10 +220,8 @@ func (f *Frame) EncodeChecksummed() ([]byte, error) {
 type RecordKind byte
 
 const (
-	// RecordFrame is a legacy (unchecksummed) frame.
-	RecordFrame RecordKind = iota + 1
 	// RecordFrameChecksummed is a v2 frame with a CRC32-C trailer.
-	RecordFrameChecksummed
+	RecordFrameChecksummed RecordKind = iota + 1
 	// RecordControl is an ack/nack/gap/hello/auth control record.
 	RecordControl
 	// RecordFrameAuth is a v3 frame: the checksummed layout plus a
@@ -248,7 +246,7 @@ func PeekRecord(buf []byte) (RecordInfo, error) {
 		return RecordInfo{}, ErrShortFrame
 	}
 	switch buf[0] {
-	case frameMagic, frameMagicV2, frameMagicV3:
+	case frameMagicV2, frameMagicV3:
 		if len(buf) < frameHeaderSize {
 			return RecordInfo{}, ErrShortFrame
 		}
@@ -259,10 +257,7 @@ func PeekRecord(buf []byte) (RecordInfo, error) {
 		if n > MaxFrameSamples {
 			return RecordInfo{}, fmt.Errorf("%w: %d samples", ErrFrameSize, n)
 		}
-		switch buf[0] {
-		case frameMagic:
-			return RecordInfo{Kind: RecordFrame, Len: EncodedSize(n)}, nil
-		case frameMagicV3:
+		if buf[0] == frameMagicV3 {
 			return RecordInfo{Kind: RecordFrameAuth, Len: EncodedSize(n) + authTrailerSize}, nil
 		}
 		return RecordInfo{Kind: RecordFrameChecksummed, Len: EncodedSize(n) + crcSize}, nil
@@ -281,18 +276,18 @@ func PeekRecord(buf []byte) (RecordInfo, error) {
 }
 
 // wireRecord is one record surfaced by the scanner: exactly one of
-// isFrame/isCtrl is set.
+// isFrame/isCtrl is set. Every frame carried a verified CRC.
 type wireRecord struct {
 	frame   Frame
 	isFrame bool
-	checked bool // the frame carried a verified CRC (v2 or v3)
 	ctrl    ctrlRecord
 	isCtrl  bool
 
 	// v3 fields: the claimed session id, the truncated MAC, and the raw
 	// bytes the MAC covers. The scanner verifies only the CRC — the MAC
 	// needs the session key, which lives with the station's per-conn
-	// state.
+	// state. macMsg aliases the scanner's buffer and is valid until the
+	// next call to next.
 	authed bool
 	sid    uint32
 	mac    uint64
@@ -304,25 +299,18 @@ type wireRecord struct {
 // costs the stream one byte, and the scanner hunts for the next magic
 // byte instead of surfacing an error. Only I/O failures (including a
 // disconnect mid-record, reported as io.ErrUnexpectedEOF) terminate it.
-//
-// Once the peer has produced any checksummed record the scanner stops
-// accepting legacy frames on the stream: after corruption desynchronizes
-// framing, payload bytes routinely impersonate legacy frame headers, and
-// only the CRC trailer separates a real record from a phantom.
 type frameScanner struct {
-	src         io.Reader
-	buf         []byte
-	readChunk   [4096]byte
-	allowLegacy bool
-	sawChecksum bool
-	inJunk      bool
+	src       io.Reader
+	buf       []byte
+	readChunk [4096]byte
+	inJunk    bool
 
 	resyncs int64 // contiguous runs of skipped bytes
 	skipped int64 // total bytes discarded
 }
 
-func newFrameScanner(src io.Reader, allowLegacy bool) *frameScanner {
-	return &frameScanner{src: src, allowLegacy: allowLegacy}
+func newFrameScanner(src io.Reader) *frameScanner {
+	return &frameScanner{src: src}
 }
 
 // fill appends the next chunk from the source. A read that moves bytes
@@ -391,71 +379,37 @@ func (s *frameScanner) next() (wireRecord, error) {
 			continue
 		}
 		raw := s.buf[:info.Len]
-		switch info.Kind {
-		case RecordControl:
+		if info.Kind == RecordControl {
 			c, err := decodeCtrl(raw)
 			if err != nil {
 				s.skipByte()
 				continue
 			}
 			s.consume(info.Len)
-			s.sawChecksum = true
 			return wireRecord{ctrl: c, isCtrl: true}, nil
-		case RecordFrameChecksummed:
-			body := raw[:info.Len-crcSize]
-			if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(raw[info.Len-crcSize:]) {
-				s.skipByte()
-				continue
-			}
-			// Decode through the standard path: flip the magic on a copy so
-			// the shared codec (and its obs instrumentation) does the work.
-			dec := append([]byte(nil), body...)
-			dec[0] = frameMagic
-			f, _, err := DecodeFrame(dec)
-			if err != nil {
-				s.skipByte()
-				continue
-			}
-			s.consume(info.Len)
-			s.sawChecksum = true
-			return wireRecord{frame: f, isFrame: true, checked: true}, nil
-		case RecordFrameAuth:
-			body := raw[:info.Len-crcSize]
-			if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(raw[info.Len-crcSize:]) {
-				s.skipByte()
-				continue
-			}
-			// body = frame bytes ‖ sid ‖ mac; the MAC covers everything
-			// through the sid. Copy before consume: raw aliases s.buf.
-			msg := append([]byte(nil), body[:len(body)-authTagSize]...)
-			mac := binary.LittleEndian.Uint64(body[len(body)-authTagSize:])
-			sid := binary.LittleEndian.Uint32(msg[len(msg)-authSIDSize:])
-			dec := append([]byte(nil), msg[:len(msg)-authSIDSize]...)
-			dec[0] = frameMagic
-			f, _, err := DecodeFrame(dec)
-			if err != nil {
-				s.skipByte()
-				continue
-			}
-			s.consume(info.Len)
-			s.sawChecksum = true
-			return wireRecord{
-				frame: f, isFrame: true, checked: true,
-				authed: true, sid: sid, mac: mac, macMsg: msg,
-			}, nil
-		case RecordFrame:
-			if !s.allowLegacy || s.sawChecksum {
-				s.skipByte()
-				continue
-			}
-			f, _, err := DecodeFrame(raw)
-			if err != nil {
-				s.skipByte()
-				continue
-			}
-			s.consume(info.Len)
-			return wireRecord{frame: f, isFrame: true}, nil
 		}
+		body := raw[:info.Len-crcSize]
+		if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(raw[info.Len-crcSize:]) {
+			s.skipByte()
+			continue
+		}
+		f, _, err := decodeBody(body, raw[0])
+		if err != nil {
+			s.skipByte()
+			continue
+		}
+		s.consume(info.Len)
+		rec := wireRecord{frame: f, isFrame: true}
+		if info.Kind == RecordFrameAuth {
+			// body = frame bytes ‖ sid ‖ mac; the MAC covers everything
+			// through the sid.
+			msg := body[:len(body)-authTagSize]
+			rec.authed = true
+			rec.macMsg = msg
+			rec.mac = binary.LittleEndian.Uint64(body[len(msg):])
+			rec.sid = binary.LittleEndian.Uint32(msg[len(msg)-authSIDSize:])
+		}
+		return rec, nil
 	}
 }
 
@@ -470,11 +424,10 @@ func (s *frameScanner) consume(n int) {
 // checksummed record in place, so stream middleware (the chaos
 // adversary) can tamper with record bytes and still present a
 // CRC-valid record — the class of forgery only a v3 MAC catches.
-// Legacy (unchecksummed) records are left untouched. Returns false when
-// the buffer is not a single well-formed record of a checksummed kind.
+// Returns false when the buffer is not a single well-formed record.
 func RepairRecordCRC(rec []byte) bool {
 	info, err := PeekRecord(rec)
-	if err != nil || len(rec) != info.Len || info.Kind == RecordFrame {
+	if err != nil || len(rec) != info.Len {
 		return false
 	}
 	binary.LittleEndian.PutUint32(rec[info.Len-crcSize:], crc32.Checksum(rec[:info.Len-crcSize], crcTable))

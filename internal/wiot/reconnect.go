@@ -327,8 +327,7 @@ func (r *ReconnectSink) run() {
 			return
 		}
 		gen := r.install(conn)
-		// Hello latches the station into checksummed mode before any
-		// frame bytes arrive on this connection.
+		// Every connection opens with a hello record.
 		if err := r.writeRaw(conn, appendCtrl(nil, ctrlRecord{Kind: ctrlHello})); err != nil {
 			_ = conn.Close()
 			continue
@@ -336,7 +335,7 @@ func (r *ReconnectSink) run() {
 		// One scanner serves both the handshake replies and the ack
 		// stream: handing the connection to a second reader would strand
 		// any station bytes buffered in the first.
-		sc := newFrameScanner(conn, false)
+		sc := newFrameScanner(conn)
 		if r.cfg.Auth != nil {
 			sess, err := r.handshake(conn, sc)
 			if err != nil {
@@ -454,6 +453,7 @@ func (r *ReconnectSink) connDied(conn net.Conn, gen uint64) {
 // unacknowledged with nothing left to send, a go-back-N timer arms;
 // on expiry the whole window retransmits.
 func (r *ReconnectSink) writeLoop(conn net.Conn, gen uint64) {
+	var sealed []byte // reused v3 record buffer for an authenticated sink
 	var rtoTimer *time.Timer
 	defer func() {
 		if rtoTimer != nil {
@@ -525,7 +525,8 @@ func (r *ReconnectSink) writeLoop(conn net.Conn, gen uint64) {
 				// Seal at transmit time, not enqueue time: a frame buffered
 				// across a reconnect must carry the new session's id and
 				// MAC when it is (re)transmitted.
-				payload = r.sess.sealV2Payload(payload)
+				sealed = r.sess.seal(append(sealed[:0], payload[:len(payload)-crcSize]...))
+				payload = sealed
 			}
 		}
 		r.mu.Unlock()

@@ -37,8 +37,7 @@ func TestComputeBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// reliableHarness stands up a strict (checksums-required) station and
-// returns it with its address.
+// reliableHarness stands up a station and returns it with its address.
 func reliableHarness(t *testing.T, det Detector) (*TCPStation, *MemorySink, string) {
 	t.Helper()
 	sink := &MemorySink{}
@@ -47,7 +46,7 @@ func reliableHarness(t *testing.T, det Detector) (*TCPStation, *MemorySink, stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ServeTCPConfig(context.Background(), lis, station, TCPConfig{RequireChecksums: true})
+	st, err := ServeTCP(context.Background(), lis, station)
 	if err != nil {
 		t.Fatal(err)
 	}

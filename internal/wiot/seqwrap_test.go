@@ -80,7 +80,7 @@ func TestSeqWrapStationCursor(t *testing.T) {
 	if _, err := conn.Write(payload); err != nil {
 		t.Fatal(err)
 	}
-	sc := newFrameScanner(conn, false)
+	sc := newFrameScanner(conn)
 	rec, err := sc.next()
 	if err != nil {
 		t.Fatal(err)
@@ -235,9 +235,7 @@ func TestDropNewestDeclaresGapEagerly(t *testing.T) {
 	// Bring the station up. Acks for 0 and 1 drain the queue, which
 	// un-blocks the hole and triggers the eager gap — no nack needed.
 	memSink := &MemorySink{}
-	st, err := ServeTCPConfig(t.Context(), lis, newTestStation(t, &flagEveryOther{}, memSink), TCPConfig{
-		RequireChecksums: true,
-	})
+	st, err := ServeTCP(t.Context(), lis, newTestStation(t, &flagEveryOther{}, memSink))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,12 +126,17 @@ func TestTCPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := func(id SensorID) {
-		sink, closeFn, err := DialSensor(lis.Addr().String())
+		sink, err := NewReconnectSink(ReconnectConfig{Addr: lis.Addr().String(), Seed: int64(id)})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		defer closeFn()
+		// Close flushes: it returns once the station has acked every frame.
+		defer func() {
+			if err := sink.Close(); err != nil {
+				t.Error(err)
+			}
+		}()
 		s, err := NewSensor(id, rec, 90)
 		if err != nil {
 			t.Error(err)

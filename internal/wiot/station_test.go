@@ -69,9 +69,9 @@ func TestStationConcealmentBound(t *testing.T) {
 	}
 }
 
-// TestTCPStationSurvivesSeqGap drives the same forged jump over a plain
-// TCP connection: the station counts the refused frame and keeps serving
-// the sensor.
+// TestTCPStationSurvivesSeqGap drives the same forged jump over a TCP
+// connection: the go-back-N cursor nacks the out-of-order frame before
+// the base station sees it, and the station keeps serving the sensor.
 func TestTCPStationSurvivesSeqGap(t *testing.T) {
 	station := newTestStation(t, &flagEveryOther{}, &MemorySink{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -83,16 +83,21 @@ func TestTCPStationSurvivesSeqGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	sink, closeFn, err := DialSensor(lis.Addr().String())
+	conn, err := net.Dial("tcp", lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeFn()
+	defer conn.Close()
 
 	samples := make([]float64, 90)
 	send := func(id SensorID, seq uint32) {
 		t.Helper()
-		if err := sink.HandleFrame(FrameFromFloats(id, seq, samples)); err != nil {
+		f := FrameFromFloats(id, seq, samples)
+		rec, err := f.EncodeChecksummed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(rec); err != nil {
 			t.Fatalf("connection died: %v", err)
 		}
 	}
@@ -106,15 +111,12 @@ func TestTCPStationSurvivesSeqGap(t *testing.T) {
 	}
 	waitUntil(t, 2*time.Second, func() bool {
 		return station.WindowsProcessed() == 1
-	}, "the window after the refused frame to complete")
-	if got := st.Stats().FrameErrors; got != 1 {
-		t.Errorf("frame errors = %d, want 1", got)
+	}, "the window after the forged frame to complete")
+	if got := st.Stats(); got.Nacks != 1 || got.FrameErrors != 0 {
+		t.Errorf("transport stats %+v, want one nack and no frame errors", got)
 	}
-	if errs := st.Errors(); len(errs) != 1 || !errors.Is(errs[0], ErrSeqGap) {
-		t.Errorf("recorded errors = %v, want one ErrSeqGap", errs)
-	}
-	if got := station.ConcealedSamples(); got != 0 {
-		t.Errorf("concealed %d samples, want 0", got)
+	if got := station.Stats(); got.SeqErrors != 0 || got.Concealed != 0 {
+		t.Errorf("station stats %+v, want no gap seen and nothing concealed", got)
 	}
 }
 

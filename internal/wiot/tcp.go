@@ -39,7 +39,7 @@ var (
 	obsAuthRejectPlain     = obs.NewCounter("wiot.auth.reject.plain")
 )
 
-// Transport timeout defaults, shared by the station and DialSensor.
+// Transport timeout defaults, shared by the station and its clients.
 const (
 	DefaultDialTimeout     = 5 * time.Second
 	DefaultWriteTimeout    = 5 * time.Second
@@ -70,15 +70,11 @@ type TCPConfig struct {
 	// between retries after a transient Accept error.
 	AcceptBackoffBase time.Duration
 	AcceptBackoffMax  time.Duration
-	// RequireChecksums rejects legacy unchecksummed frames outright; set
-	// it when every sensor speaks the v2 reliable protocol (the chaos
-	// harness does, since corruption can forge legacy headers).
-	RequireChecksums bool
 	// Keys enables authenticated wire v3: every connection must complete
 	// the onboarding handshake against a provisioned per-sensor PSK, and
 	// every frame must carry the live session's id and a verifying MAC.
-	// Unauthenticated (v2/legacy) frames are rejected outright. Nil
-	// leaves the station in v2 mode.
+	// Unauthenticated v2 frames are rejected outright. Nil leaves the
+	// station in v2 mode.
 	Keys *KeyStore
 }
 
@@ -119,7 +115,7 @@ type TCPStats struct {
 	AuthRejectNoSession int64 // v3 frames on a conn with no live session
 	AuthRejectSession   int64 // sid/sensor mismatches (splice, hijack, forged gap)
 	AuthRejectMAC       int64 // MAC verification failures
-	AuthRejectPlain     int64 // v2/legacy records refused while auth is required
+	AuthRejectPlain     int64 // v2 frames refused while auth is required
 }
 
 // TCPStation exposes a base station over a TCP listener: each sensor
@@ -303,7 +299,7 @@ func (d deadlineReader) Read(p []byte) (int, error) {
 // the teardown of a mid-run reconnect — so no station-side span is left
 // open across reconnects.
 func (s *TCPStation) serveConn(conn net.Conn) {
-	sc := newFrameScanner(deadlineReader{conn, s.cfg.ReadIdleTimeout}, !s.cfg.RequireChecksums)
+	sc := newFrameScanner(deadlineReader{conn, s.cfg.ReadIdleTimeout})
 	var connRegion trace.Region
 	defer func() {
 		connRegion.End()
@@ -347,32 +343,14 @@ func (s *TCPStation) serveConn(conn net.Conn) {
 			s.handleCtrl(rec.ctrl, &sess)
 		case rec.authed:
 			s.handleAuthFrame(conn, rec, &sess)
-		case rec.checked:
-			if s.cfg.Keys != nil {
-				// Auth is required on this station: a v2 frame — however
-				// well-formed — carries no proof of origin. No ack, no
-				// nack: an unauthenticated peer gets no protocol feedback.
-				s.authRejPlain.Add(1)
-				obsAuthRejectPlain.Add(1)
-				continue
-			}
-			s.handleReliable(conn, rec.frame)
+		case s.cfg.Keys != nil:
+			// Auth is required on this station: a v2 frame — however
+			// well-formed — carries no proof of origin. No ack, no nack:
+			// an unauthenticated peer gets no protocol feedback.
+			s.authRejPlain.Add(1)
+			obsAuthRejectPlain.Add(1)
 		default:
-			if s.cfg.Keys != nil {
-				s.authRejPlain.Add(1)
-				obsAuthRejectPlain.Add(1)
-				continue
-			}
-			// Legacy fire-and-forget path: a handler failure is a fact
-			// about one frame, not the connection — record it and move on.
-			s.handleMu.Lock()
-			err := s.Station.HandleFrame(rec.frame)
-			s.handleMu.Unlock()
-			if err != nil {
-				s.frameErrs.Add(1)
-				obsTCPFrameErrors.Add(1)
-				s.recordErr(err)
-			}
+			s.handleReliable(conn, rec.frame)
 		}
 	}
 }
@@ -494,7 +472,8 @@ func (s *TCPStation) handleAuthFrame(conn net.Conn, rec wireRecord, ss *stationS
 	}
 }
 
-// handleCtrl processes sensor→station control traffic.
+// handleCtrl processes sensor→station control traffic. Only a gap
+// declaration changes station state; a hello is a no-op.
 func (s *TCPStation) handleCtrl(c ctrlRecord, ss *stationSession) {
 	switch c.Kind {
 	case ctrlGap:
@@ -514,8 +493,6 @@ func (s *TCPStation) handleCtrl(c ctrlRecord, ss *stationSession) {
 			s.want[c.Sensor] = c.Seq
 		}
 		s.handleMu.Unlock()
-	case ctrlHello:
-		// Latching to checksummed mode already happened in the scanner.
 	}
 }
 
@@ -650,64 +627,7 @@ func (s *TCPStation) Close() error {
 	return err
 }
 
-// DialSensor connects to a TCP station and returns a FrameSink that
-// writes frames to the socket, plus a close function. It bounds the
-// dial and every write with the package default timeouts; use
-// DialSensorTimeout to tune them.
-func DialSensor(addr string) (FrameSink, func() error, error) {
-	return DialSensorTimeout(addr, DefaultDialTimeout, DefaultWriteTimeout)
-}
-
-// DialSensorTimeout is DialSensor with explicit timeouts. A dial that
-// exceeds dialTimeout fails with ErrDialTimeout; a write that exceeds
-// writeTimeout fails with ErrWriteTimeout (so a stalled station cannot
-// block a sensor goroutine forever). Non-positive values disable the
-// corresponding bound.
-func DialSensorTimeout(addr string, dialTimeout, writeTimeout time.Duration) (FrameSink, func() error, error) {
-	var conn net.Conn
-	var err error
-	if dialTimeout > 0 {
-		conn, err = net.DialTimeout("tcp", addr, dialTimeout)
-	} else {
-		conn, err = net.Dial("tcp", addr)
-	}
-	if err != nil {
-		if isTimeout(err) {
-			err = fmt.Errorf("wiot: dial station %s after %v: %w", addr, dialTimeout, ErrDialTimeout)
-		} else {
-			err = fmt.Errorf("wiot: dial station: %w", err)
-		}
-		return nil, nil, err
-	}
-	return &connSink{conn: conn, writeTimeout: writeTimeout}, conn.Close, nil
-}
-
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-type connSink struct {
-	mu           sync.Mutex
-	conn         net.Conn
-	writeTimeout time.Duration
-}
-
-// HandleFrame implements FrameSink by writing the frame to the socket
-// under the write deadline.
-func (c *connSink) HandleFrame(f Frame) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.writeTimeout > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-			return err
-		}
-	}
-	if err := WriteFrame(c.conn, &f); err != nil {
-		if isTimeout(err) {
-			return fmt.Errorf("wiot: write frame after %v: %w", c.writeTimeout, ErrWriteTimeout)
-		}
-		return err
-	}
-	return nil
 }

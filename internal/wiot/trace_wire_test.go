@@ -72,7 +72,7 @@ func TestFrameScannerTraceControlRecords(t *testing.T) {
 	bad[10] ^= 0xFF
 
 	stream := append(append(append([]byte(nil), trace...), bad...), ack...)
-	sc := newFrameScanner(bytes.NewReader(stream), false)
+	sc := newFrameScanner(bytes.NewReader(stream))
 
 	rec, err := sc.next()
 	if err != nil {

@@ -81,15 +81,19 @@ func TestReadWriteFrameStream(t *testing.T) {
 		FrameFromFloats(SensorECG, 1, []float64{3}),
 	}
 	for i := range frames {
-		if err := WriteFrame(&buf, &frames[i]); err != nil {
+		rec, err := frames[i].EncodeChecksummed()
+		if err != nil {
 			t.Fatal(err)
 		}
+		buf.Write(rec)
 	}
+	sc := newFrameScanner(&buf)
 	for i := range frames {
-		got, err := ReadFrame(&buf)
+		rec, err := sc.next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
+		got := rec.frame
 		if got.Sensor != frames[i].Sensor || got.Seq != frames[i].Seq || len(got.Samples) != len(frames[i].Samples) {
 			t.Errorf("frame %d mismatch: %+v", i, got)
 		}
