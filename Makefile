@@ -129,11 +129,13 @@ lint-custom:
 # package (machine-readable output), runtime validation of the catalog,
 # and the parity/digest-invariance tests that pin declaration lowering
 # byte-identical to the legacy imperative paths (plus the run-manifest
-# round-trip and shard-invariance suite).
+# round-trip and shard-invariance suite), and the check that wiotsim
+# -stream builds its cohort with the same recipe.
 campaigns:
 	$(GO) run ./cmd/wiotlint -campaigns -json ./...
 	$(GO) run ./cmd/wiotsim build -lint
 	$(GO) test ./internal/campaign/ -run 'DeclarativeMatchesImperative|ShardDigestInvariance|CatalogWellFormed|Manifest'
+	$(GO) test ./cmd/wiotsim/ -run 'StreamSourceMatchesCampaignRecipe'
 
 # Known-vulnerability scan; skipped gracefully where the scanner (or the
 # network to install it) is unavailable.

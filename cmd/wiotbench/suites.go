@@ -7,6 +7,7 @@ import (
 
 	"github.com/wiot-security/sift/internal/amulet"
 	"github.com/wiot-security/sift/internal/amulet/program"
+	"github.com/wiot-security/sift/internal/campaign"
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
 	"github.com/wiot-security/sift/internal/fixedpoint"
@@ -274,22 +275,10 @@ func buildFleetFixture(quick bool) (*fleetFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen := func(s physio.Subject, dur float64, off int64) (*physio.Record, error) {
-		return physio.Generate(s, dur, physio.DefaultSampleRate, seed+off)
-	}
-	trainRec, err := gen(subjects[0], trainSec, 1)
-	if err != nil {
-		return nil, err
-	}
-	donorA, err := gen(subjects[1], trainSec, 2)
-	if err != nil {
-		return nil, err
-	}
-	donorB, err := gen(subjects[2], trainSec, 3)
-	if err != nil {
-		return nil, err
-	}
-	det, err := sift.TrainForSubject(trainRec, []*physio.Record{donorA, donorB}, sift.Config{
+	// The detector is the cohort recipe's wearer 0. The live arm stays
+	// the fixture's own: recordings at seed+100+i, each slot's donor the
+	// next slot's recording.
+	det, err := campaign.TrainWearer(subjects, 0, seed, trainSec, sift.Config{
 		SVM: svm.Config{Seed: seed, MaxIter: 100},
 	})
 	if err != nil {
@@ -297,7 +286,7 @@ func buildFleetFixture(quick bool) (*fleetFixture, error) {
 	}
 	live := make([]*physio.Record, scenarios)
 	for i := range live {
-		live[i], err = gen(subjects[i%len(subjects)], liveSec, 100+int64(i))
+		live[i], err = physio.Generate(subjects[i%len(subjects)], liveSec, physio.DefaultSampleRate, seed+100+int64(i))
 		if err != nil {
 			return nil, err
 		}

@@ -29,7 +29,6 @@ import (
 	"github.com/wiot-security/sift/internal/sift"
 	"github.com/wiot-security/sift/internal/svm"
 	"github.com/wiot-security/sift/internal/wiot"
-	"github.com/wiot-security/sift/internal/wiot/chaos"
 )
 
 func main() {
@@ -74,9 +73,10 @@ func run() error {
 	}
 
 	// A shortened -live would push the default attack start past the end
-	// of the stream, which campaign validation rightly rejects. Only an
-	// attack time the user actually chose is held to that standard; the
-	// untouched default slides to the middle of the live span.
+	// of the stream, which validateFlags rightly rejects in every mode.
+	// Only an attack time the user actually chose is held to that
+	// standard; the untouched default slides to the middle of the live
+	// span.
 	attackAtSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "attack-at" {
@@ -101,7 +101,7 @@ func run() error {
 		os.Exit(2)
 	}
 
-	version, err := parseVersion(*versionName)
+	version, err := campaign.ParseVersion(*versionName)
 	if err != nil {
 		return err
 	}
@@ -138,25 +138,9 @@ func run() error {
 		subjects[0].ID, subjects[0].Age, subjects[0].HeartRate,
 		subjects[1].ID, subjects[1].Age, subjects[1].HeartRate)
 
-	gen := func(s physio.Subject, dur float64, offset int64) (*physio.Record, error) {
-		return physio.Generate(s, dur, physio.DefaultSampleRate, *seed+offset)
-	}
-	trainRec, err := gen(subjects[0], *trainSec, 1)
-	if err != nil {
-		return err
-	}
-	donor1, err := gen(subjects[1], *trainSec, 2)
-	if err != nil {
-		return err
-	}
-	donor2, err := gen(subjects[2], *trainSec, 3)
-	if err != nil {
-		return err
-	}
-
 	fmt.Printf("training %s detector on %.0f s of %s's signals...\n", version, *trainSec, subjects[0].ID)
 	start := time.Now()
-	det, err := sift.TrainForSubject(trainRec, []*physio.Record{donor1, donor2}, sift.Config{
+	det, err := campaign.TrainWearer(subjects, 0, *seed, *trainSec, sift.Config{
 		Version: version,
 		SVM:     svm.Config{Seed: *seed, MaxIter: 150},
 	})
@@ -165,11 +149,7 @@ func run() error {
 	}
 	fmt.Printf("trained in %v (%d support vectors)\n\n", time.Since(start).Round(time.Millisecond), det.Model.SupportVectors)
 
-	live, err := gen(subjects[0], *liveSec, 100)
-	if err != nil {
-		return err
-	}
-	donorLive, err := gen(subjects[1], *liveSec, 101)
+	live, donorLive, err := campaign.LiveArm(subjects, 0, *seed, *liveSec)
 	if err != nil {
 		return err
 	}
@@ -222,35 +202,6 @@ type fleetOptions struct {
 	serve      string // addr for the live observability endpoint; "" = off
 	tracePath  string // Chrome trace dump path; "" = off
 	pprof      bool   // mount /debug/pprof/* on the -serve endpoint
-}
-
-// chaosTCPRunner dials every scenario out over loopback TCP through the
-// chaos fault injector, per-slot seeded; a non-nil auth provision runs
-// the wire under v3 session authentication.
-func chaosTCPRunner(loss float64, auth *wiot.AuthProvision) fleet.Runner {
-	return func(ctx context.Context, slot fleet.Slot, sc wiot.Scenario) (wiot.ScenarioResult, error) {
-		return wiot.RunScenarioOverTCP(ctx, sc, wiot.NetConfig{
-			Seed:        slot.Seed,
-			TraceParent: slot.Trace,
-			Auth:        auth,
-			WrapListener: chaos.WrapListener(chaos.Config{
-				Seed:        slot.Seed,
-				CorruptProb: loss,
-				CutProb:     loss / 2,
-			}),
-		})
-	}
-}
-
-// authProvision resolves -auth into the wire's key material: the same
-// seed-derived master the declarative campaign layer provisions with,
-// so a flag-driven authenticated run and a declared one negotiate
-// identical per-sensor keys.
-func (opt fleetOptions) authProvision() *wiot.AuthProvision {
-	if !opt.auth {
-		return nil
-	}
-	return &wiot.AuthProvision{Master: campaign.AuthMaster(opt.seed)}
 }
 
 // fleetCampaign lowers the CLI's fleet flags into a declared campaign,
@@ -335,7 +286,7 @@ func runFleet(opt fleetOptions) error {
 	if plan.Shard != nil {
 		scfg := plan.Shard
 		if opt.chaos {
-			scfg.Runner = chaosTCPRunner(opt.loss, opt.authProvision())
+			scfg.Runner = campaign.ChaosRunner(opt.seed, opt.loss, opt.auth)
 			scfg.AddrFor = func(int) string { return "tcp+chaos" }
 		}
 		if obsv != nil {
@@ -424,15 +375,8 @@ func validateFlags(fleetN, workers int, loss, dup, trainSec, liveSec, attackAt f
 		return fmt.Errorf("-live %g: live span must be positive seconds", liveSec)
 	case attackAt < 0:
 		return fmt.Errorf("-attack-at %g: attack start cannot be negative", attackAt)
+	case attackAt >= liveSec:
+		return fmt.Errorf("-attack-at %g: attack start must fall inside the %g s live span, or the MITM never fires", attackAt, liveSec)
 	}
 	return nil
-}
-
-func parseVersion(name string) (features.Version, error) {
-	for _, v := range features.Versions {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown version %q (want Original, Simplified, or Reduced)", name)
 }

@@ -1,11 +1,17 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/wiot-security/sift/internal/campaign"
+	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
+	"github.com/wiot-security/sift/internal/fleet"
+	"github.com/wiot-security/sift/internal/obs"
+	"github.com/wiot-security/sift/internal/physio"
+	"github.com/wiot-security/sift/internal/wiot"
 )
 
 func TestRunFleetRejectsTinyCohorts(t *testing.T) {
@@ -53,6 +59,9 @@ func TestValidateFlags(t *testing.T) {
 		{"-stream with-serve", validateFlags(12, 4, 0.02, 0.01, 300, 120, 60, ":9090", "", false, false, 4, true, 0)},
 		{"-max-heap-mib negative", validateFlags(12, 4, 0.02, 0.01, 300, 120, 60, "", "", false, false, 4, true, -1)},
 		{"-max-heap-mib without-stream", validateFlags(12, 4, 0.02, 0.01, 300, 120, 60, "", "", false, false, 4, false, 64)},
+		{"-attack-at past-live single", ok(0, 4, 0.02, 0.01, 60, 30, 45)},
+		{"-attack-at at-live fleet", ok(12, 4, 0.02, 0.01, 60, 30, 30)},
+		{"-attack-at past-live stream", validateFlags(1000, 2, 0.02, 0.01, 60, 6, 9, "", "", false, false, 4, true, 0)},
 	}
 	for _, c := range bad {
 		if c.err == nil {
@@ -88,29 +97,43 @@ func TestFleetCampaignAuthTopology(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("sharded chaos+auth campaign invalid: %v", err)
 	}
-	if p := opt.authProvision(); p == nil || len(p.Master) == 0 {
-		t.Fatal("authProvision returned no master despite -auth")
+	// The sharded plan's runner is campaign.ChaosRunner: -auth must
+	// onboard both sensors over v3, and plain -chaos none.
+	if n := chaosHandshakes(t, opt); n < 2 {
+		t.Fatalf("chaos runner with -auth ran %d handshakes, want at least one per sensor", n)
 	}
 	opt.auth = false
-	if opt.authProvision() != nil {
-		t.Fatal("authProvision without -auth must be nil")
+	if n := chaosHandshakes(t, opt); n != 0 {
+		t.Fatalf("chaos runner without -auth ran %d handshakes", n)
 	}
 }
 
-func TestParseVersion(t *testing.T) {
-	for _, name := range []string{"Original", "Simplified", "Reduced"} {
-		v, err := parseVersion(name)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		if v.String() != name {
-			t.Errorf("parseVersion(%q) = %v", name, v)
-		}
+// chaosHandshakes streams one short scenario through the chaos runner a
+// sharded -chaos run attaches and counts the v3 handshakes the station
+// completed.
+func chaosHandshakes(t *testing.T, opt fleetOptions) int64 {
+	t.Helper()
+	rec, err := physio.Generate(physio.DefaultSubject(), 6, physio.DefaultSampleRate, opt.seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := parseVersion("nope"); err == nil {
-		t.Error("unknown version should error")
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	handshakes := obs.NewCounter("wiot.auth.handshakes")
+	before := handshakes.Value()
+	run := campaign.ChaosRunner(opt.seed, opt.loss, opt.auth)
+	res, err := run(context.Background(), fleet.Slot{Seed: opt.seed}, wiot.Scenario{Record: rec, Detector: cleanDetector{}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := parseVersion(""); err == nil {
-		t.Error("empty version should error")
+	if res.Windows == 0 {
+		t.Fatal("chaos runner delivered no windows")
 	}
+	return handshakes.Value() - before
 }
+
+// cleanDetector passes every window.
+type cleanDetector struct{}
+
+func (cleanDetector) Classify(dataset.Window) (bool, error) { return false, nil }

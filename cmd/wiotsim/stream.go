@@ -3,9 +3,12 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"github.com/wiot-security/sift/internal/campaign"
+	"github.com/wiot-security/sift/internal/fleet"
 	"github.com/wiot-security/sift/internal/fleet/shard"
 	"github.com/wiot-security/sift/internal/obs"
 	"github.com/wiot-security/sift/internal/physio"
@@ -29,68 +32,9 @@ const streamProfiles = 64
 // hard failure. The digest line at the end is canonical: it must be
 // byte-identical for any -shards/-workers split of the same cohort.
 func runStreamFleet(opt fleetOptions) error {
-	if opt.subjects < campaign.MinFleetSubjects {
-		return fmt.Errorf("-fleet %d: the streamed smoke needs at least %d wearers (the shared detector trains against two other profiles as donors)", opt.subjects, campaign.MinFleetSubjects)
-	}
-	profiles := streamProfiles
-	if opt.subjects < profiles {
-		profiles = opt.subjects
-	}
-	subjects, err := physio.Cohort(profiles, opt.seed)
+	src, err := streamSource(opt, os.Stdout)
 	if err != nil {
 		return err
-	}
-	fmt.Printf("stream: %d wearers over %d profiles, %d station(s) x %d worker(s), %.0f s per wearer\n",
-		opt.subjects, profiles, opt.shards, opt.workers, opt.liveSec)
-
-	gen := func(s physio.Subject, dur float64, seed int64) (*physio.Record, error) {
-		return physio.Generate(s, dur, physio.DefaultSampleRate, seed)
-	}
-	fmt.Printf("training one shared %s detector on %.0f s of %s's signals...\n",
-		opt.version, opt.trainSec, subjects[0].ID)
-	trainRec, err := gen(subjects[0], opt.trainSec, opt.seed+1)
-	if err != nil {
-		return err
-	}
-	donorA, err := gen(subjects[1], opt.trainSec, opt.seed+2)
-	if err != nil {
-		return err
-	}
-	donorB, err := gen(subjects[2], opt.trainSec, opt.seed+3)
-	if err != nil {
-		return err
-	}
-	trainStart := time.Now()
-	det, err := sift.TrainForSubject(trainRec, []*physio.Record{donorA, donorB}, sift.Config{
-		Version: opt.version,
-		SVM:     svm.Config{Seed: opt.seed, MaxIter: 150},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("trained in %v (%d support vectors)\n", time.Since(trainStart).Round(time.Millisecond), det.Model.SupportVectors)
-
-	src := func(index int, seed int64) (wiot.Scenario, error) {
-		wearer := subjects[index%profiles]
-		live, err := gen(wearer, opt.liveSec, seed+100)
-		if err != nil {
-			return wiot.Scenario{}, err
-		}
-		donorLive, err := gen(subjects[(index+1)%profiles], opt.liveSec, seed+101)
-		if err != nil {
-			return wiot.Scenario{}, err
-		}
-		attackFrom := int(opt.attackAt * live.SampleRate)
-		if attackFrom >= len(live.ECG) {
-			attackFrom = len(live.ECG) / 2
-		}
-		return wiot.Scenario{
-			Record:     live,
-			Detector:   sift.HostDetector{D: det},
-			Attack:     &wiot.SubstitutionMITM{Donor: donorLive.ECG, ActiveFrom: attackFrom},
-			AttackFrom: attackFrom,
-			Channel:    wiot.Reliable{},
-		}, nil
 	}
 
 	hw := obs.StartHeapWatermark(50 * time.Millisecond)
@@ -125,4 +69,47 @@ func runStreamFleet(opt fleetOptions) error {
 			float64(peak)/(1<<20), opt.maxHeapMiB)
 	}
 	return res.Err()
+}
+
+// streamSource builds the streamed cohort over at most streamProfiles
+// physiology profiles: the cohort recipe's wearer 0 trains one detector
+// at the base seed, shared by every slot, and slot i streams wearer i's
+// live arm at its slot seed. Progress lines go to w.
+func streamSource(opt fleetOptions, w io.Writer) (fleet.Source, error) {
+	if opt.subjects < campaign.MinFleetSubjects {
+		return nil, fmt.Errorf("-fleet %d: the streamed smoke needs at least %d wearers (the shared detector trains against two other profiles as donors)", opt.subjects, campaign.MinFleetSubjects)
+	}
+	profiles := min(opt.subjects, streamProfiles)
+	subjects, err := physio.Cohort(profiles, opt.seed)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "stream: %d wearers over %d profiles, %d station(s) x %d worker(s), %.0f s per wearer\n",
+		opt.subjects, profiles, opt.shards, opt.workers, opt.liveSec)
+	fmt.Fprintf(w, "training one shared %s detector on %.0f s of %s's signals...\n",
+		opt.version, opt.trainSec, subjects[0].ID)
+	trainStart := time.Now()
+	det, err := campaign.TrainWearer(subjects, 0, opt.seed, opt.trainSec, sift.Config{
+		Version: opt.version,
+		SVM:     svm.Config{Seed: opt.seed, MaxIter: 150},
+	})
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "trained in %v (%d support vectors)\n", time.Since(trainStart).Round(time.Millisecond), det.Model.SupportVectors)
+
+	return func(index int, seed int64) (wiot.Scenario, error) {
+		live, donorLive, err := campaign.LiveArm(subjects, index, seed, opt.liveSec)
+		if err != nil {
+			return wiot.Scenario{}, err
+		}
+		attackFrom := int(opt.attackAt * live.SampleRate)
+		return wiot.Scenario{
+			Record:     live,
+			Detector:   sift.HostDetector{D: det},
+			Attack:     &wiot.SubstitutionMITM{Donor: donorLive.ECG, ActiveFrom: attackFrom},
+			AttackFrom: attackFrom,
+			Channel:    wiot.Reliable{},
+		}, nil
+	}, nil
 }

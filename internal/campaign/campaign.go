@@ -204,11 +204,15 @@ type Detector struct {
 	// Version is the feature version name: Original, Simplified, or
 	// Reduced.
 	Version string
-	// SVMSeed seeds training for gallery campaigns. Fleet campaigns
-	// ignore it: each slot trains with its own derived seed so the
-	// fleet stays worker-count invariant.
+	// SVMSeed seeds SVM training for gallery campaigns. Fleet and
+	// auth-adversary campaigns ignore it: each slot's SVM is seeded with
+	// the slot seed (BaseSeed + index), so the fleet stays worker-count
+	// invariant. Adaptive campaigns ignore it too.
 	SVMSeed int64
-	// MaxIter bounds SVM training iterations (0 = the sift default).
+	// MaxIter bounds SVM training iterations. At 0, fleet and
+	// auth-adversary campaigns train with 150, while gallery campaigns
+	// pass the 0 through to svm, whose default is 10000. Adaptive
+	// campaigns ignore it.
 	MaxIter int
 }
 

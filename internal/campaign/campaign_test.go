@@ -228,3 +228,20 @@ func TestStaticBounds(t *testing.T) {
 		}
 	}
 }
+
+func TestParseVersion(t *testing.T) {
+	for _, name := range []string{"Original", "Simplified", "Reduced"} {
+		v, err := ParseVersion(name)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if v.String() != name {
+			t.Errorf("ParseVersion(%q) = %v", name, v)
+		}
+	}
+	for _, name := range []string{"nope", "", "original"} {
+		if _, err := ParseVersion(name); err == nil || !strings.Contains(err.Error(), "unknown detector version") {
+			t.Errorf("ParseVersion(%q) = %v, want an unknown-version error", name, err)
+		}
+	}
+}

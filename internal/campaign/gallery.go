@@ -56,10 +56,10 @@ func galleryAttack(a AttackWindow, history, donors []dataset.Window, sampleRate 
 // runGallery executes a gallery campaign: train the detector on the
 // substitution attack only, score the clean live stream, then confront
 // the detector with every declared arm over the windows inside the
-// arm's attack window. The construction replicates the pre-migration
-// examples/attackgallery imperative path exactly — cohort from
-// BaseSeed, generation seeds 1/2/3 (train) and 100/101 (live) — so
-// declared and legacy runs are byte-identical.
+// arm's attack window. Detector and live arm are the cohort recipe's
+// wearer 0 at generation seed 0, which reproduces the pre-migration
+// examples/attackgallery imperative path exactly (train seeds 1/2/3,
+// live 100/101), so declared and legacy runs are byte-identical.
 func (c Campaign) runGallery() (*GalleryOutcome, error) {
 	version, err := ParseVersion(c.Detector.Version)
 	if err != nil {
@@ -69,37 +69,14 @@ func (c Campaign) runGallery() (*GalleryOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(subjects) < 3 {
-		return nil, fmt.Errorf("campaign %q: gallery needs a cohort of at least 3 (wearer + two donors)", c.Name)
-	}
-	gen := func(s physio.Subject, dur float64, seed int64) (*physio.Record, error) {
-		return physio.Generate(s, dur, physio.DefaultSampleRate, seed)
-	}
-	trainRec, err := gen(subjects[0], c.Cohort.TrainSec, 1)
-	if err != nil {
-		return nil, err
-	}
-	donA, err := gen(subjects[1], c.Cohort.TrainSec, 2)
-	if err != nil {
-		return nil, err
-	}
-	donB, err := gen(subjects[2], c.Cohort.TrainSec, 3)
-	if err != nil {
-		return nil, err
-	}
-	det, err := sift.TrainForSubject(trainRec, []*physio.Record{donA, donB}, sift.Config{
+	det, err := TrainWearer(subjects, 0, 0, c.Cohort.TrainSec, sift.Config{
 		Version: version,
 		SVM:     svm.Config{Seed: c.Detector.SVMSeed, MaxIter: c.Detector.MaxIter},
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	live, err := gen(subjects[0], c.Cohort.LiveSec, 100)
-	if err != nil {
-		return nil, err
-	}
-	donorLive, err := gen(subjects[1], c.Cohort.LiveSec, 101)
+	live, donorLive, err := LiveArm(subjects, 0, 0, c.Cohort.LiveSec)
 	if err != nil {
 		return nil, err
 	}

@@ -102,49 +102,54 @@ func (c Campaign) Synthesize(opts ...SynthOption) (*Plan, error) {
 
 // runner picks the slot executor for the declared topology: nil keeps
 // the in-process simulation, TCP and chaos dial every scenario out over
-// loopback TCP (chaos adds the seeded fault injector, with -loss
-// semantics identical to wiotsim: Loss is the corruption probability and
-// half of it the mid-frame cut probability).
+// loopback TCP (chaos through ChaosRunner).
 func (c Campaign) runner() fleet.Runner {
-	auth := c.authProvision()
 	switch c.Topology.Kind {
 	case TopoTCP:
+		auth := authProvision(c.Cohort.BaseSeed, c.Topology.Auth)
 		return func(ctx context.Context, slot fleet.Slot, sc wiot.Scenario) (wiot.ScenarioResult, error) {
 			return wiot.RunScenarioOverTCP(ctx, sc, wiot.NetConfig{Seed: slot.Seed, TraceParent: slot.Trace, Auth: auth})
 		}
 	case TopoChaos:
-		loss := c.Topology.Loss
-		return func(ctx context.Context, slot fleet.Slot, sc wiot.Scenario) (wiot.ScenarioResult, error) {
-			return wiot.RunScenarioOverTCP(ctx, sc, wiot.NetConfig{
-				Seed:        slot.Seed,
-				TraceParent: slot.Trace,
-				Auth:        auth,
-				WrapListener: chaos.WrapListener(chaos.Config{
-					Seed:        slot.Seed,
-					CorruptProb: loss,
-					CutProb:     loss / 2,
-				}),
-			})
-		}
+		return ChaosRunner(c.Cohort.BaseSeed, c.Topology.Loss, c.Topology.Auth)
 	}
 	return nil
 }
 
-// authProvision resolves Topology.Auth into the wire's key material:
-// nil for plain v2, or a provision rooted in the campaign's
-// deterministic master secret.
-func (c Campaign) authProvision() *wiot.AuthProvision {
-	if !c.Topology.Auth {
-		return nil
+// ChaosRunner dials every scenario out over loopback TCP through the
+// seeded chaos fault injector, with -loss semantics identical to
+// wiotsim: loss is the corruption probability and half of it the
+// mid-frame cut probability. With auth set the wire runs v3, provisioned
+// from AuthMaster(baseSeed).
+func ChaosRunner(baseSeed int64, loss float64, auth bool) fleet.Runner {
+	prov := authProvision(baseSeed, auth)
+	return func(ctx context.Context, slot fleet.Slot, sc wiot.Scenario) (wiot.ScenarioResult, error) {
+		return wiot.RunScenarioOverTCP(ctx, sc, wiot.NetConfig{
+			Seed:        slot.Seed,
+			TraceParent: slot.Trace,
+			Auth:        prov,
+			WrapListener: chaos.WrapListener(chaos.Config{
+				Seed:        slot.Seed,
+				CorruptProb: loss,
+				CutProb:     loss / 2,
+			}),
+		})
 	}
-	return &wiot.AuthProvision{Master: AuthMaster(c.Cohort.BaseSeed)}
 }
 
-// fleetSource builds the per-slot scenario source. The construction is
-// byte-for-byte the imperative recipe cmd/wiotsim's fleet mode used
-// before the declarative migration — wearer = subjects[index%n], donors
-// are the two cohort neighbours, generation seeds are slot seed + fixed
-// offsets — so declared campaigns reproduce legacy runs exactly.
+// authProvision resolves an auth switch into the wire's key material:
+// nil for plain v2, or a provision rooted in the deterministic master
+// secret of baseSeed.
+func authProvision(baseSeed int64, on bool) *wiot.AuthProvision {
+	if !on {
+		return nil
+	}
+	return &wiot.AuthProvision{Master: AuthMaster(baseSeed)}
+}
+
+// fleetSource builds the per-slot scenario source: slot i is the cohort
+// recipe's wearer i (TrainWearer, LiveArm) at the slot seed, which also
+// seeds its SVM.
 func (c Campaign) fleetSource(wrap DetectorWrapper) (fleet.Source, error) {
 	version, err := ParseVersion(c.Detector.Version)
 	if err != nil {
@@ -167,34 +172,14 @@ func (c Campaign) fleetSource(wrap DetectorWrapper) (fleet.Source, error) {
 	}
 
 	return func(index int, seed int64) (wiot.Scenario, error) {
-		wearer := subjects[index%len(subjects)]
-		gen := func(s physio.Subject, dur float64, offset int64) (*physio.Record, error) {
-			return physio.Generate(s, dur, physio.DefaultSampleRate, seed+offset)
-		}
-		trainRec, err := gen(wearer, c.Cohort.TrainSec, 1)
-		if err != nil {
-			return wiot.Scenario{}, err
-		}
-		donorA, err := gen(subjects[(index+1)%len(subjects)], c.Cohort.TrainSec, 2)
-		if err != nil {
-			return wiot.Scenario{}, err
-		}
-		donorB, err := gen(subjects[(index+2)%len(subjects)], c.Cohort.TrainSec, 3)
-		if err != nil {
-			return wiot.Scenario{}, err
-		}
-		det, err := sift.TrainForSubject(trainRec, []*physio.Record{donorA, donorB}, sift.Config{
+		det, err := TrainWearer(subjects, index, seed, c.Cohort.TrainSec, sift.Config{
 			Version: version,
 			SVM:     svm.Config{Seed: seed, MaxIter: maxIter},
 		})
 		if err != nil {
 			return wiot.Scenario{}, err
 		}
-		live, err := gen(wearer, c.Cohort.LiveSec, 100)
-		if err != nil {
-			return wiot.Scenario{}, err
-		}
-		donorLive, err := gen(subjects[(index+1)%len(subjects)], c.Cohort.LiveSec, 101)
+		live, donorLive, err := LiveArm(subjects, index, seed, c.Cohort.LiveSec)
 		if err != nil {
 			return wiot.Scenario{}, err
 		}
@@ -230,7 +215,7 @@ func (c Campaign) fleetSource(wrap DetectorWrapper) (fleet.Source, error) {
 			}
 		}
 		if wrap != nil {
-			sc.Detector, err = wrap(index, wearer.ID, det, sc.Detector)
+			sc.Detector, err = wrap(index, live.SubjectID, det, sc.Detector)
 			if err != nil {
 				return wiot.Scenario{}, err
 			}

@@ -125,7 +125,7 @@ func (c Campaign) baselineRunner() fleet.Runner {
 // forgeries produce no protocol feedback, so the sink's timer is what
 // repairs the stream.
 func (c Campaign) adversaryRunner(tally *AuthOutcome) fleet.Runner {
-	auth := &wiot.AuthProvision{Master: AuthMaster(c.Cohort.BaseSeed)}
+	auth := authProvision(c.Cohort.BaseSeed, true)
 	loss := c.Topology.Loss
 	chaosTopo := c.Topology.Kind == TopoChaos
 	var mu sync.Mutex // guards the shared tally across worker slots
