@@ -94,10 +94,12 @@ fuzz-verify:
 	$(GO) test ./internal/amulet/ -run '^$$' -fuzz FuzzVerifyVsRun -fuzztime 30s -fuzzminimizetime 2s
 
 # Differential fuzz: the template JIT against the interpreter oracle on
-# verifier-accepted bytecode — Usage, memory effects, and fault classes
-# must agree at randomized cycle budgets.
+# verifier-accepted bytecode, then on the real firmware programs with
+# fuzzed headers, samples and peak indices at full segment size — Usage,
+# memory effects, and fault classes must agree at randomized cycle budgets.
 fuzz-jit:
 	$(GO) test ./internal/amulet/jit/ -run '^$$' -fuzz FuzzJITVsInterp -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/amulet/jit/ -run '^$$' -fuzz FuzzDetectorSegmentVsInterp -fuzztime 30s -fuzzminimizetime 2s
 
 # Fuzz the v3 auth control-record codec: every auth handshake record
 # must round-trip or be rejected, never crash the frame scanner.

@@ -1,7 +1,9 @@
 package jit_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"github.com/wiot-security/sift/internal/amulet/jit"
 	"github.com/wiot-security/sift/internal/amulet/program"
 	"github.com/wiot-security/sift/internal/features"
+	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/vmlint"
 )
 
@@ -136,5 +139,151 @@ func FuzzJITVsInterp(f *testing.F) {
 		if rep.LoopFree && jitErr == nil && jitUsage.Cycles > rep.StaticCycles {
 			t.Fatalf("loop-free static cycle bound %d below jit's %d (code %x)", rep.StaticCycles, jitUsage.Cycles, code)
 		}
+	})
+}
+
+// segmentLayout says where a firmware program reads its inputs, so the
+// fuzzer can write a header, samples and peak indices into a segment of
+// the program's full size.
+type segmentLayout struct {
+	build    func() (*amulet.Program, error)
+	hdrN     int   // sample-count header word
+	maxN     int   // largest sample count the program accepts
+	counts   []int // peak-count header words, each bounded by MaxPeaks
+	channels []int // sample channel bases, maxN words each
+	peaks    []int // peak-index buffers, MaxPeaks words each
+	float    bool  // model constants are float32 words (Original)
+}
+
+func detectorLayout(v features.Version) segmentLayout {
+	return segmentLayout{
+		build:    func() (*amulet.Program, error) { return program.Build(v) },
+		hdrN:     program.HdrN,
+		maxN:     program.MaxSamples,
+		counts:   []int{program.HdrNR, program.HdrNS, program.HdrNPairs},
+		channels: []int{program.EcgBase, program.AbpBase},
+		peaks:    []int{program.RBase, program.SBase, program.PairRBase, program.PairSBase},
+		float:    v == features.Original,
+	}
+}
+
+var segmentLayouts = []segmentLayout{
+	detectorLayout(features.Original),
+	detectorLayout(features.Simplified),
+	detectorLayout(features.Reduced),
+	{
+		build: program.BuildRPeakDetector, hdrN: program.RpkHdrN, maxN: program.MaxSamples,
+		channels: []int{program.RpkEcg},
+	},
+	{
+		build: program.BuildPedometer, hdrN: program.PedHdrN, maxN: program.PedMaxSamples,
+		channels: []int{program.PedBase},
+	},
+}
+
+// segment builds a full-size data segment for layout l. Every word starts
+// as seeded noise; then the header gets N in [-1, maxN+1] and each peak
+// count in [-1, MaxPeaks+1], float model words become finite, sample
+// words come four bytes each from samples (interleaved across channels),
+// and peak indices default to [0, N) and come two bytes each from
+// peakIdx, mapped to [-2, MaxSamples+1].
+func (l segmentLayout) segment(words int, n uint16, counts [3]uint8, samples, peakIdx []byte, seed uint64) []int32 {
+	data := fillData(words, seed)
+	nSamples := int(n)%(l.maxN+3) - 1
+	data[l.hdrN] = int32(nSamples)
+	for k, h := range l.counts {
+		data[h] = int32(int(counts[k])%(program.MaxPeaks+3) - 1)
+	}
+	if l.float {
+		// Finite model floats: the programs never make a NaN from finite
+		// input, and two NaN operands may legitimately differ in payload
+		// between any two compiled float additions.
+		for w := program.ModelBase; w < program.EcgBase; w++ {
+			data[w] = int32(math.Float32bits(float32(fixedpoint.FromRaw(data[w]).Float())))
+		}
+	}
+	for j := 0; 4*j+4 <= len(samples); j++ {
+		ch, idx := l.channels[j%len(l.channels)], j/len(l.channels)
+		if idx >= l.maxN {
+			break
+		}
+		data[ch+idx] = int32(binary.LittleEndian.Uint32(samples[4*j:]))
+	}
+	for _, base := range l.peaks {
+		for k := 0; k < program.MaxPeaks; k++ {
+			data[base+k] = int32(uint32(data[base+k]) % uint32(max(nSamples, 1)))
+		}
+	}
+	for j := 0; 2*j+2 <= len(peakIdx) && j < len(l.peaks)*program.MaxPeaks; j++ {
+		v := int(binary.LittleEndian.Uint16(peakIdx[2*j:]))
+		data[l.peaks[j/program.MaxPeaks]+j%program.MaxPeaks] = int32(v%(program.MaxSamples+4) - 2)
+	}
+	return data
+}
+
+// FuzzDetectorSegmentVsInterp differentially tests the compiled backend
+// on the real firmware programs — the three detector versions, the
+// R-peak detector and the pedometer — at their full segment size, so
+// inputs get past the header checks and into the loop kernels. The
+// fuzzer controls the header (sample and peak counts, in range and just
+// outside it), the sample words, the peak indices, and the cycle budget;
+// the contract is runBoth's.
+func FuzzDetectorSegmentVsInterp(f *testing.F) {
+	full := uint32(program.MaxCycles)
+	// A real window's samples and peaks, in the fuzzer's encoding.
+	w := testWindow(f, 3)
+	var samples, peakIdx []byte
+	for i := range w.ECG {
+		samples = binary.LittleEndian.AppendUint32(samples, uint32(fixedpoint.FromFloat(w.ECG[i]).Raw()))
+		samples = binary.LittleEndian.AppendUint32(samples, uint32(fixedpoint.FromFloat(w.ABP[i]).Raw()))
+	}
+	buf := func(idx []int) {
+		for k := 0; k < program.MaxPeaks; k++ {
+			v := 0
+			if k < len(idx) {
+				v = idx[k]
+			}
+			peakIdx = binary.LittleEndian.AppendUint16(peakIdx, uint16(v+2))
+		}
+	}
+	buf(w.RPeaks)
+	buf(w.SysPeaks)
+	pairR, pairS := make([]int, len(w.Pairs)), make([]int, len(w.Pairs))
+	for k, pr := range w.Pairs {
+		pairR[k], pairS[k] = pr[0], pr[1]
+	}
+	buf(pairR)
+	buf(pairS)
+	nr, ns, np := uint8(len(w.RPeaks)+1), uint8(len(w.SysPeaks)+1), uint8(len(w.Pairs)+1)
+	n := uint16(len(w.ECG) + 1)
+
+	for prog := range segmentLayouts {
+		p := uint8(prog)
+		f.Add(p, n, nr, ns, np, samples, peakIdx, full, uint64(1))
+		f.Add(p, n, nr, ns, np, samples, peakIdx, uint32(700_000), uint64(2))
+		f.Add(p, uint16(0), nr, ns, np, samples[:64], peakIdx, full, uint64(3))                      // N = -1
+		f.Add(p, uint16(1082), uint8(18), ns, np, []byte(nil), []byte(nil), full, uint64(4))         // N, nR just past the limits
+		f.Add(p, uint16(300), uint8(0), uint8(17), uint8(1), samples, []byte{0, 0}, full, uint64(5)) // nR = -1, nS = MaxPeaks
+	}
+
+	programs := make([]*amulet.Program, len(segmentLayouts))
+	compiled := make([]*jit.Program, len(segmentLayouts))
+	for k, l := range segmentLayouts {
+		p, err := l.build()
+		if err != nil {
+			f.Fatal(err)
+		}
+		cp, err := jit.Compile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		programs[k], compiled[k] = p, cp
+	}
+
+	f.Fuzz(func(t *testing.T, prog uint8, n uint16, nr, ns, np uint8, samples, peakIdx []byte, budget uint32, seed uint64) {
+		k := int(prog) % len(segmentLayouts)
+		p := programs[k]
+		data := segmentLayouts[k].segment(p.DataWords, n, [3]uint8{nr, ns, np}, samples, peakIdx, seed)
+		runBoth(t, p, compiled[k], data, min(uint64(budget), program.MaxCycles))
 	})
 }

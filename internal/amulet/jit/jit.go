@@ -123,6 +123,7 @@ type cmpInfo struct {
 // (failing) compare — or a budget fault — lands exactly where the
 // interpreter's would.
 type loopKernel struct {
+	name                 string // template that fused the body ("generic" for closure replay)
 	iIdx, limIdx         int
 	perCycles, perInstrs uint64 // header + body, one full iteration
 	peak, locals         int    // max telemetry over header and body
@@ -176,6 +177,19 @@ func (p *Program) Name() string { return p.name }
 // Blocks returns the number of compiled basic blocks (inlined call
 // contexts compile one copy per call site).
 func (p *Program) Blocks() int { return len(p.blocks) }
+
+// Kernels lists the loop-kernel template of every fused counted loop, in
+// block order: "fill", "minmax", "mapstore", "histogram", "reduce", or
+// "generic" for a body no idiom matched (its fused closures replay).
+func (p *Program) Kernels() []string {
+	var out []string
+	for _, b := range p.blocks {
+		if b.kern != nil {
+			out = append(out, b.kern.name)
+		}
+	}
+	return out
+}
 
 // Run executes the compiled program against data with the cycle budget,
 // with semantics identical to running the source program on a fresh VM:

@@ -31,7 +31,7 @@ func testModel(dim int) *svm.Quantized {
 }
 
 // testWindow synthesizes one clean classification window.
-func testWindow(t *testing.T, seed int64) dataset.Window {
+func testWindow(t testing.TB, seed int64) dataset.Window {
 	t.Helper()
 	rec, err := physio.Generate(physio.DefaultSubject(), 6, physio.DefaultSampleRate, seed)
 	if err != nil {
@@ -184,8 +184,9 @@ func TestBudgetSweepExercisesSlowPath(t *testing.T) {
 }
 
 // TestBudgetSweepAcrossLoopKernels sweeps the cycle budget across the
-// Original detector, whose hot loops all compile to loop kernels (fill,
-// min/max, normalize, histogram, and generic reduces). The budget line
+// Original detector, whose loops all compile to loop kernels (fill,
+// min/max, normalize, histogram, the column-sum, Σc², mean and variance
+// reduces, and generic replay for the area and peak loops). The budget line
 // then lands before, inside, and exactly at the end of fast-forwarded
 // iteration runs, checking that the kernels' whole-iteration accounting
 // and the header re-execution reproduce the interpreter's exact fault

@@ -22,16 +22,26 @@ import (
 //     loop, hoisting the driver, the header re-checks, and the per-block
 //     billing out of the iteration;
 //   - specialized kernels pattern-match the body's IR against the
-//     wearable-DSP idioms the firmware generator emits — fill,
-//     min/max reduce, normalize-map, histogram binning — and run them
-//     as native Go loops with the arithmetic inlined.
+//     wearable-DSP idioms the firmware generator emits and run them as
+//     native Go loops with the arithmetic inlined.
+//
+// The idioms, by the template name Program.Kernels reports:
+//
+//   - fill: data[c+i] = K (occupancy-matrix zeroing);
+//   - minmax: running min and max of data[c+i] (channel range scan);
+//   - mapstore: data[c+i] = (data[c+i] − l1) ⊗ l2 (in-place normalize);
+//   - histogram: quantize two channels to a clamped grid cell and bump
+//     it (portrait binning);
+//   - reduce: acc ⊕= f(data[addr(i)]) with addr affine or strided and
+//     f one of x, x·x, (x − l)² (column sums, Σc², column mean and
+//     variance).
 //
 // Specialization never changes observable semantics: a kernel replicates
 // the body's stores to scratch locals and the data segment in original
-// order, reproduces saturating address arithmetic, and faults with the
-// interpreter's exact error shape, so an unmatched or adversarial body
-// simply stays on the generic tiers and the differential fuzzer keeps
-// all tiers honest.
+// order, reproduces saturating arithmetic step by step, accumulates
+// float32 sequentially, and faults with the interpreter's exact error
+// shape, so an unmatched or adversarial body simply stays on the generic
+// tier and the differential fuzzers keep all tiers honest.
 
 // fuseLoops scans the compiled block graph for counted-loop headers and
 // attaches kernels. Runs after every block is emitted, before the
@@ -81,9 +91,9 @@ func (c *compiler) fuseLoops() {
 		if k.perCycles == 0 { // unreachable: every instruction costs cycles
 			continue
 		}
-		k.run = specializeKernel(body.irs[:len(body.irs)-1], iIdx)
+		k.name, k.run = specializeKernel(body.irs[:len(body.irs)-1], iIdx)
 		if k.run == nil {
-			k.run = genericKernel(body.ops[:len(body.ops)-1], iIdx)
+			k.name, k.run = "generic", genericKernel(body.ops[:len(body.ops)-1], iIdx)
 		}
 		h.kern = k
 	}
@@ -214,23 +224,29 @@ func genericKernel(ops []uop, iIdx int) func(*machine, int32, int64) bool {
 	}
 }
 
+// templates are the specialized idioms, tried in order; the name is what
+// Program.Kernels reports for a loop the template fused.
+var templates = [...]struct {
+	name  string
+	match func(body []irOp, iIdx int) func(*machine, int32, int64) bool
+}{
+	{"fill", matchFill},
+	{"minmax", matchMinMax},
+	{"mapstore", matchMapStore},
+	{"histogram", matchHistogram},
+	{"reduce", matchReduce},
+}
+
 // specializeKernel tries the idiom templates against a loop body (the
-// trailing increment already stripped). nil means no match: the generic
-// closure-replay kernel applies.
-func specializeKernel(body []irOp, iIdx int) func(*machine, int32, int64) bool {
-	if k := matchFill(body, iIdx); k != nil {
-		return k
+// trailing increment already stripped). A nil run means no match: the
+// generic closure-replay kernel applies.
+func specializeKernel(body []irOp, iIdx int) (string, func(*machine, int32, int64) bool) {
+	for _, t := range templates {
+		if k := t.match(body, iIdx); k != nil {
+			return t.name, k
+		}
 	}
-	if k := matchMinMax(body, iIdx); k != nil {
-		return k
-	}
-	if k := matchMapStore(body, iIdx); k != nil {
-		return k
-	}
-	if k := matchHistogram(body, iIdx); k != nil {
-		return k
-	}
-	return nil
+	return "", nil
 }
 
 // sadd is the ISA's saturating add (OpAdd), used for address arithmetic
@@ -238,6 +254,23 @@ func specializeKernel(body []irOp, iIdx int) func(*machine, int32, int64) bool {
 func sadd(a, b int32) int32 {
 	return fixedpoint.Add(fixedpoint.FromRaw(a), fixedpoint.FromRaw(b)).Raw()
 }
+
+// smulI is the ISA's saturating integer multiply (OpMulI).
+func smulI(a, b int32) int32 {
+	p := int64(a) * int64(b)
+	switch {
+	case p > math.MaxInt32:
+		return math.MaxInt32
+	case p < math.MinInt32:
+		return math.MinInt32
+	}
+	return int32(p)
+}
+
+// f32 and f32bits move a float32 between its data-segment word and a
+// register without rounding.
+func f32(v int32) float32     { return math.Float32frombits(uint32(v)) }
+func f32bits(f float32) int32 { return int32(math.Float32bits(f)) }
 
 func loadFault(m *machine, addr int32) bool {
 	m.fault = fmt.Errorf("%w: load %d (segment %d words)", amulet.ErrBadAddress, addr, len(m.data))
@@ -492,49 +525,11 @@ func matchHistogram(body []irOp, iIdx int) func(*machine, int32, int64) bool {
 	if len(body) != 16 {
 		return nil
 	}
-	// binUnit matches the five-IR quantize-and-clamp unit ending in a
-	// local destination.
-	type unit struct {
-		base, mulC, maxC, minC int32
-		mul, toI               amulet.Op
-		dst                    int
-	}
-	binUnit := func(irs []irOp) (unit, bool) {
-		var u unit
-		ld := irs[0]
-		if ld.kind != irLoadM || !isAddLC(ld.a, iIdx) || ld.dst.local {
-			return u, false
-		}
-		s := ld.dst.idx
-		mul := irs[1]
-		if mul.kind != irBin || mul.dst.local || mul.dst.idx != s || !isSlot(mul.a, s) || mul.b.k != kConst {
-			return u, false
-		}
-		conv := irs[2]
-		if conv.kind != irUn || conv.dst.local || conv.dst.idx != s || !isSlot(conv.a, s) {
-			return u, false
-		}
-		cmax := irs[3]
-		if cmax.kind != irBin || cmax.op != amulet.OpMax || cmax.dst.local || cmax.dst.idx != s ||
-			!isSlot(cmax.a, s) || cmax.b.k != kConst {
-			return u, false
-		}
-		cmin := irs[4]
-		if cmin.kind != irBin || cmin.op != amulet.OpMin || !cmin.dst.local ||
-			!isSlot(cmin.a, s) || cmin.b.k != kConst {
-			return u, false
-		}
-		u = unit{
-			base: ld.a.c, mulC: mul.b.c, maxC: cmax.b.c, minC: cmin.b.c,
-			mul: mul.op, toI: conv.op, dst: cmin.dst.idx,
-		}
-		return u, true
-	}
-	col, ok := binUnit(body[0:5])
+	col, ok := matchHistUnit(body[0:5], iIdx)
 	if !ok {
 		return nil
 	}
-	row, ok := binUnit(body[5:10])
+	row, ok := matchHistUnit(body[5:10], iIdx)
 	if !ok || row.dst == col.dst {
 		return nil
 	}
@@ -568,52 +563,416 @@ func matchHistogram(body []irOp, iIdx int) func(*machine, int32, int64) bool {
 	if st.kind != irStoreM || !isLocal(st.a, col.dst) || !isSlot(st.b, s2) {
 		return nil
 	}
-
-	mulX, toIX := amulet.BinaryEval(col.mul), amulet.UnaryEval(col.toI)
-	mulY, toIY := amulet.BinaryEval(row.mul), amulet.UnaryEval(row.toI)
-	if mulX == nil || toIX == nil || mulY == nil || toIY == nil {
-		return nil
+	h := &histogram{col: col, row: row, stride: stride.b.c, base: addBase.b.c, ii: iIdx}
+	if col.quant == row.quant {
+		h.quant = col.quant
 	}
-	mulI := amulet.BinaryEval(amulet.OpMulI)
-	cL, rL, ii := col.dst, row.dst, iIdx
-	colU, rowU, strideC, baseC := col, row, stride.b.c, addBase.b.c
-	return func(m *machine, i0 int32, n int64) bool {
-		for i := i0; n > 0; n-- {
-			ax := sadd(i, colU.base)
-			if ax < 0 || int(ax) >= len(m.data) {
-				return loadFault(m, ax)
-			}
-			c := toIX(mulX(m.data[ax], colU.mulC))
-			if c < colU.maxC {
-				c = colU.maxC
-			}
-			if c > colU.minC {
-				c = colU.minC
-			}
-			m.locals[cL] = c
+	return h.run
+}
 
-			ay := sadd(i, rowU.base)
-			if ay < 0 || int(ay) >= len(m.data) {
-				return loadFault(m, ay)
-			}
-			r := toIY(mulY(m.data[ay], rowU.mulC))
-			if r < rowU.maxC {
-				r = rowU.maxC
-			}
-			if r > rowU.minC {
-				r = rowU.minC
-			}
-			m.locals[rL] = r
+// histUnit is one channel's five-IR quantize-and-clamp unit.
+type histUnit struct {
+	base, mulC, maxC, minC int32
+	dst                    int // local receiving the clamped coordinate
+	quant                  quantKind
+	mul                    func(a, b int32) int32
+	toI                    func(v int32) int32
+}
 
-			addr := sadd(sadd(mulI(r, strideC), c), baseC)
-			m.locals[cL] = addr
+// quantKind names a unit's (mul, toI) pair when it is one of the shapes
+// the firmware generator emits, which the histogram kernel runs as
+// direct code.
+type quantKind uint8
+
+const (
+	quantEval quantKind = iota // captured evaluation functions
+	quantF                     // FMul, FtoI (Original)
+	quantQ                     // MulQ, QtoI (Simplified)
+)
+
+// matchHistUnit matches the quantize-and-clamp unit ending in a local
+// destination.
+func matchHistUnit(irs []irOp, iIdx int) (histUnit, bool) {
+	ld := irs[0]
+	if ld.kind != irLoadM || !isAddLC(ld.a, iIdx) || ld.dst.local {
+		return histUnit{}, false
+	}
+	s := ld.dst.idx
+	mul := irs[1]
+	if mul.kind != irBin || mul.dst.local || mul.dst.idx != s || !isSlot(mul.a, s) || mul.b.k != kConst {
+		return histUnit{}, false
+	}
+	conv := irs[2]
+	if conv.kind != irUn || conv.dst.local || conv.dst.idx != s || !isSlot(conv.a, s) {
+		return histUnit{}, false
+	}
+	cmax := irs[3]
+	if cmax.kind != irBin || cmax.op != amulet.OpMax || cmax.dst.local || cmax.dst.idx != s ||
+		!isSlot(cmax.a, s) || cmax.b.k != kConst {
+		return histUnit{}, false
+	}
+	cmin := irs[4]
+	if cmin.kind != irBin || cmin.op != amulet.OpMin || !cmin.dst.local ||
+		!isSlot(cmin.a, s) || cmin.b.k != kConst {
+		return histUnit{}, false
+	}
+	u := histUnit{
+		base: ld.a.c, mulC: mul.b.c, maxC: cmax.b.c, minC: cmin.b.c, dst: cmin.dst.idx,
+		mul: amulet.BinaryEval(mul.op), toI: amulet.UnaryEval(conv.op),
+	}
+	if u.mul == nil || u.toI == nil {
+		return histUnit{}, false
+	}
+	switch {
+	case mul.op == amulet.OpFMul && conv.op == amulet.OpFtoI:
+		u.quant = quantF
+	case mul.op == amulet.OpMulQ && conv.op == amulet.OpQtoI:
+		u.quant = quantQ
+	}
+	return u, true
+}
+
+// bin maps one sample to its clamped grid coordinate with the captured
+// evaluation functions.
+func (u *histUnit) bin(x int32) int32 {
+	return min(max(u.toI(u.mul(x, u.mulC)), u.maxC), u.minC)
+}
+
+type histogram struct {
+	col, row     histUnit
+	quant        quantKind
+	stride, base int32
+	ii           int
+}
+
+func (h *histogram) run(m *machine, i0 int32, n int64) bool {
+	cL, rL := h.col.dst, h.row.dst
+	lx, okX := affineRange(i0, n, h.col.base, len(m.data))
+	ly, okY := affineRange(i0, n, h.row.base, len(m.data))
+	if okX && okY {
+		// Both sample runs are in the segment: only the cell address,
+		// which depends on the data, is checked per iteration. The
+		// quantization is bin, inlined for the generator's two shapes.
+		fx, fy := f32(h.col.mulC), f32(h.row.mulC)
+		qx, qy := fixedpoint.FromRaw(h.col.mulC), fixedpoint.FromRaw(h.row.mulC)
+		var addr, r int32
+		for j := int64(0); j < n; j++ {
+			x, y := m.data[lx+j], m.data[ly+j]
+			var c int32
+			switch h.quant {
+			case quantF:
+				c, r = int32(f32(x)*fx), int32(f32(y)*fy)
+			case quantQ:
+				c = int32(fixedpoint.Mul(fixedpoint.FromRaw(x), qx).Int())
+				r = int32(fixedpoint.Mul(fixedpoint.FromRaw(y), qy).Int())
+			default:
+				c, r = h.col.toI(h.col.mul(x, h.col.mulC)), h.row.toI(h.row.mul(y, h.row.mulC))
+			}
+			c = min(max(c, h.col.maxC), h.col.minC)
+			r = min(max(r, h.row.maxC), h.row.minC)
+			addr = sadd(sadd(smulI(r, h.stride), c), h.base)
 			if addr < 0 || int(addr) >= len(m.data) {
+				m.locals[cL], m.locals[rL] = addr, r
+				m.locals[h.ii] = i0 + int32(j)
 				return loadFault(m, addr)
 			}
 			m.data[addr] = sadd(m.data[addr], 1)
-			i++
-			m.locals[ii] = i
 		}
+		m.locals[cL], m.locals[rL] = addr, r
+		m.locals[h.ii] = i0 + int32(n)
 		return true
+	}
+	for i := i0; n > 0; n-- {
+		ax := sadd(i, h.col.base)
+		if ax < 0 || int(ax) >= len(m.data) {
+			return loadFault(m, ax)
+		}
+		c := h.col.bin(m.data[ax])
+		m.locals[cL] = c
+
+		ay := sadd(i, h.row.base)
+		if ay < 0 || int(ay) >= len(m.data) {
+			return loadFault(m, ay)
+		}
+		r := h.row.bin(m.data[ay])
+		m.locals[rL] = r
+
+		addr := sadd(sadd(smulI(r, h.stride), c), h.base)
+		m.locals[cL] = addr
+		if addr < 0 || int(addr) >= len(m.data) {
+			return loadFault(m, addr)
+		}
+		m.data[addr] = sadd(m.data[addr], 1)
+		i++
+		m.locals[h.ii] = i
+	}
+	return true
+}
+
+// matchReduce compiles the accumulation loops of the portrait-matrix
+// features — the column sums, the spatial filling index's Σc², and the
+// column mean and variance: acc ⊕= f(data[addr(i)]).
+//
+//	IR: [ LoadM{addr → slot s | local t},
+//	      Bin{sub, slot s, local l → local t}?,    f = (x − l)²
+//	      Bin{mul, local t, local t → slot s}?,    f = x·x or (x − l)²
+//	      Bin{⊕, slot s, local acc → local acc} ]
+//
+// addr is AddLC(i,c) on the load itself, or the strided column walk
+// i·k + l2 + c with l2 a local the body never writes:
+//
+//	Bin{MulI, local i, Const k → slot s},
+//	Bin{Add, slot s, local l2 → slot s},
+//	Bin{Add, slot s, Const c → slot s},
+//	LoadM{slot s → …}
+//
+// ⊕ is Add or FAdd, mul is MulI, MulQ or FMul, and sub is Sub or FSub.
+func matchReduce(body []irOp, iIdx int) func(*machine, int32, int64) bool {
+	r := &reduce{ii: iIdx, t: -1, l: -1, l2: -1}
+	j := 0
+	if len(body) > 0 && body[0].kind == irBin {
+		mk := body[0]
+		if len(body) < 5 || mk.op != amulet.OpMulI || mk.dst.local || !isLocal(mk.a, iIdx) || mk.b.k != kConst {
+			return nil
+		}
+		s := mk.dst.idx
+		al, ac := body[1], body[2]
+		if al.kind != irBin || al.op != amulet.OpAdd || al.dst.local || al.dst.idx != s ||
+			!isSlot(al.a, s) || al.b.k != kLocal {
+			return nil
+		}
+		if ac.kind != irBin || ac.op != amulet.OpAdd || ac.dst.local || ac.dst.idx != s ||
+			!isSlot(ac.a, s) || ac.b.k != kConst {
+			return nil
+		}
+		if body[3].kind != irLoadM || !isSlot(body[3].a, s) {
+			return nil
+		}
+		r.strided, r.k, r.l2, r.c = true, mk.b.c, al.b.idx, ac.b.c
+		j = 3
+	} else if len(body) > 0 && body[0].kind == irLoadM && isAddLC(body[0].a, iIdx) {
+		r.c = body[0].a.c
+	} else {
+		return nil
+	}
+	ld, rest := body[j], body[j+1:]
+
+	var fold irOp
+	var mulOp, subOp amulet.Op // zero when f has no such step
+	switch {
+	case len(rest) == 1 && !ld.dst.local: // f = x
+		fold = rest[0]
+		if !isSlot(fold.a, ld.dst.idx) {
+			return nil
+		}
+	case len(rest) == 2 && ld.dst.local: // f = x·x, t = x
+		r.t = ld.dst.idx
+		sq := rest[0]
+		if sq.kind != irBin || sq.dst.local || !isLocal(sq.a, r.t) || !isLocal(sq.b, r.t) {
+			return nil
+		}
+		mulOp, fold = sq.op, rest[1]
+		if !isSlot(fold.a, sq.dst.idx) {
+			return nil
+		}
+	case len(rest) == 3 && !ld.dst.local: // f = (x − l)², t = x − l
+		dev, sq := rest[0], rest[1]
+		if dev.kind != irBin || !dev.dst.local || !isSlot(dev.a, ld.dst.idx) || dev.b.k != kLocal {
+			return nil
+		}
+		r.t, r.l, subOp = dev.dst.idx, dev.b.idx, dev.op
+		if sq.kind != irBin || sq.dst.local || !isLocal(sq.a, r.t) || !isLocal(sq.b, r.t) {
+			return nil
+		}
+		mulOp, fold = sq.op, rest[2]
+		if !isSlot(fold.a, sq.dst.idx) {
+			return nil
+		}
+	default:
+		return nil
+	}
+	if fold.kind != irBin || (fold.op != amulet.OpAdd && fold.op != amulet.OpFAdd) ||
+		!fold.dst.local || !isLocal(fold.b, fold.dst.idx) {
+		return nil
+	}
+	r.acc = fold.dst.idx
+	switch mulOp {
+	case 0, amulet.OpMulI, amulet.OpMulQ, amulet.OpFMul:
+	default:
+		return nil
+	}
+	switch subOp {
+	case 0, amulet.OpSub, amulet.OpFSub:
+	default:
+		return nil
+	}
+	// Every local the body reads but never writes (l, l2) must stay
+	// constant across the run, and the written ones (t, acc) distinct.
+	if r.t == r.acc {
+		return nil
+	}
+	for _, ro := range [...]int{r.l, r.l2} {
+		if ro >= 0 && (ro == r.t || ro == r.acc || ro == iIdx) {
+			return nil
+		}
+	}
+
+	r.add = amulet.BinaryEval(fold.op)
+	if mulOp != 0 {
+		r.mul = amulet.BinaryEval(mulOp)
+	}
+	if subOp != 0 {
+		r.sub = amulet.BinaryEval(subOp)
+	}
+	switch {
+	case subOp == 0 && mulOp == 0 && fold.op == amulet.OpAdd:
+		r.shape = reduceSum
+	case subOp == 0 && mulOp == 0:
+		r.shape = reduceSumF
+	case subOp == 0 && mulOp == amulet.OpMulI && fold.op == amulet.OpAdd:
+		r.shape = reduceSquares
+	case subOp == amulet.OpSub && mulOp == amulet.OpMulQ && fold.op == amulet.OpAdd:
+		r.shape = reduceDevQ
+	case subOp == amulet.OpFSub && mulOp == amulet.OpFMul && fold.op == amulet.OpFAdd:
+		r.shape = reduceDevF
+	}
+	return r.run
+}
+
+type reduceShape uint8
+
+const (
+	reduceEval    reduceShape = iota // captured evaluation functions
+	reduceSum                        // Add, f = x
+	reduceSumF                       // FAdd, f = x
+	reduceSquares                    // Add, f = MulI(x, x)
+	reduceDevQ                       // Add, f = MulQ(d, d), d = Sub(x, l)
+	reduceDevF                       // FAdd, f = FMul(d, d), d = FSub(x, l)
+)
+
+type reduce struct {
+	strided bool
+	k, c    int32 // address i·k + l2 + c (strided) or i + c
+	l2      int
+
+	shape         reduceShape
+	ii, acc, t, l int // t, l are -1 when f has no scratch local / no offset
+	add, mul, sub func(a, b int32) int32
+}
+
+func (r *reduce) run(m *machine, i0 int32, n int64) bool {
+	if lo, step, ok := r.span(m, i0, n); ok {
+		r.fold(m, lo, step, n)
+		m.locals[r.ii] = i0 + int32(n)
+		return true
+	}
+	for i := i0; n > 0; n-- {
+		addr := r.addr(m, i)
+		if addr < 0 || int(addr) >= len(m.data) {
+			return loadFault(m, addr)
+		}
+		r.step(m, m.data[addr])
+		i++
+		m.locals[r.ii] = i
+	}
+	return true
+}
+
+// addr is iteration i's address with the interpreter's saturating steps.
+func (r *reduce) addr(m *machine, i int32) int32 {
+	if !r.strided {
+		return sadd(i, r.c)
+	}
+	return sadd(sadd(smulI(i, r.k), m.locals[r.l2]), r.c)
+}
+
+// span reports whether every address of the run [i0, i0+n) is computed
+// without saturating and lies in the segment, returning the first address
+// and the step between consecutive ones. Each intermediate of the
+// address is affine in i, so checking both ends of the run suffices.
+func (r *reduce) span(m *machine, i0 int32, n int64) (lo, step int64, ok bool) {
+	if !r.strided {
+		lo, ok = affineRange(i0, n, r.c, len(m.data))
+		return lo, 1, ok
+	}
+	k, l2, c := int64(r.k), int64(m.locals[r.l2]), int64(r.c)
+	for _, i := range [...]int64{int64(i0), int64(i0) + n - 1} {
+		p := i * k
+		q := p + l2
+		a := q + c
+		if p < math.MinInt32 || p > math.MaxInt32 || q < math.MinInt32 || q > math.MaxInt32 ||
+			a < 0 || a >= int64(len(m.data)) {
+			return 0, 0, false
+		}
+	}
+	return int64(i0)*k + l2 + c, k, true
+}
+
+// step folds one element with the captured evaluation functions, writing
+// the scratch local and the accumulator as the body would.
+func (r *reduce) step(m *machine, x int32) {
+	if r.sub != nil {
+		x = r.sub(x, m.locals[r.l])
+	}
+	if r.t >= 0 {
+		m.locals[r.t] = x
+	}
+	if r.mul != nil {
+		x = r.mul(x, x)
+	}
+	m.locals[r.acc] = r.add(x, m.locals[r.acc])
+}
+
+// fold runs n steps over data[lo], data[lo+step], … once span has proven
+// every address valid: direct loops for the shapes the firmware generator
+// emits, the evaluating step for anything else. Saturating ops stay
+// per-step and float32 sums accumulate in order, so the result is
+// bit-identical to the interpreter's.
+func (r *reduce) fold(m *machine, lo, step, n int64) {
+	d, a := m.data, lo
+	switch r.shape {
+	case reduceSum:
+		acc := m.locals[r.acc]
+		for ; n > 0; n-- {
+			acc = sadd(d[a], acc)
+			a += step
+		}
+		m.locals[r.acc] = acc
+	case reduceSumF:
+		acc := f32(m.locals[r.acc])
+		for ; n > 0; n-- {
+			acc = f32(d[a]) + acc
+			a += step
+		}
+		m.locals[r.acc] = f32bits(acc)
+	case reduceSquares:
+		acc, x := m.locals[r.acc], int32(0)
+		for ; n > 0; n-- {
+			x = d[a]
+			acc = sadd(smulI(x, x), acc)
+			a += step
+		}
+		m.locals[r.t], m.locals[r.acc] = x, acc
+	case reduceDevQ:
+		l, acc, dv := fixedpoint.FromRaw(m.locals[r.l]), m.locals[r.acc], fixedpoint.Q(0)
+		for ; n > 0; n-- {
+			dv = fixedpoint.Sub(fixedpoint.FromRaw(d[a]), l)
+			acc = sadd(fixedpoint.Mul(dv, dv).Raw(), acc)
+			a += step
+		}
+		m.locals[r.t], m.locals[r.acc] = dv.Raw(), acc
+	case reduceDevF:
+		l, acc, dv := f32(m.locals[r.l]), f32(m.locals[r.acc]), float32(0)
+		for ; n > 0; n-- {
+			dv = f32(d[a]) - l
+			acc = float32(dv*dv) + acc // the conversion forbids fusing into an FMA
+			a += step
+		}
+		m.locals[r.t], m.locals[r.acc] = f32bits(dv), f32bits(acc)
+	default:
+		for ; n > 0; n-- {
+			r.step(m, d[a])
+			a += step
+		}
 	}
 }

@@ -61,11 +61,14 @@ func NewDeviceDetector(v features.Version, dev *amulet.Device, model *svm.Quanti
 // Program returns the flashed firmware image.
 func (d *DeviceDetector) Program() *amulet.Program { return d.prog }
 
-// Classify marshals the window into the device's data segment, runs the
+// Classify marshals the window into a pooled data segment, runs the
 // detector app, and decodes the verdict.
 func (d *DeviceDetector) Classify(w dataset.Window) (Output, error) {
-	data, err := Input(d.Version, w, d.Model)
-	if err != nil {
+	seg := segments.Get().(*[]int32)
+	defer segments.Put(seg)
+	data := *seg
+	clear(data)
+	if err := marshal(d.Version, w, d.Model, data); err != nil {
 		return Output{}, err
 	}
 	res, err := d.Device.RunTraced(d.prog.Name, data, MaxCycles, d.TraceParent)

@@ -14,6 +14,7 @@ package program
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
@@ -80,29 +81,46 @@ const (
 // program converts them to float32 on-device, as the paper's float-array
 // implementation did.
 func Input(v features.Version, w dataset.Window, q *svm.Quantized) ([]int32, error) {
+	data := make([]int32, DataWords)
+	if err := marshal(v, w, q, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// segments recycles DeviceDetector data segments between windows. A pool
+// rather than one segment per detector: a fleet holds many detectors but
+// only runs as many windows at once as it has workers.
+var segments = sync.Pool{New: func() any {
+	s := make([]int32, DataWords)
+	return &s
+}}
+
+// marshal writes Input's segment into data, which must be DataWords long
+// and all zero.
+func marshal(v features.Version, w dataset.Window, q *svm.Quantized, data []int32) error {
 	if q == nil {
-		return nil, fmt.Errorf("program: nil model")
+		return fmt.Errorf("program: nil model")
 	}
 	dim := v.Dim()
 	if dim == 0 || dim > MaxDim {
-		return nil, fmt.Errorf("program: unsupported version %v", v)
+		return fmt.Errorf("program: unsupported version %v", v)
 	}
 	if len(q.Weights) != dim || len(q.Mean) != dim || len(q.InvStd) != dim {
-		return nil, fmt.Errorf("program: model dim %d does not match version %v (want %d)", len(q.Weights), v, dim)
+		return fmt.Errorf("program: model dim %d does not match version %v (want %d)", len(q.Weights), v, dim)
 	}
 	n := w.Len()
 	if n == 0 || n > MaxSamples {
-		return nil, fmt.Errorf("program: window of %d samples outside (0,%d]", n, MaxSamples)
+		return fmt.Errorf("program: window of %d samples outside (0,%d]", n, MaxSamples)
 	}
 	if len(w.ABP) != n {
-		return nil, fmt.Errorf("program: ECG (%d) and ABP (%d) lengths differ", n, len(w.ABP))
+		return fmt.Errorf("program: ECG (%d) and ABP (%d) lengths differ", n, len(w.ABP))
 	}
 	if len(w.RPeaks) > MaxPeaks || len(w.SysPeaks) > MaxPeaks || len(w.Pairs) > MaxPeaks {
-		return nil, fmt.Errorf("program: peak counts (%d R, %d sys, %d pairs) exceed buffer capacity %d",
+		return fmt.Errorf("program: peak counts (%d R, %d sys, %d pairs) exceed buffer capacity %d",
 			len(w.RPeaks), len(w.SysPeaks), len(w.Pairs), MaxPeaks)
 	}
 
-	data := make([]int32, DataWords)
 	data[HdrN] = int32(n)
 	data[HdrNR] = int32(len(w.RPeaks))
 	data[HdrNS] = int32(len(w.SysPeaks))
@@ -125,24 +143,24 @@ func Input(v features.Version, w dataset.Window, q *svm.Quantized) ([]int32, err
 	}
 	for i, p := range w.RPeaks {
 		if p < 0 || p >= n {
-			return nil, fmt.Errorf("program: R peak %d outside window of %d samples", p, n)
+			return fmt.Errorf("program: R peak %d outside window of %d samples", p, n)
 		}
 		data[RBase+i] = int32(p)
 	}
 	for i, p := range w.SysPeaks {
 		if p < 0 || p >= n {
-			return nil, fmt.Errorf("program: systolic peak %d outside window of %d samples", p, n)
+			return fmt.Errorf("program: systolic peak %d outside window of %d samples", p, n)
 		}
 		data[SBase+i] = int32(p)
 	}
 	for i, pr := range w.Pairs {
 		if pr[0] < 0 || pr[0] >= n || pr[1] < 0 || pr[1] >= n {
-			return nil, fmt.Errorf("program: pair %v outside window of %d samples", pr, n)
+			return fmt.Errorf("program: pair %v outside window of %d samples", pr, n)
 		}
 		data[PairRBase+i] = int32(pr[0])
 		data[PairSBase+i] = int32(pr[1])
 	}
-	return data, nil
+	return nil
 }
 
 // encoderFor returns the Q→native-word encoder for a version's model

@@ -16,6 +16,42 @@ func TestFromFloatRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromFloatRoundsHalfToEven pins FromFloat to the definition it
+// implements, saturate then math.RoundToEven, on ties, the saturation
+// edges, tiny and signed-zero inputs, and arbitrary bit patterns.
+func TestFromFloatRoundsHalfToEven(t *testing.T) {
+	ref := func(f float64) Q {
+		scaled := f * float64(One)
+		switch {
+		case math.IsNaN(scaled):
+			return 0
+		case scaled >= float64(math.MaxInt32):
+			return Max
+		case scaled <= float64(math.MinInt32):
+			return Min
+		}
+		return Q(math.RoundToEven(scaled))
+	}
+	var cases []float64
+	for _, k := range []float64{0, 1, 2, 3, 1 << 20, 1<<31 - 2, 1<<31 - 1, 1 << 31} {
+		for _, d := range []float64{-0.75, -0.5, -0.25, 0, 0.25, 0.5, 0.75} {
+			cases = append(cases, (k+d)/float64(One), -(k+d)/float64(One))
+		}
+	}
+	cases = append(cases, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64)
+	state := uint64(1)
+	for i := 0; i < 100_000; i++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		cases = append(cases, math.Float64frombits(state), float64(int64(state))/(1<<44))
+	}
+	for _, f := range cases {
+		if got, want := FromFloat(f), ref(f); got != want {
+			t.Fatalf("FromFloat(%v) = %d, want %d", f, got, want)
+		}
+	}
+}
+
 func TestFromFloatSaturates(t *testing.T) {
 	cases := []struct {
 		in   float64
