@@ -36,7 +36,7 @@ race:
 # under the race detector and run twice (-count=2 catches state leaking
 # between runs through package-level counters or lingering goroutines).
 chaos:
-	$(GO) test -race -count=2 ./internal/wiot/chaos/ ./internal/wiot/ -run 'Chaos|Reconnect|RunScenarioOverTCP|FrameScanner|ServeTCP|ServeConn|TCPStation|PeekRecord|AcceptLoop|ErrorRing|BareFrameBody|Corruption|Cut|Partition|ControlRecords|Latency'
+	$(GO) test -race -count=2 ./internal/wiot/chaos/ ./internal/wiot/ -run 'Chaos|Reconnect|RunScenarioOverTCP|FrameScanner|ServeTCP|ServeConn|TCPStation|PeekRecord|AcceptLoop|ErrorRing|BareFrameBody|Corruption|Cut|Partition|ControlRecords|Latency|CoalescedAcks|SinkBatch'
 	$(GO) test -race -count=2 ./internal/fleet/ -run 'FleetRunnerOverChaosTCP'
 
 # The sharded control plane under the race detector: the coordinator's
@@ -77,7 +77,7 @@ shard-smoke-1m:
 # forged frames accepted, every attempt accounted for in the reject
 # counters), and the declarative auth-adversary campaign.
 auth:
-	$(GO) test -race -count=2 ./internal/wiot/ -run 'Auth|Session|Serial|SeqWrap|DeriveSensorKey|KeyStore|CMAC'
+	$(GO) test -race -count=2 ./internal/wiot/ -run 'Auth|Session|Serial|SeqWrap|DeriveSensorKey|KeyStore|CMAC|MACState|SinkBatch'
 	$(GO) test -race -count=1 ./internal/wiot/chaos/ -run 'Adversary'
 	$(GO) test -race -count=1 ./internal/attack/
 	$(GO) test -race -count=1 ./internal/campaign/ -run 'AuthAdversary|AuthParity'

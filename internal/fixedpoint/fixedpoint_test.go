@@ -269,6 +269,41 @@ func TestQuickMulOneIdentity(t *testing.T) {
 	}
 }
 
+// sqrtSquareBound is how far Sqrt(Mul(x, x)) may land from x, in LSB,
+// for a raw x_q > 0. Mul rounds x² to within half an LSB, an error of
+// up to 2¹⁵ in Sqrt's radicand x_q² (it takes √(y·2¹⁶)); that moves the
+// root by up to 2¹⁵/(2·x_q) = 16384/x_q, and the floor adds one more.
+func sqrtSquareBound(xq int32) int32 {
+	return 1 + (16384+xq-1)/xq
+}
+
+// maxSquarable is the largest raw x_q whose square Mul does not
+// saturate: ⌊√(Max·2¹⁶)⌋.
+const maxSquarable = 11863283
+
+// TestSqrtSquaresBoundTable pins the derived bound at fixed points: at
+// small x the error of squaring is far above the 4 LSB the bound used to
+// claim (x = 0.01 lands 26 LSB off), and it shrinks to 1 LSB at large x.
+func TestSqrtSquaresBoundTable(t *testing.T) {
+	if Mul(maxSquarable, maxSquarable) == Max || Mul(maxSquarable+1, maxSquarable+1) != Max {
+		t.Fatalf("maxSquarable %d is not the largest unsaturated square", maxSquarable)
+	}
+	exceedsOld := false
+	for _, xq := range []int32{655, 1000, 4096, 65536, maxSquarable} {
+		x := Q(xq)
+		dev := Abs(Sub(Sqrt(Mul(x, x)), x))
+		if dev > Q(sqrtSquareBound(xq)) {
+			t.Errorf("x_q=%d: |Sqrt(x²)−x| = %d LSB, bound %d", xq, dev, sqrtSquareBound(xq))
+		}
+		if dev > 4 {
+			exceedsOld = true
+		}
+	}
+	if !exceedsOld {
+		t.Error("no table entry exceeds the old fixed 4-LSB bound; the table no longer shows why it was wrong")
+	}
+}
+
 func TestQuickSqrtSquares(t *testing.T) {
 	f := func(a int32) bool {
 		x := Abs(smallQ(a))
@@ -278,10 +313,32 @@ func TestQuickSqrtSquares(t *testing.T) {
 			return true
 		}
 		s := Sqrt(Mul(x, x))
-		// Within a couple of LSBs of |x|.
-		return Abs(Sub(s, x)) <= 4
+		return Abs(Sub(s, x)) <= Q(sqrtSquareBound(int32(x)))
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickSqrtExact: Sqrt is exactly ⌊√(y·2¹⁶)⌋ on the raw value, the
+// integer square root, for any positive y; non-positive y gives 0.
+func TestQuickSqrtExact(t *testing.T) {
+	f := func(a int32) bool {
+		y := Q(a)
+		if y <= 0 {
+			return Sqrt(y) == 0
+		}
+		v := uint64(y) << Shift
+		r := uint64(math.Sqrt(float64(v)))
+		for r*r > v {
+			r--
+		}
+		for (r+1)*(r+1) <= v {
+			r++
+		}
+		return Sqrt(y) == Q(r)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

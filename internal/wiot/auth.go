@@ -2,11 +2,14 @@ package wiot
 
 import (
 	"crypto/aes"
+	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/crc32"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -195,12 +198,17 @@ func deriveSessionKey(psk []byte, transcript []byte) []byte {
 }
 
 // Session is an established v3 session: the id the station allocated
-// plus the derived frame-MAC key. It is safe for concurrent use.
+// plus the derived frame-MAC key. It is safe for concurrent use: the
+// keyed MAC state, built on first use and reused for every frame after,
+// is guarded by a mutex.
 type Session struct {
 	ID     uint32
 	Sensor SensorID
 	Alg    MACAlg
 	key    []byte
+
+	mu  sync.Mutex
+	mac *frameMAC
 }
 
 // ForgeSession builds a Session from attacker-chosen parameters, for
@@ -220,24 +228,6 @@ func ForgeSession(id uint32, sensor SensorID, alg MACAlg, key []byte) *Session {
 	return &Session{ID: id, Sensor: sensor, Alg: alg, key: k[:authKeySize]}
 }
 
-// frameMAC computes the truncated per-frame MAC over msg (the v3 record
-// bytes up to and including the session id).
-func (s *Session) frameMAC(msg []byte) uint64 {
-	return frameMACWith(s.key, s.Alg, msg)
-}
-
-func frameMACWith(key []byte, alg MACAlg, msg []byte) uint64 {
-	switch alg {
-	case MACCMAC:
-		tag := aesCMAC(key[:authCMACKeySize], msg)
-		return binary.LittleEndian.Uint64(tag[:authTagSize])
-	default:
-		mac := hmac.New(sha256.New, key)
-		mac.Write(msg)
-		return binary.LittleEndian.Uint64(mac.Sum(nil)[:authTagSize])
-	}
-}
-
 // SealFrame serializes the frame as an authenticated v3 record:
 // the standard encoding under the v3 magic, then the session id, the
 // truncated MAC over everything so far, and the CRC32-C trailer. The
@@ -249,39 +239,93 @@ func (s *Session) SealFrame(f *Frame) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.seal(body), nil
+	return s.seal(body, 0), nil
 }
 
-// seal turns body, a frame body under any frame magic, into a v3 record
-// in place: the v3 magic, then the session id, the MAC and the CRC
-// trailer appended. The reconnect sink seals its buffered v2 bodies at
-// transmit time, so frames buffered before a reconnect are re-MAC'd
-// under the new session's id and key.
-func (s *Session) seal(body []byte) []byte {
-	body[0] = frameMagicV3
-	body = binary.LittleEndian.AppendUint32(body, s.ID)
-	body = binary.LittleEndian.AppendUint64(body, s.frameMAC(body))
-	return appendCRC(body)
+// seal turns buf[start:], a frame body under any frame magic, into a v3
+// record in place: the v3 magic, then the session id, the MAC and the
+// CRC trailer appended. The reconnect sink seals its buffered v2 bodies
+// at transmit time, straight into its batch buffer, so frames buffered
+// before a reconnect are re-MAC'd under the new session's id and key.
+func (s *Session) seal(buf []byte, start int) []byte {
+	buf[start] = frameMagicV3
+	buf = binary.LittleEndian.AppendUint32(buf, s.ID)
+	s.mu.Lock()
+	if s.mac == nil {
+		s.mac = newFrameMAC(s.key, s.Alg)
+	}
+	tag := s.mac.tag(buf[start:])
+	s.mu.Unlock()
+	buf = binary.LittleEndian.AppendUint64(buf, tag)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable))
 }
 
-// aesCMAC is AES-128-CMAC (RFC 4493). The Go standard library ships no
-// CMAC, and the container policy forbids new dependencies, so the ~40
-// lines live here; the fuzz and cross-alg tests pin it against the
-// spec's subkey/padding rules.
-func aesCMAC(key []byte, msg []byte) [16]byte {
+// frameMAC is one session key's keyed frame-MAC state, built once per
+// session and reused for every frame: the HMAC is keyed once and Reset
+// per frame, the CMAC keeps its AES block and subkeys. Its tags are
+// those of a fresh hmac.New / aesCMAC under the same key. It is not safe
+// for concurrent use; a Session guards its own with a mutex, and the
+// station's per-connection session is owned by one goroutine.
+type frameMAC struct {
+	alg  MACAlg
+	hmac hash.Hash
+	cmac cmacState
+	sum  [sha256.Size]byte
+}
+
+func newFrameMAC(key []byte, alg MACAlg) *frameMAC {
+	m := &frameMAC{alg: alg}
+	if alg == MACCMAC {
+		m.cmac = newCMAC(key[:authCMACKeySize])
+	} else {
+		m.hmac = hmac.New(sha256.New, key)
+	}
+	return m
+}
+
+// tag computes the truncated per-frame MAC over msg (the v3 record bytes
+// up to and including the session id).
+func (m *frameMAC) tag(msg []byte) uint64 {
+	if m.alg == MACCMAC {
+		t := m.cmac.sum(msg)
+		return binary.LittleEndian.Uint64(t[:authTagSize])
+	}
+	m.hmac.Reset()
+	m.hmac.Write(msg)
+	return binary.LittleEndian.Uint64(m.hmac.Sum(m.sum[:0])[:authTagSize])
+}
+
+// cmacState is one AES-128-CMAC (RFC 4493) key: the expanded AES block,
+// the K1/K2 subkeys, and scratch blocks, so a tag costs only the block
+// encryptions. The Go standard library ships no CMAC and the module
+// takes no dependencies, so the ~40 lines live here; the RFC vector and
+// cross-alg tests pin them against the spec's subkey/padding rules. It
+// is not safe for concurrent use.
+type cmacState struct {
+	block   cipher.Block
+	k1, k2  [16]byte
+	x, last [16]byte
+}
+
+func newCMAC(key []byte) cmacState {
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		// Key sizes are fixed by the caller; an error here is a
 		// programming bug, and a zero tag would verify nothing.
 		panic(fmt.Sprintf("wiot: aesCMAC: %v", err))
 	}
-	var k1 [16]byte
-	block.Encrypt(k1[:], k1[:])
-	cmacDouble(&k1)
-	k2 := k1
-	cmacDouble(&k2)
+	c := cmacState{block: block}
+	block.Encrypt(c.k1[:], c.k1[:])
+	cmacDouble(&c.k1)
+	c.k2 = c.k1
+	cmacDouble(&c.k2)
+	return c
+}
 
-	var x [16]byte
+// sum returns the untruncated CMAC tag over msg.
+func (c *cmacState) sum(msg []byte) [16]byte {
+	x, last := &c.x, &c.last
+	*x = [16]byte{}
 	full := len(msg) / 16
 	rem := len(msg) % 16
 	lastComplete := rem == 0 && len(msg) > 0
@@ -292,26 +336,26 @@ func aesCMAC(key []byte, msg []byte) [16]byte {
 		for j := 0; j < 16; j++ {
 			x[j] ^= msg[16*i+j]
 		}
-		block.Encrypt(x[:], x[:])
+		c.block.Encrypt(x[:], x[:])
 	}
-	var last [16]byte
+	*last = [16]byte{}
 	if lastComplete {
 		copy(last[:], msg[len(msg)-16:])
 		for j := 0; j < 16; j++ {
-			last[j] ^= k1[j]
+			last[j] ^= c.k1[j]
 		}
 	} else {
 		copy(last[:], msg[16*full:])
 		last[rem] = 0x80
 		for j := 0; j < 16; j++ {
-			last[j] ^= k2[j]
+			last[j] ^= c.k2[j]
 		}
 	}
 	for j := 0; j < 16; j++ {
 		x[j] ^= last[j]
 	}
-	block.Encrypt(x[:], x[:])
-	return x
+	c.block.Encrypt(x[:], x[:])
+	return *x
 }
 
 // cmacDouble is the GF(2^128) doubling step of RFC 4493 subkey

@@ -513,11 +513,13 @@ func TestAuthReconnectPreservesGoBackN(t *testing.T) {
 			t.Fatal(err)
 		}
 		if seq == 8 || seq == 16 {
+			// Wait for the session this kill targets: one more handshake
+			// than kills so far. A tracked conn alone may be the one the
+			// previous kill already closed, still draining its handler.
+			kills := int64(seq / 8)
 			waitUntil(t, 2*time.Second, func() bool {
-				st.mu.Lock()
-				defer st.mu.Unlock()
-				return len(st.conns) > 0
-			}, "a sensor connection to be live")
+				return sink.Stats().Handshakes >= kills
+			}, "a live authenticated session")
 			st.mu.Lock()
 			for conn := range st.conns {
 				_ = conn.Close()

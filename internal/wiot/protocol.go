@@ -300,10 +300,10 @@ type wireRecord struct {
 // byte instead of surfacing an error. Only I/O failures (including a
 // disconnect mid-record, reported as io.ErrUnexpectedEOF) terminate it.
 type frameScanner struct {
-	src       io.Reader
-	buf       []byte
-	readChunk [4096]byte
-	inJunk    bool
+	src    io.Reader
+	buf    []byte // unparsed bytes, a window into back
+	back   []byte // retained backing array buf rewinds to
+	inJunk bool
 
 	resyncs int64 // contiguous runs of skipped bytes
 	skipped int64 // total bytes discarded
@@ -313,19 +313,51 @@ func newFrameScanner(src io.Reader) *frameScanner {
 	return &frameScanner{src: src}
 }
 
-// fill appends the next chunk from the source. A read that moves bytes
-// never surfaces its error — the next fill will.
+// scanChunk is the most one fill reads from the source.
+const scanChunk = 4096
+
+// fill reads the next chunk from the source straight into the buffer. A
+// read that moves bytes never surfaces its error — the next fill will.
+//
+// The buffer rewinds to the front of its retained backing array whenever
+// it is empty, or when the room behind it is short of a chunk; the bytes
+// that move are at most one partial record. So a long stream costs no
+// buffer allocations, and a record's bytes (wireRecord.macMsg) stay put
+// until the next call to next.
 func (s *frameScanner) fill() error {
+	if len(s.buf) == 0 || cap(s.buf)-len(s.buf) < scanChunk {
+		if len(s.buf)+scanChunk > cap(s.back) {
+			s.back = make([]byte, 0, len(s.buf)+2*scanChunk)
+		}
+		s.buf = append(s.back[:0], s.buf...)
+	}
 	for {
-		n, err := s.src.Read(s.readChunk[:])
+		n, err := s.src.Read(s.buf[len(s.buf) : len(s.buf)+scanChunk])
 		if n > 0 {
-			s.buf = append(s.buf, s.readChunk[:n]...)
+			s.buf = s.buf[:len(s.buf)+n]
 			return nil
 		}
 		if err != nil {
 			return err
 		}
 	}
+}
+
+// ready reports whether next can return a record without reading from
+// the source: the buffer opens with a complete record whose CRC holds. A
+// partial record, junk at the head, or a corrupt record reports false,
+// so a caller that flushes before a read the scanner may block on never
+// skips that flush.
+func (s *frameScanner) ready() bool {
+	info, err := PeekRecord(s.buf)
+	return err == nil && len(s.buf) >= info.Len && crcOK(s.buf[:info.Len])
+}
+
+// crcOK reports whether a complete record's CRC32-C trailer matches
+// every byte before it.
+func crcOK(raw []byte) bool {
+	n := len(raw) - crcSize
+	return crc32.Checksum(raw[:n], crcTable) == binary.LittleEndian.Uint32(raw[n:])
 }
 
 // skipByte discards the head byte as junk, opening a resync run if the
@@ -388,11 +420,11 @@ func (s *frameScanner) next() (wireRecord, error) {
 			s.consume(info.Len)
 			return wireRecord{ctrl: c, isCtrl: true}, nil
 		}
-		body := raw[:info.Len-crcSize]
-		if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(raw[info.Len-crcSize:]) {
+		if !crcOK(raw) {
 			s.skipByte()
 			continue
 		}
+		body := raw[:info.Len-crcSize]
 		f, _, err := decodeBody(body, raw[0])
 		if err != nil {
 			s.skipByte()

@@ -448,12 +448,18 @@ func (r *ReconnectSink) connDied(conn net.Conn, gen uint64) {
 	_ = conn.Close()
 }
 
+// sinkBatchBytes caps one writeLoop batch: the pending gap records and
+// queued frames gathered into a single write.
+const sinkBatchBytes = 16 << 10
+
 // writeLoop pumps queue entries and pending gap announcements onto one
-// connection until it dies or the sink drains out. While frames sit
-// unacknowledged with nothing left to send, a go-back-N timer arms;
-// on expiry the whole window retransmits.
+// connection until it dies or the sink drains out. Each pass gathers
+// everything sendable — gap records first, then queued frames from the
+// cursor — into one reused buffer of up to sinkBatchBytes and writes it
+// once. While frames sit unacknowledged with nothing left to send, a
+// go-back-N timer arms; on expiry the whole window retransmits.
 func (r *ReconnectSink) writeLoop(conn net.Conn, gen uint64) {
-	var sealed []byte // reused v3 record buffer for an authenticated sink
+	batch := make([]byte, 0, sinkBatchBytes)
 	var rtoTimer *time.Timer
 	defer func() {
 		if rtoTimer != nil {
@@ -461,9 +467,6 @@ func (r *ReconnectSink) writeLoop(conn net.Conn, gen uint64) {
 		}
 	}()
 	for {
-		var payload []byte
-		retransmit := false
-
 		r.mu.Lock()
 		var rtoDeadline time.Time
 		for {
@@ -496,50 +499,69 @@ func (r *ReconnectSink) writeLoop(conn net.Conn, gen uint64) {
 			}
 			r.cond.Wait()
 		}
-		if len(r.gapPend) > 0 {
-			var sensor SensorID
-			for id := range r.gapPend {
-				if sensor == 0 || id < sensor {
-					sensor = id
-				}
-			}
-			delete(r.gapPend, sensor)
-			target := r.gapTargetLocked(sensor)
-			if h, ok := r.holes[sensor]; ok && !seqBefore(target, h) {
-				// This announcement carries the hole's bound (or past it):
-				// once sent, the station stops waiting below it, so the
-				// hole is resolved and onAck stops re-arming the gap.
-				delete(r.holes, sensor)
-			}
-			payload = appendCtrl(nil, ctrlRecord{Kind: ctrlGap, Sensor: sensor, Seq: target})
-			r.gapsDeclared.Add(1)
-			obsSinkGapsDeclared.Add(1)
-			trace.Instant("wiot.sink.gap")
-		} else {
+		batch = batch[:0]
+		for len(r.gapPend) > 0 {
+			batch = r.appendGapLocked(batch)
+		}
+		var retransmits int64
+		for r.cursor < len(r.queue) {
 			e := &r.queue[r.cursor]
-			payload = e.payload
-			retransmit = e.sent
+			size := len(e.payload)
+			if r.sess != nil {
+				size += authTrailerSize - crcSize
+			}
+			if len(batch) > 0 && len(batch)+size > sinkBatchBytes {
+				break
+			}
+			if e.sent {
+				retransmits++
+			}
 			e.sent = true
 			r.cursor++
-			if r.sess != nil {
-				// Seal at transmit time, not enqueue time: a frame buffered
-				// across a reconnect must carry the new session's id and
-				// MAC when it is (re)transmitted.
-				sealed = r.sess.seal(append(sealed[:0], payload[:len(payload)-crcSize]...))
-				payload = sealed
+			if r.sess == nil {
+				batch = append(batch, e.payload...)
+				continue
 			}
+			// Seal at transmit time, not enqueue time: a frame buffered
+			// across a reconnect must carry the new session's id and MAC
+			// when it is (re)transmitted.
+			start := len(batch)
+			batch = r.sess.seal(append(batch, e.payload[:len(e.payload)-crcSize]...), start)
 		}
 		r.mu.Unlock()
 
-		if retransmit {
-			r.retransmits.Add(1)
-			obsSinkRetransmits.Add(1)
+		if retransmits > 0 {
+			r.retransmits.Add(retransmits)
+			obsSinkRetransmits.Add(retransmits)
 		}
-		if err := r.writeRaw(conn, payload); err != nil {
+		if err := r.writeRaw(conn, batch); err != nil {
 			r.connDied(conn, gen)
 			return
 		}
 	}
+}
+
+// appendGapLocked appends the gap announcement of the lowest sensor with
+// one pending and clears its pending flag. Callers hold mu.
+func (r *ReconnectSink) appendGapLocked(buf []byte) []byte {
+	var sensor SensorID
+	for id := range r.gapPend {
+		if sensor == 0 || id < sensor {
+			sensor = id
+		}
+	}
+	delete(r.gapPend, sensor)
+	target := r.gapTargetLocked(sensor)
+	if h, ok := r.holes[sensor]; ok && !seqBefore(target, h) {
+		// This announcement carries the hole's bound (or past it): once
+		// sent, the station stops waiting below it, so the hole is
+		// resolved and onAck stops re-arming the gap.
+		delete(r.holes, sensor)
+	}
+	r.gapsDeclared.Add(1)
+	obsSinkGapsDeclared.Add(1)
+	trace.Instant("wiot.sink.gap")
+	return appendCtrl(buf, ctrlRecord{Kind: ctrlGap, Sensor: sensor, Seq: target})
 }
 
 // gapTargetLocked returns the lowest sequence the sink can still
@@ -554,7 +576,8 @@ func (r *ReconnectSink) gapTargetLocked(sensor SensorID) uint32 {
 	return r.nextSeq[sensor]
 }
 
-// writeRaw writes one record under the write deadline.
+// writeRaw writes one record, or one batch of them, under the write
+// deadline.
 func (r *ReconnectSink) writeRaw(conn net.Conn, payload []byte) error {
 	if r.cfg.WriteTimeout > 0 {
 		if err := conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout)); err != nil {

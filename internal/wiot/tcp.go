@@ -105,7 +105,7 @@ type TCPStats struct {
 	SkippedBytes  int64 // total bytes discarded while resynchronizing
 	FrameErrors   int64 // HandleFrame failures survived
 	AcceptErrors  int64 // transient Accept failures backed off from
-	Acks          int64 // acks sent on reliable connections
+	Acks          int64 // frames acknowledged: one per in-order frame, one per stale re-ack
 	Nacks         int64 // nacks sent on reliable connections
 	DroppedErrors int64 // errors evicted from the bounded ring
 
@@ -292,6 +292,11 @@ func (d deadlineReader) Read(p []byte) (int, error) {
 // scanned past, HandleFrame errors are recorded and survived; only I/O
 // failure (including the read deadline) ends the connection.
 //
+// Acks are cumulative and coalesced per read batch: an in-order frame
+// only moves its sensor's pending ack, and the pending acks go out in
+// one write just before the scanner would block on a read (or ahead of
+// any other control record the connection sends).
+//
 // If the sensor announces trace context (ctrlTrace), the connection's
 // lifetime is recorded as a wiot.station.conn region parented under the
 // sink-side connection span, joining the coordinator's trace tree across
@@ -300,6 +305,7 @@ func (d deadlineReader) Read(p []byte) (int, error) {
 // open across reconnects.
 func (s *TCPStation) serveConn(conn net.Conn) {
 	sc := newFrameScanner(deadlineReader{conn, s.cfg.ReadIdleTimeout})
+	cw := &ctrlWriter{conn: conn}
 	var connRegion trace.Region
 	defer func() {
 		connRegion.End()
@@ -309,6 +315,9 @@ func (s *TCPStation) serveConn(conn net.Conn) {
 	var sess stationSession
 	var lastResyncs, lastSkipped int64
 	for {
+		if !sc.ready() {
+			s.flushAcks(cw)
+		}
 		rec, err := sc.next()
 		if dr, ds := sc.resyncs-lastResyncs, sc.skipped-lastSkipped; dr > 0 || ds > 0 {
 			lastResyncs, lastSkipped = sc.resyncs, sc.skipped
@@ -338,11 +347,11 @@ func (s *TCPStation) serveConn(conn net.Conn) {
 				connRegion = trace.BeginChildOf("wiot.station.conn", parent) //wiotlint:allow spanend
 			}
 		case rec.isCtrl && rec.ctrl.Kind >= ctrlAuthHello:
-			s.handleAuth(conn, rec.ctrl, &sess)
+			s.handleAuth(cw, rec.ctrl, &sess)
 		case rec.isCtrl:
 			s.handleCtrl(rec.ctrl, &sess)
 		case rec.authed:
-			s.handleAuthFrame(conn, rec, &sess)
+			s.handleAuthFrame(cw, rec, &sess)
 		case s.cfg.Keys != nil:
 			// Auth is required on this station: a v2 frame — however
 			// well-formed — carries no proof of origin. No ack, no nack:
@@ -350,9 +359,45 @@ func (s *TCPStation) serveConn(conn net.Conn) {
 			s.authRejPlain.Add(1)
 			obsAuthRejectPlain.Add(1)
 		default:
-			s.handleReliable(conn, rec.frame)
+			s.handleReliable(cw, rec.frame)
 		}
 	}
+}
+
+// ctrlWriter is one connection's station→sensor control stream, owned by
+// serveConn: the cumulative ack each sensor is owed, not yet written,
+// and the buffer the next write is built in.
+type ctrlWriter struct {
+	conn    net.Conn
+	pending []ackMark // first-seen order; at most one per sensor
+	buf     []byte
+}
+
+// ackMark is one sensor's pending cumulative ack.
+type ackMark struct {
+	sensor SensorID
+	seq    uint32
+}
+
+// ack records that every frame of sensor up to seq has been handled.
+// Callers pass increasing seqs per sensor (the want cursor only moves
+// forward), so the latest mark is the cumulative one.
+func (w *ctrlWriter) ack(sensor SensorID, seq uint32) {
+	for i := range w.pending {
+		if w.pending[i].sensor == sensor {
+			w.pending[i].seq = seq
+			return
+		}
+	}
+	w.pending = append(w.pending, ackMark{sensor, seq})
+}
+
+// take appends the pending acks to the write buffer and clears them.
+func (w *ctrlWriter) take() {
+	for _, m := range w.pending {
+		w.buf = appendCtrl(w.buf, ctrlRecord{Kind: ctrlAck, Sensor: m.sensor, Seq: m.seq})
+	}
+	w.pending = w.pending[:0]
 }
 
 // stationSession is the station half of one connection's v3 handshake.
@@ -361,42 +406,43 @@ type stationSession struct {
 	sensor       SensorID
 	alg          MACAlg
 	sid          uint32
-	key          []byte // session key once established
+	mac          *frameMAC // keyed under the session key once established
 	psk          []byte
 	clientNonce  uint64
 	stationNonce uint64
 }
 
-// reset tears the session down; subsequent frames on the connection are
-// rejected until a fresh handshake completes.
+// reset tears the session down, keyed MAC state included; subsequent
+// frames on the connection are rejected until a fresh handshake
+// completes, and then verify under the new session key only.
 func (ss *stationSession) reset() { *ss = stationSession{} }
 
 // rejectAuth refuses a handshake attempt with a typed reject record and
 // resets any in-progress session state.
-func (s *TCPStation) rejectAuth(conn net.Conn, sensor SensorID, code uint32, ss *stationSession) {
+func (s *TCPStation) rejectAuth(cw *ctrlWriter, sensor SensorID, code uint32, ss *stationSession) {
 	ss.reset()
 	s.authRejHS.Add(1)
 	obsAuthRejectHandshake.Add(1)
-	s.sendCtrl(conn, ctrlRecord{Kind: ctrlAuthReject, Sensor: sensor, Seq: code})
+	s.sendCtrl(cw, ctrlRecord{Kind: ctrlAuthReject, Sensor: sensor, Seq: code})
 }
 
 // handleAuth runs the station side of the onboarding exchange. Any
 // out-of-order or malformed step resets the session: an attacker cannot
 // leave a half-open handshake in a state that accepts frames.
-func (s *TCPStation) handleAuth(conn net.Conn, c ctrlRecord, ss *stationSession) {
+func (s *TCPStation) handleAuth(cw *ctrlWriter, c ctrlRecord, ss *stationSession) {
 	switch c.Kind {
 	case ctrlAuthHello:
 		if s.cfg.Keys == nil {
-			s.rejectAuth(conn, c.Sensor, authRejectNoKeys, ss)
+			s.rejectAuth(cw, c.Sensor, authRejectNoKeys, ss)
 			return
 		}
 		psk, ok := s.cfg.Keys.Key(c.Sensor)
 		if !ok {
-			s.rejectAuth(conn, c.Sensor, authRejectUnknown, ss)
+			s.rejectAuth(cw, c.Sensor, authRejectUnknown, ss)
 			return
 		}
 		if !c.Alg.valid() {
-			s.rejectAuth(conn, c.Sensor, authRejectProto, ss)
+			s.rejectAuth(cw, c.Sensor, authRejectProto, ss)
 			return
 		}
 		// A hello always restarts the exchange — including a hello
@@ -410,7 +456,7 @@ func (s *TCPStation) handleAuth(conn net.Conn, c ctrlRecord, ss *stationSession)
 		ss.psk = psk
 		ss.clientNonce = c.Nonce
 		ss.stationNonce = deriveNonce(psk, "wiot-snonce-v3")
-		s.sendCtrl(conn, ctrlRecord{
+		s.sendCtrl(cw, ctrlRecord{
 			Kind:   ctrlAuthChallenge,
 			Sensor: c.Sensor,
 			SID:    ss.sid,
@@ -418,24 +464,24 @@ func (s *TCPStation) handleAuth(conn net.Conn, c ctrlRecord, ss *stationSession)
 		})
 	case ctrlAuthResponse:
 		if ss.state != 1 || c.Sensor != ss.sensor || c.SID != ss.sid {
-			s.rejectAuth(conn, c.Sensor, authRejectProto, ss)
+			s.rejectAuth(cw, c.Sensor, authRejectProto, ss)
 			return
 		}
 		transcript := authTranscript(ss.sensor, ss.alg, ss.sid, ss.clientNonce, ss.stationNonce)
 		want := authHandshakeMAC(ss.psk, "wiot-resp-v3", transcript)
 		if !hmac.Equal(c.Mac[:], want[:]) {
-			s.rejectAuth(conn, c.Sensor, authRejectBadMAC, ss)
+			s.rejectAuth(cw, c.Sensor, authRejectBadMAC, ss)
 			return
 		}
 		ss.state = 2
-		ss.key = deriveSessionKey(ss.psk, transcript)
+		ss.mac = newFrameMAC(deriveSessionKey(ss.psk, transcript), ss.alg)
 		s.authHandshakes.Add(1)
 		obsAuthHandshakes.Add(1)
 		trace.Instant("wiot.auth.session")
 		logx.L().Debug("station established v3 session",
 			"sensor", ss.sensor.String(), "sid", ss.sid, "alg", ss.alg.String())
 		proof := authHandshakeMAC(ss.psk, "wiot-ok-v3", transcript)
-		s.sendCtrl(conn, ctrlRecord{
+		s.sendCtrl(cw, ctrlRecord{
 			Kind:   ctrlAuthOK,
 			Sensor: ss.sensor,
 			SID:    ss.sid,
@@ -444,7 +490,7 @@ func (s *TCPStation) handleAuth(conn net.Conn, c ctrlRecord, ss *stationSession)
 	default:
 		// ctrlAuthChallenge / ctrlAuthOK / ctrlAuthReject are
 		// station→sensor records; a client sending one is off-protocol.
-		s.rejectAuth(conn, c.Sensor, authRejectProto, ss)
+		s.rejectAuth(cw, c.Sensor, authRejectProto, ss)
 	}
 }
 
@@ -454,7 +500,7 @@ func (s *TCPStation) handleAuth(conn net.Conn, c ctrlRecord, ss *stationSession)
 // carry a MAC over its exact bytes (sequence number included), so a
 // replayed, spliced, or cross-sensor frame dies here even on an
 // authenticated connection. Rejected frames get no ack and no nack.
-func (s *TCPStation) handleAuthFrame(conn net.Conn, rec wireRecord, ss *stationSession) {
+func (s *TCPStation) handleAuthFrame(cw *ctrlWriter, rec wireRecord, ss *stationSession) {
 	switch {
 	case ss.state != 2:
 		s.authRejNoSess.Add(1)
@@ -462,13 +508,13 @@ func (s *TCPStation) handleAuthFrame(conn net.Conn, rec wireRecord, ss *stationS
 	case rec.sid != ss.sid || rec.frame.Sensor != ss.sensor:
 		s.authRejSession.Add(1)
 		obsAuthRejectSession.Add(1)
-	case frameMACWith(ss.key, ss.alg, rec.macMsg) != rec.mac:
+	case ss.mac.tag(rec.macMsg) != rec.mac:
 		s.authRejMAC.Add(1)
 		obsAuthRejectMAC.Add(1)
 	default:
 		s.authFrames.Add(1)
 		obsAuthFrames.Add(1)
-		s.handleReliable(conn, rec.frame)
+		s.handleReliable(cw, rec.frame)
 	}
 }
 
@@ -497,11 +543,12 @@ func (s *TCPStation) handleCtrl(c ctrlRecord, ss *stationSession) {
 }
 
 // handleReliable runs the go-back-N receive side for one checksummed
-// frame: in-order frames are handled and acked, stale ones re-acked,
-// and a gap provokes a nack naming the sequence we still need. An ack is
-// counted before it is written, so a sensor that has seen it never reads
-// a smaller Acks.
-func (s *TCPStation) handleReliable(conn net.Conn, f Frame) {
+// frame: in-order frames are handled and their sensor's cumulative ack
+// moved (written with the rest of the read batch), stale ones re-acked,
+// and a gap provokes a nack naming the sequence we still need. Acks
+// counts frames acknowledged. Acks and nacks are counted before they are
+// written, so a sensor that has seen one never reads a smaller count.
+func (s *TCPStation) handleReliable(cw *ctrlWriter, f Frame) {
 	s.handleMu.Lock()
 	want := s.want[f.Sensor]
 	switch {
@@ -519,32 +566,51 @@ func (s *TCPStation) handleReliable(conn net.Conn, f Frame) {
 		}
 		s.acks.Add(1)
 		obsTCPAcks.Add(1)
-		s.sendCtrl(conn, ctrlRecord{Kind: ctrlAck, Sensor: f.Sensor, Seq: f.Seq})
+		cw.ack(f.Sensor, f.Seq)
 	case seqBefore(f.Seq, want):
 		s.handleMu.Unlock()
 		// Duplicate from a retransmit overlap; re-ack so the sender's
 		// window advances.
 		s.acks.Add(1)
 		obsTCPAcks.Add(1)
-		s.sendCtrl(conn, ctrlRecord{Kind: ctrlAck, Sensor: f.Sensor, Seq: want - 1})
+		s.sendCtrl(cw, ctrlRecord{Kind: ctrlAck, Sensor: f.Sensor, Seq: want - 1})
 	default:
 		s.handleMu.Unlock()
-		s.sendCtrl(conn, ctrlRecord{Kind: ctrlNack, Sensor: f.Sensor, Seq: want})
 		s.nacks.Add(1)
 		obsTCPNacks.Add(1)
+		s.sendCtrl(cw, ctrlRecord{Kind: ctrlNack, Sensor: f.Sensor, Seq: want})
 	}
 }
 
-// sendCtrl writes one control record back to the sensor under the write
+// flushAcks writes the connection's pending acks, if any, in one write.
+func (s *TCPStation) flushAcks(cw *ctrlWriter) {
+	if len(cw.pending) > 0 {
+		cw.take()
+		s.writeCtrl(cw)
+	}
+}
+
+// sendCtrl writes one control record back to the sensor, behind the
+// connection's pending acks in the same write, so the sensor sees acks,
+// nacks and handshake replies in the order the station decided them.
+func (s *TCPStation) sendCtrl(cw *ctrlWriter, c ctrlRecord) {
+	cw.take()
+	cw.buf = appendCtrl(cw.buf, c)
+	s.writeCtrl(cw)
+}
+
+// writeCtrl writes the connection's control buffer under the write
 // deadline. A failed ack is recoverable — the sender retransmits and we
 // re-ack — so errors are recorded, not escalated.
-func (s *TCPStation) sendCtrl(conn net.Conn, c ctrlRecord) {
+func (s *TCPStation) writeCtrl(cw *ctrlWriter) {
+	buf := cw.buf
+	cw.buf = buf[:0]
 	if s.cfg.WriteTimeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
+		if err := cw.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
 			return
 		}
 	}
-	if _, err := conn.Write(appendCtrl(nil, c)); err != nil && !s.closing() {
+	if _, err := cw.conn.Write(buf); err != nil && !s.closing() {
 		s.recordErr(fmt.Errorf("wiot: send ctrl: %w", err))
 	}
 }
