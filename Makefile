@@ -7,7 +7,7 @@ GO ?= go
 # Coverage floor (percent) enforced on the packages PR 1 race-proofed.
 COVER_FLOOR ?= 85.0
 
-.PHONY: check fmt-check vet build test race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-auth fleet-demo lint lint-custom campaigns vuln cover bench bench-check
+.PHONY: check fmt-check vet build test race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-features fuzz-auth fleet-demo lint lint-custom campaigns vuln cover bench bench-check
 
 check: vet build race
 
@@ -100,6 +100,11 @@ fuzz-verify:
 fuzz-jit:
 	$(GO) test ./internal/amulet/jit/ -run '^$$' -fuzz FuzzJITVsInterp -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/amulet/jit/ -run '^$$' -fuzz FuzzDetectorSegmentVsInterp -fuzztime 30s -fuzzminimizetime 2s
+
+# Differential fuzz: the one-pass host feature core against the
+# portrait → grid path, bit for bit, on fuzzed Q16.16 sample pairs.
+fuzz-features:
+	$(GO) test ./internal/features/ -run '^$$' -fuzz FuzzFeatureCoreVsPortrait -fuzztime 30s -fuzzminimizetime 2s
 
 # Fuzz the v3 auth control-record codec: every auth handshake record
 # must round-trip or be rejected, never crash the frame scanner.

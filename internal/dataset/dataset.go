@@ -46,8 +46,8 @@ type Window struct {
 	Attack  string // attack name when Altered
 }
 
-// SampleRate is implied by the protocol (physio.DefaultSampleRate); kept
-// as a method hook should windows ever carry their own rate.
+// Len returns the window's length in samples (its ECG's; a well-formed
+// window's ABP is as long).
 func (w *Window) Len() int { return len(w.ECG) }
 
 // Portrait builds the window's portrait.

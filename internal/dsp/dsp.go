@@ -110,24 +110,38 @@ func MovingAverageInto(dst, x []float64, window int) ([]float64, error) {
 		return nil, fmt.Errorf("dsp: moving average window must be positive and odd, got %d", window)
 	}
 	dst = slices.Grow(dst[:0], len(x))[:len(x)]
-	half := window / 2
+	n, half := len(x), window/2
 	// s is the sum of the edge-clipped window x[i-half : i+half+1]. Each
 	// step adds the sample entering on the right and drops the one
-	// leaving on the left as one difference, zero where none crosses.
+	// leaving on the left as one difference, with 0 standing in for the
+	// side where none crosses. For i < enter a sample enters, for
+	// i ≥ leave one leaves; the three loops split x at those bounds so no
+	// step tests an edge.
 	var s float64
-	for _, v := range x[:min(half, len(x))] {
+	for _, v := range x[:min(half, n)] {
 		s += v
 	}
-	for i := range x {
-		var in, out float64
-		if j := i + half; j < len(x) {
-			in = x[j]
+	enter, leave := max(n-half, 0), min(half+1, n)
+	lo, hi := min(enter, leave), max(enter, leave)
+	for i := 0; i < lo; i++ {
+		s += x[i+half] - 0
+		dst[i] = s / float64(i+half+1)
+	}
+	if enter > leave {
+		for i := lo; i < hi; i++ {
+			s += x[i+half] - x[i-half-1]
+			dst[i] = s / float64(window)
 		}
-		if j := i - half - 1; j >= 0 {
-			out = x[j]
+	} else {
+		// The window covers all of x, so nothing enters or leaves. s
+		// starts at +0 and so is never −0, which makes s + (0 − 0) = s.
+		for i := lo; i < hi; i++ {
+			dst[i] = s / float64(n)
 		}
-		s += in - out
-		dst[i] = s / float64(min(i+half+1, len(x))-max(i-half, 0))
+	}
+	for i := hi; i < n; i++ {
+		s += 0 - x[i-half-1]
+		dst[i] = s / float64(n-(i-half))
 	}
 	return dst, nil
 }

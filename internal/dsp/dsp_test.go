@@ -111,10 +111,36 @@ func movingAverageNaive(x []float64, window int) []float64 {
 	return out
 }
 
+// movingAverageBranchy is the running sum with its edges tested per
+// sample, as one loop: the form MovingAverageInto's three edge-free loops
+// must reproduce bit for bit.
+func movingAverageBranchy(x []float64, window int) []float64 {
+	dst := make([]float64, len(x))
+	half := window / 2
+	var s float64
+	for _, v := range x[:min(half, len(x))] {
+		s += v
+	}
+	for i := range x {
+		var in, out float64
+		if j := i + half; j < len(x) {
+			in = x[j]
+		}
+		if j := i - half - 1; j >= 0 {
+			out = x[j]
+		}
+		s += in - out
+		dst[i] = s / float64(min(i+half+1, len(x))-max(i-half, 0))
+	}
+	return dst
+}
+
 // TestMovingAverageMatchesNaive property-tests the running sum against the
-// naive oracle: random lengths (0 and 1 included), windows wider than the
-// signal, signed and non-negative inputs over many magnitudes, and a
-// destination buffer reused across calls of different lengths.
+// naive oracle: random lengths (0 and 1 included), windows wider than,
+// equal to and one short of the signal, signed and non-negative inputs
+// over many magnitudes, and a destination buffer reused across calls of
+// different lengths. It also holds the output bit-exact to the per-sample
+// branching form of the same running sum.
 func TestMovingAverageMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var dst []float64
@@ -137,14 +163,18 @@ func TestMovingAverageMatchesNaive(t *testing.T) {
 		for _, v := range x {
 			scale = max(scale, math.Abs(v))
 		}
+		branchy := movingAverageBranchy(x, window)
 		for i := range want {
 			if !almostEqual(got[i], want[i], 1e-12*scale) || alloc[i] != got[i] {
 				t.Fatalf("len(x)=%d window=%d: [%d] = %v (alloc %v), oracle %v",
 					len(x), window, i, got[i], alloc[i], want[i])
 			}
+			if math.Float64bits(got[i]) != math.Float64bits(branchy[i]) {
+				t.Fatalf("len(x)=%d window=%d: [%d] = %v, branching form %v", len(x), window, i, got[i], branchy[i])
+			}
 		}
 	}
-	for _, n := range []int{0, 1, 2} {
+	for _, n := range []int{0, 1, 2, 3, 5, 6, 54, 55, 56, 57} {
 		for _, w := range []int{1, 3, 5, 55} {
 			x := make([]float64, n)
 			for i := range x {
@@ -334,6 +364,59 @@ func TestCascadeApplyResets(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("Apply not deterministic after reset: %v vs %v", a, b)
+		}
+	}
+}
+
+// TestCascadeApplyIntoMatchesStep holds the register-resident cascade
+// bit-exact to repeated Step for one, two and three sections, in place
+// and across calls that must each start from reset state.
+func TestCascadeApplyIntoMatchesStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	design := func() []*Biquad {
+		hp, err := HighPass(5, 360)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp, err := LowPass(15, 360)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp2, err := LowPass(40, 360)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*Biquad{hp, lp, lp2}
+	}
+	for sections := 1; sections <= 3; sections++ {
+		c := &Cascade{sections: design()[:sections]}
+		ref := &Cascade{sections: design()[:sections]}
+		var dst []float64
+		for trial := 0; trial < 20; trial++ {
+			x := make([]float64, rng.Intn(1200))
+			for i := range x {
+				x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+			}
+			ref.Reset()
+			want := make([]float64, len(x))
+			for i, v := range x {
+				want[i] = ref.Step(v)
+			}
+			if trial%2 == 0 {
+				dst = c.ApplyInto(dst, x)
+			} else {
+				dst = c.ApplyInto(x, x)
+			}
+			for i := range want {
+				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%d sections, trial %d: [%d] = %v, Step gives %v", sections, trial, i, dst[i], want[i])
+				}
+			}
+			for k, s := range c.sections {
+				if *s != *ref.sections[k] {
+					t.Fatalf("%d sections, trial %d: section %d state %+v, Step leaves %+v", sections, trial, k, *s, *ref.sections[k])
+				}
+			}
 		}
 	}
 }

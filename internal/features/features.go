@@ -23,7 +23,10 @@ package features
 import (
 	"fmt"
 	"math"
+	"sync"
 
+	"github.com/wiot-security/sift/internal/dataset"
+	"github.com/wiot-security/sift/internal/dsp"
 	"github.com/wiot-security/sift/internal/obs"
 	"github.com/wiot-security/sift/internal/portrait"
 )
@@ -113,66 +116,179 @@ func (v Version) Names() []string {
 
 // Extract computes the version's feature vector from a portrait using the
 // given grid size (the paper fixes gridN = 50; see portrait.DefaultGridSize).
+// The portrait's points are already normalized, so it runs the same core
+// as FromWindow with the identity normalization, which is bit-exact.
 func Extract(v Version, p *portrait.Portrait, gridN int) ([]float64, error) {
 	span := obsExtract.Start()
 	defer span.End()
 	obsExtracted.Add(1)
+	t := trajectory{abp: p.A, ecg: p.E, x: identity, y: identity}
+	return t.extract(make([]float64, 0, v.Dim()), v, gridN, p.RPeaks, p.SysPeaks, p.Pairs)
+}
+
+// FromWindow appends the version's feature vector for one raw window to
+// dst and returns it. It is portrait.New followed by Extract in one pass
+// per signal: each sample is normalized with dsp.Normalize's expression
+// and binned on the spot, so no normalized copy or fresh grid exists and,
+// when dst has room, nothing is allocated. The result is bit-identical
+// to the two-step path. FromWindow is safe for concurrent use.
+func FromWindow(dst []float64, v Version, w *dataset.Window, gridN int) ([]float64, error) {
+	span := obsExtract.Start()
+	defer span.End()
+	obsExtracted.Add(1)
+	if err := portrait.Validate(w.ECG, w.ABP, w.RPeaks, w.SysPeaks, w.Pairs); err != nil {
+		return nil, err
+	}
+	t := trajectory{abp: w.ABP, ecg: w.ECG, x: unitOf(w.ABP), y: unitOf(w.ECG)}
+	return t.extract(dst, v, gridN, w.RPeaks, w.SysPeaks, w.Pairs)
+}
+
+// unit is a min-max normalization onto [0,1]: v ↦ (v−lo)/span, and 0
+// for every v when the signal is constant (span 0), as dsp.Normalize.
+type unit struct{ lo, span float64 }
+
+// identity leaves a value's bits unchanged: v−0 is v and v/1 is v.
+var identity = unit{lo: 0, span: 1}
+
+func unitOf(x []float64) unit {
+	lo, hi, _ := dsp.MinMax(x)
+	return unit{lo: lo, span: hi - lo}
+}
+
+func (u unit) at(v float64) float64 {
+	if u.span == 0 {
+		return 0
+	}
+	return (v - u.lo) / u.span
+}
+
+// trajectory reads portrait points straight off the signals: point i is
+// (x.at(abp[i]), y.at(ecg[i])).
+type trajectory struct {
+	abp, ecg []float64
+	x, y     unit
+}
+
+func (t *trajectory) at(i int) portrait.Point {
+	return portrait.Point{X: t.x.at(t.abp[i]), Y: t.y.at(t.ecg[i])}
+}
+
+// extract appends version v's features of the trajectory, with the
+// characteristic points at the given indices, to dst.
+func (t *trajectory) extract(dst []float64, v Version, gridN int, rPeaks, sysPeaks []int, pairs [][2]int) ([]float64, error) {
 	switch v {
-	case Original:
-		return extractOriginal(p, gridN)
-	case Simplified:
-		return extractSimplified(p, gridN)
+	case Original, Simplified:
+		if gridN <= 0 {
+			return nil, fmt.Errorf("features: grid size %d must be positive", gridN)
+		}
+		if len(t.abp) > math.MaxInt32 {
+			return nil, fmt.Errorf("features: %d samples overflow a grid cell's count", len(t.abp))
+		}
+		g := gridPool.Get().(*gridScratch)
+		sfi, col := t.matrix(g, gridN)
+		if v == Original {
+			dst = append(dst, sfi, std(col), trapezoid(col))
+		} else {
+			dst = append(dst, sfi, variance(col), simplifiedAUC(col))
+		}
+		gridPool.Put(g)
 	case Reduced:
-		return extractReduced(p), nil
 	default:
 		return nil, fmt.Errorf("features: unknown version %d", int(v))
 	}
+	if v == Original {
+		return append(dst,
+			t.mean(rPeaks, angle),
+			t.mean(sysPeaks, angle),
+			t.mean(rPeaks, distOrigin),
+			t.mean(sysPeaks, distOrigin),
+			t.pairMean(pairs, pairDist),
+		), nil
+	}
+	return append(dst,
+		t.mean(rPeaks, slope),
+		t.mean(sysPeaks, slope),
+		t.mean(rPeaks, squaredDistOrigin),
+		t.mean(sysPeaks, squaredDistOrigin),
+		t.pairMean(pairs, squaredPairDist),
+	), nil
 }
 
-func extractOriginal(p *portrait.Portrait, gridN int) ([]float64, error) {
-	m, err := p.Grid(gridN)
-	if err != nil {
-		return nil, err
-	}
-	col := m.ColumnAverages()
-	f := make([]float64, 0, 8)
-	f = append(f,
-		m.SpatialFillingIndex(),
-		std(col),
-		trapezoid(col),
-		meanAngle(p.RPoints()),
-		meanAngle(p.SysPoints()),
-		meanDistOrigin(p.RPoints()),
-		meanDistOrigin(p.SysPoints()),
-		meanPairDist(p.PairPoints()),
-	)
-	return f, nil
+// gridScratch is one extraction's n×n occupancy grid (row-major) and
+// per-column tallies, as int32 to halve what each pooled grid holds.
+// Every cell and tally up to capacity is zero while it sits in gridPool;
+// matrix clears what it touched.
+type gridScratch struct {
+	cells []int32
+	cols  []int32
+	avg   []float64
 }
 
-func extractSimplified(p *portrait.Portrait, gridN int) ([]float64, error) {
-	m, err := p.Grid(gridN)
-	if err != nil {
-		return nil, err
+// gridPool hands each concurrent extraction its own grid: one Detector
+// serves many goroutines at once.
+var gridPool = sync.Pool{New: func() any { return new(gridScratch) }}
+
+// matrix bins the trajectory into g's n×n grid the way portrait.Grid
+// does and returns the spatial filling index and the column averages
+// (which alias g). It is bit-identical to Grid → SpatialFillingIndex,
+// ColumnAverages:
+//   - a column's tally counts its points as binning goes, an integer sum
+//     that is exact in any order;
+//   - SFI sums p·p row-major over occupied cells only, since an empty
+//     cell adds +0 and the sum is never −0.
+func (t *trajectory) matrix(g *gridScratch, n int) (float64, []float64) {
+	if cap(g.cells) < n*n {
+		g.cells = make([]int32, n*n)
 	}
-	col := m.ColumnAverages()
-	f := make([]float64, 0, 8)
-	f = append(f,
-		m.SpatialFillingIndex(),
-		variance(col),
-		simplifiedAUC(col),
-	)
-	f = append(f, extractReduced(p)...)
-	return f, nil
+	if cap(g.cols) < n {
+		g.cols, g.avg = make([]int32, n), make([]float64, n)
+	}
+	cells, cols, avg := g.cells[:n*n], g.cols[:n], g.avg[:n]
+	ecg := t.ecg[:len(t.abp)]
+	for k, a := range t.abp {
+		col := portrait.BinIndex(t.x.at(a), n)
+		row := portrait.BinIndex(t.y.at(ecg[k]), n)
+		cells[row*n+col]++
+		cols[col]++
+	}
+	var s float64
+	tot := float64(len(t.abp))
+	for k, c := range cells {
+		if c != 0 {
+			p := float64(c) / tot
+			s += p * p
+			cells[k] = 0
+		}
+	}
+	for j, c := range cols {
+		avg[j] = float64(c) / float64(n)
+		cols[j] = 0
+	}
+	return float64(n) * float64(n) * s, avg
 }
 
-func extractReduced(p *portrait.Portrait) []float64 {
-	return []float64{
-		meanSlope(p.RPoints()),
-		meanSlope(p.SysPoints()),
-		meanSquaredDistOrigin(p.RPoints()),
-		meanSquaredDistOrigin(p.SysPoints()),
-		meanSquaredPairDist(p.PairPoints()),
+// mean averages f over the points at idx; no points average to 0.
+func (t *trajectory) mean(idx []int, f func(portrait.Point) float64) float64 {
+	if len(idx) == 0 {
+		return 0
 	}
+	var s float64
+	for _, i := range idx {
+		s += f(t.at(i))
+	}
+	return s / float64(len(idx))
+}
+
+// pairMean averages f over the (R, systolic) point pairs.
+func (t *trajectory) pairMean(pairs [][2]int, f func(r, s portrait.Point) float64) float64 {
+	if len(pairs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, pr := range pairs {
+		s += f(t.at(pr[0]), t.at(pr[1]))
+	}
+	return s / float64(len(pairs))
 }
 
 // slopeCap bounds the slope y/x when x approaches zero, mirroring the
@@ -190,81 +306,29 @@ func capSlope(s float64) float64 {
 	return s
 }
 
-func meanAngle(pts []portrait.Point) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	var s float64
-	for _, p := range pts {
-		s += math.Atan2(p.Y, p.X)
-	}
-	return s / float64(len(pts))
-}
+func angle(p portrait.Point) float64 { return math.Atan2(p.Y, p.X) }
 
-func meanSlope(pts []portrait.Point) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	var s float64
-	for _, p := range pts {
-		if p.X == 0 {
-			// Mirror the device's saturating divide: sign follows y.
-			if p.Y >= 0 {
-				s += slopeCap
-			} else {
-				s -= slopeCap
-			}
-			continue
+func slope(p portrait.Point) float64 {
+	if p.X == 0 {
+		// Mirror the device's saturating divide: sign follows y.
+		if p.Y >= 0 {
+			return slopeCap
 		}
-		s += capSlope(p.Y / p.X)
+		return -slopeCap
 	}
-	return s / float64(len(pts))
+	return capSlope(p.Y / p.X)
 }
 
-func meanDistOrigin(pts []portrait.Point) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	var s float64
-	for _, p := range pts {
-		s += math.Hypot(p.X, p.Y)
-	}
-	return s / float64(len(pts))
-}
+func distOrigin(p portrait.Point) float64 { return math.Hypot(p.X, p.Y) }
 
-func meanSquaredDistOrigin(pts []portrait.Point) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	var s float64
-	for _, p := range pts {
-		s += p.X*p.X + p.Y*p.Y
-	}
-	return s / float64(len(pts))
-}
+func squaredDistOrigin(p portrait.Point) float64 { return p.X*p.X + p.Y*p.Y }
 
-func meanPairDist(pairs [][2]portrait.Point) float64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, pr := range pairs {
-		s += math.Hypot(pr[0].X-pr[1].X, pr[0].Y-pr[1].Y)
-	}
-	return s / float64(len(pairs))
-}
+func pairDist(r, s portrait.Point) float64 { return math.Hypot(r.X-s.X, r.Y-s.Y) }
 
-func meanSquaredPairDist(pairs [][2]portrait.Point) float64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, pr := range pairs {
-		dx := pr[0].X - pr[1].X
-		dy := pr[0].Y - pr[1].Y
-		s += dx*dx + dy*dy
-	}
-	return s / float64(len(pairs))
+func squaredPairDist(r, s portrait.Point) float64 {
+	dx := r.X - s.X
+	dy := r.Y - s.Y
+	return dx*dx + dy*dy
 }
 
 func mean(x []float64) float64 {

@@ -219,32 +219,42 @@ func TestSlopeCapAtOrigin(t *testing.T) {
 	}
 }
 
+// pointTrajectory is a trajectory whose points are pts as given.
+func pointTrajectory(pts []portrait.Point) *trajectory {
+	t := &trajectory{x: identity, y: identity}
+	for _, p := range pts {
+		t.abp = append(t.abp, p.X)
+		t.ecg = append(t.ecg, p.Y)
+	}
+	return t
+}
+
 func TestMeanAngleKnownValues(t *testing.T) {
-	pts := []portrait.Point{{X: 1, Y: 1}, {X: 0, Y: 1}}
-	got := meanAngle(pts)
+	tr := pointTrajectory([]portrait.Point{{X: 1, Y: 1}, {X: 0, Y: 1}})
+	got := tr.mean([]int{0, 1}, angle)
 	want := (math.Pi/4 + math.Pi/2) / 2
 	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("meanAngle = %v, want %v", got, want)
+		t.Errorf("mean angle = %v, want %v", got, want)
 	}
-	if meanAngle(nil) != 0 {
-		t.Error("meanAngle(nil) should be 0")
+	if tr.mean(nil, angle) != 0 {
+		t.Error("mean angle over no peaks should be 0")
 	}
 }
 
 func TestMeanDistKnownValues(t *testing.T) {
-	pts := []portrait.Point{{X: 3, Y: 4}}
-	if got := meanDistOrigin(pts); got != 5 {
-		t.Errorf("meanDistOrigin = %v, want 5", got)
+	tr := pointTrajectory([]portrait.Point{{X: 3, Y: 4}, {X: 0, Y: 0}})
+	if got := tr.mean([]int{0}, distOrigin); got != 5 {
+		t.Errorf("mean distance to origin = %v, want 5", got)
 	}
-	if got := meanSquaredDistOrigin(pts); got != 25 {
-		t.Errorf("meanSquaredDistOrigin = %v, want 25", got)
+	if got := tr.mean([]int{0}, squaredDistOrigin); got != 25 {
+		t.Errorf("mean squared distance to origin = %v, want 25", got)
 	}
-	pairs := [][2]portrait.Point{{{X: 0, Y: 0}, {X: 3, Y: 4}}}
-	if got := meanPairDist(pairs); got != 5 {
-		t.Errorf("meanPairDist = %v, want 5", got)
+	pairs := [][2]int{{1, 0}}
+	if got := tr.pairMean(pairs, pairDist); got != 5 {
+		t.Errorf("mean pair distance = %v, want 5", got)
 	}
-	if got := meanSquaredPairDist(pairs); got != 25 {
-		t.Errorf("meanSquaredPairDist = %v, want 25", got)
+	if got := tr.pairMean(pairs, squaredPairDist); got != 25 {
+		t.Errorf("mean squared pair distance = %v, want 25", got)
 	}
 }
 

@@ -139,11 +139,17 @@ func DetectSystolic(abp []float64, sampleRate float64) ([]int, error) {
 	if len(abp) == 0 {
 		return nil, dsp.ErrEmptySignal
 	}
-	mean := dsp.Mean(abp)
-	_, maxV, err := dsp.MinMax(abp)
-	if err != nil {
-		return nil, err
+	// One pre-pass for the mean and the max; the sum runs in dsp.Mean's
+	// order, so the mean is bit-identical to it.
+	var sum float64
+	maxV := abp[0]
+	for _, v := range abp {
+		sum += v
+		if v > maxV {
+			maxV = v
+		}
 	}
+	mean := sum / float64(len(abp))
 	// Peaks must rise at least 40 % of the way from the mean to the max —
 	// this rejects dicrotic bumps, which sit below the systolic crest.
 	floor := mean + 0.4*(maxV-mean)

@@ -39,26 +39,8 @@ type Portrait struct {
 // slices must be ascending and within range; pairs associates each R peak
 // with its corresponding systolic peak (as the paper's feature 8 needs).
 func New(ecg, abp []float64, rPeaks, sysPeaks []int, pairs [][2]int) (*Portrait, error) {
-	if len(ecg) != len(abp) {
-		return nil, fmt.Errorf("portrait: ECG (%d) and ABP (%d) lengths differ", len(ecg), len(abp))
-	}
-	if len(ecg) == 0 {
-		return nil, dsp.ErrEmptySignal
-	}
-	for _, p := range rPeaks {
-		if p < 0 || p >= len(ecg) {
-			return nil, fmt.Errorf("portrait: R peak index %d out of range [0,%d)", p, len(ecg))
-		}
-	}
-	for _, p := range sysPeaks {
-		if p < 0 || p >= len(ecg) {
-			return nil, fmt.Errorf("portrait: systolic peak index %d out of range [0,%d)", p, len(ecg))
-		}
-	}
-	for _, pr := range pairs {
-		if pr[0] < 0 || pr[0] >= len(ecg) || pr[1] < 0 || pr[1] >= len(ecg) {
-			return nil, fmt.Errorf("portrait: pair %v out of range [0,%d)", pr, len(ecg))
-		}
+	if err := Validate(ecg, abp, rPeaks, sysPeaks, pairs); err != nil {
+		return nil, err
 	}
 	e, err := dsp.Normalize(ecg)
 	if err != nil {
@@ -69,6 +51,33 @@ func New(ecg, abp []float64, rPeaks, sysPeaks []int, pairs [][2]int) (*Portrait,
 		return nil, fmt.Errorf("portrait: normalize ABP: %w", err)
 	}
 	return &Portrait{A: a, E: e, RPeaks: rPeaks, SysPeaks: sysPeaks, Pairs: pairs}, nil
+}
+
+// Validate checks what New needs of its inputs: equal-length, non-empty
+// signals and every peak and pair index within them.
+func Validate(ecg, abp []float64, rPeaks, sysPeaks []int, pairs [][2]int) error {
+	if len(ecg) != len(abp) {
+		return fmt.Errorf("portrait: ECG (%d) and ABP (%d) lengths differ", len(ecg), len(abp))
+	}
+	if len(ecg) == 0 {
+		return dsp.ErrEmptySignal
+	}
+	for _, p := range rPeaks {
+		if p < 0 || p >= len(ecg) {
+			return fmt.Errorf("portrait: R peak index %d out of range [0,%d)", p, len(ecg))
+		}
+	}
+	for _, p := range sysPeaks {
+		if p < 0 || p >= len(ecg) {
+			return fmt.Errorf("portrait: systolic peak index %d out of range [0,%d)", p, len(ecg))
+		}
+	}
+	for _, pr := range pairs {
+		if pr[0] < 0 || pr[0] >= len(ecg) || pr[1] < 0 || pr[1] >= len(ecg) {
+			return fmt.Errorf("portrait: pair %v out of range [0,%d)", pr, len(ecg))
+		}
+	}
+	return nil
 }
 
 // Len returns the number of trajectory points.
@@ -120,15 +129,17 @@ func (p *Portrait) Grid(n int) (*Matrix, error) {
 	}
 	m := &Matrix{N: n, Counts: make([]int, n*n)}
 	for k := 0; k < p.Len(); k++ {
-		col := binIndex(p.A[k], n)
-		row := binIndex(p.E[k], n)
+		col := BinIndex(p.A[k], n)
+		row := BinIndex(p.E[k], n)
 		m.Counts[row*n+col]++
 		m.Total++
 	}
 	return m, nil
 }
 
-func binIndex(v float64, n int) int {
+// BinIndex is the bin of n equal bins over [0,1] that the normalized
+// value v falls in; values at or past either edge land in the edge bin.
+func BinIndex(v float64, n int) int {
 	i := int(v * float64(n))
 	if i < 0 {
 		return 0

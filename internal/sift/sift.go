@@ -79,21 +79,22 @@ type Result struct {
 }
 
 // FeaturesOf runs the PeaksDataCheck and FeatureExtraction stages: it
-// validates the window, builds its portrait, and extracts the detector's
-// feature vector.
+// validates the window and extracts the detector's feature vector from
+// the window's portrait.
 func (d *Detector) FeaturesOf(w dataset.Window) ([]float64, error) {
-	p, err := w.Portrait()
-	if err != nil {
-		return nil, fmt.Errorf("sift: build portrait: %w", err)
-	}
-	f, err := features.Extract(d.Version, p, d.GridN)
+	return d.featuresInto(make([]float64, 0, d.Version.Dim()), &w)
+}
+
+func (d *Detector) featuresInto(dst []float64, w *dataset.Window) ([]float64, error) {
+	f, err := features.FromWindow(dst, d.Version, w, d.GridN)
 	if err != nil {
 		return nil, fmt.Errorf("sift: extract features: %w", err)
 	}
 	return f, nil
 }
 
-// Classify runs the full pipeline on one window.
+// Classify runs the full pipeline on one window. It allocates nothing
+// unless it fails, and is safe for concurrent use.
 func (d *Detector) Classify(w dataset.Window) (Result, error) {
 	if d.Model == nil {
 		return Result{}, errors.New("sift: detector has no trained model")
@@ -101,7 +102,8 @@ func (d *Detector) Classify(w dataset.Window) (Result, error) {
 	if d.PeakSanity && len(w.RPeaks) == 0 {
 		return Result{Altered: true, Margin: SanityMargin}, nil
 	}
-	f, err := d.FeaturesOf(w)
+	var buf [8]float64
+	f, err := d.featuresInto(buf[:0], &w)
 	if err != nil {
 		return Result{}, err
 	}

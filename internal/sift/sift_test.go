@@ -1,6 +1,9 @@
 package sift
 
 import (
+	"fmt"
+	"math"
+	"sync"
 	"testing"
 
 	"github.com/wiot-security/sift/internal/dataset"
@@ -203,5 +206,118 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.fillDefaults()
 	if c.Version != features.Original || c.GridN != 50 {
 		t.Errorf("defaults = %v/%d", c.Version, c.GridN)
+	}
+}
+
+// referenceMargin is the classify path before the one-pass core: a fresh
+// portrait, features.Extract on it, and standardization into a fresh
+// slice before the dot product.
+func referenceMargin(t *testing.T, d *Detector, w dataset.Window) float64 {
+	t.Helper()
+	p, err := w.Portrait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := features.Extract(d.Version, p, d.GridN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := d.Model.Scaler.Apply(f)
+	var s float64
+	for j := range d.Model.Weights {
+		s += d.Model.Weights[j] * z[j]
+	}
+	return s + d.Model.Bias
+}
+
+func TestClassifyMatchesPortraitPath(t *testing.T) {
+	fx := newFixture(t)
+	set, err := dataset.BuildTest(fx.subjectTest, fx.donorsTest, dataset.WindowSec, 0.5, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range features.Versions {
+		d := trainDetector(t, fx, v)
+		for i, w := range set.Windows {
+			if len(w.RPeaks) == 0 {
+				continue // PeaksDataCheck answers before any features
+			}
+			r, err := d.Classify(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceMargin(t, d, w); math.Float64bits(r.Margin) != math.Float64bits(want) {
+				t.Fatalf("%s window %d: margin %v, portrait path %v", v, i, r.Margin, want)
+			}
+		}
+	}
+}
+
+func TestClassifySteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items on purpose")
+	}
+	fx := newFixture(t)
+	wins, err := dataset.FromRecord(fx.subjectTest, dataset.WindowSec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range features.Versions {
+		d := trainDetector(t, fx, v)
+		w := wins[1]
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := d.Classify(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Classify allocates %.1f times per window, want 0", v, allocs)
+		}
+	}
+}
+
+// TestConcurrentClassifySharedDetector runs one Detector from several
+// goroutines at once, as wiotsim -stream and the parallel experiments
+// do, and requires every margin to match the serial one bit for bit.
+func TestConcurrentClassifySharedDetector(t *testing.T) {
+	fx := newFixture(t)
+	d := trainDetector(t, fx, features.Original)
+	set, err := dataset.BuildTest(fx.subjectTest, fx.donorsTest, dataset.WindowSec, 0.5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := make([]float64, len(set.Windows))
+	for i, w := range set.Windows {
+		r, err := d.Classify(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = r.Margin
+	}
+	const workers = 4
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range set.Windows {
+				i := (k + g*len(set.Windows)/workers) % len(set.Windows)
+				r, err := d.Classify(set.Windows[i])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if math.Float64bits(r.Margin) != math.Float64bits(serial[i]) {
+					errs <- fmt.Errorf("worker %d window %d: margin %v, serial %v", g, i, r.Margin, serial[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -78,10 +78,13 @@ func FitStandardizer(x [][]float64) (*Standardizer, error) {
 func (s *Standardizer) Apply(x []float64) []float64 {
 	out := make([]float64, len(x))
 	for j, v := range x {
-		out[j] = (v - s.Mean[j]) / s.Std[j]
+		out[j] = s.z(j, v)
 	}
 	return out
 }
+
+// z standardizes feature j's value v.
+func (s *Standardizer) z(j int, v float64) float64 { return (v - s.Mean[j]) / s.Std[j] }
 
 // ApplyAll standardizes a whole design matrix.
 func (s *Standardizer) ApplyAll(x [][]float64) [][]float64 {
@@ -105,16 +108,17 @@ type Model struct {
 }
 
 // Decision returns the signed margin w·z + b for a raw (unstandardized)
-// feature vector.
+// feature vector. It standardizes each element as Standardizer.Apply
+// does but without building a slice, so it allocates nothing.
 func (m *Model) Decision(x []float64) float64 {
-	z := x
-	if m.Scaler != nil {
-		z = m.Scaler.Apply(x)
-	}
 	var s float64
-	for j := range m.Weights {
-		if j < len(z) {
-			s += m.Weights[j] * z[j]
+	for j, w := range m.Weights {
+		if j < len(x) {
+			z := x[j]
+			if m.Scaler != nil {
+				z = m.Scaler.z(j, z)
+			}
+			s += w * z
 		}
 	}
 	return s + m.Bias

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/obs"
@@ -151,13 +150,10 @@ func decodeBody(buf []byte, magic byte) (Frame, int, error) {
 }
 
 // FrameFromFloats builds a frame from float64 samples, saturating values
-// outside the Q16.16 range.
+// outside the Q16.16 range; NaN becomes 0 (fixedpoint.FromFloat's rules).
 func FrameFromFloats(sensor SensorID, seq uint32, samples []float64) Frame {
 	qs := make([]fixedpoint.Q, len(samples))
 	for i, v := range samples {
-		if math.IsNaN(v) {
-			v = 0
-		}
 		qs[i] = fixedpoint.FromFloat(v)
 	}
 	return Frame{Sensor: sensor, Seq: seq, Samples: qs}

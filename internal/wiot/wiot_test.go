@@ -3,6 +3,7 @@ package wiot
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -30,6 +31,40 @@ func TestFrameRoundTrip(t *testing.T) {
 	for i, q := range got.Samples {
 		if diff := q.Float() - f.Samples[i].Float(); diff != 0 {
 			t.Errorf("sample %d drifted by %v", i, diff)
+		}
+	}
+}
+
+// TestFrameFromFloatsSpecialValues pins FrameFromFloats' quantisation of
+// the values a float source can throw at it: NaN reads as 0, ±Inf and
+// ±2¹⁵ saturate, ±0 is 0, and a half-LSB tie rounds to even.
+func TestFrameFromFloatsSpecialValues(t *testing.T) {
+	const lsb = 1.0 / (1 << 16)
+	cases := []struct {
+		v    float64
+		want fixedpoint.Q
+	}{
+		{math.NaN(), 0},
+		{math.Inf(1), fixedpoint.Max},
+		{math.Inf(-1), fixedpoint.Min},
+		{0, 0},
+		{math.Copysign(0, -1), 0},
+		{1 << 15, fixedpoint.Max},
+		{-(1 << 15), fixedpoint.Min},
+		{0.5 * lsb, 0},
+		{1.5 * lsb, 2},
+		{2.5 * lsb, 2},
+		{-0.5 * lsb, 0},
+		{-1.5 * lsb, -2},
+	}
+	samples := make([]float64, len(cases))
+	for i, c := range cases {
+		samples[i] = c.v
+	}
+	f := FrameFromFloats(SensorECG, 0, samples)
+	for i, c := range cases {
+		if got := f.Samples[i]; got != c.want {
+			t.Errorf("FrameFromFloats(%v) = %d, want %d", c.v, got, c.want)
 		}
 	}
 }
