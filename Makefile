@@ -7,7 +7,7 @@ GO ?= go
 # Coverage floor (percent) enforced on the packages PR 1 race-proofed.
 COVER_FLOOR ?= 85.0
 
-.PHONY: check fmt-check vet build test race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-features fuzz-auth fleet-demo lint lint-custom campaigns vuln cover bench bench-check
+.PHONY: check fmt-check vet build test race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-features fuzz-auth fuzz-station fleet-demo lint lint-custom campaigns vuln cover bench bench-check
 
 check: vet build race
 
@@ -110,6 +110,13 @@ fuzz-features:
 # must round-trip or be rejected, never crash the frame scanner.
 fuzz-auth:
 	$(GO) test ./internal/wiot/ -run '^$$' -fuzz FuzzAuthRecordRoundTrip -fuzztime 30s -fuzzminimizetime 2s
+
+# Fuzz the station's real ingress: fuzzed bytes through one TCPStation
+# connection, plain and auth-required. Nothing may panic or refuse a
+# frame, cursors only move forward, buffers stay bounded, and no frame
+# gets past auth without a valid MAC.
+fuzz-station:
+	$(GO) test ./internal/wiot/ -run '^$$' -fuzz FuzzStationIngress -fuzztime 30s -fuzzminimizetime 2s
 
 # The acceptance demo: 12 wearers streaming concurrently over a lossy
 # link, with the metrics snapshot printed at the end.

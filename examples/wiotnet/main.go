@@ -130,11 +130,11 @@ func run() error {
 
 	// Let the station drain, then report.
 	deadline := time.Now().Add(10 * time.Second)
-	for station.WindowsProcessed() < 20 && time.Now().Before(deadline) {
+	for station.Stats().Windows < 20 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	fmt.Printf("station processed %d windows; MITM rewrote %d frames\n\n",
-		station.WindowsProcessed(), mitm.Intercepts)
+		station.Stats().Windows, mitm.Intercepts)
 	for _, a := range sink.History() {
 		status := "ok"
 		if a.Altered {

@@ -154,7 +154,7 @@ func TestEndToEndFirmwareOverTCP(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	for station.WindowsProcessed() < 20 && time.Now().Before(deadline) {
+	for station.Stats().Windows < 20 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
 

@@ -337,11 +337,8 @@ func TestAuthRejectsPlainRecordsWhenRequired(t *testing.T) {
 	if stats.Acks != 0 || stats.Nacks != 0 {
 		t.Errorf("unauthenticated peer got protocol feedback: %d acks, %d nacks", stats.Acks, stats.Nacks)
 	}
-	st.handleMu.Lock()
-	want := st.want[SensorECG]
-	st.handleMu.Unlock()
-	if want != 0 {
-		t.Errorf("forged gap moved the want cursor to %d", want)
+	if next := cursorOf(st.Station, SensorECG); next != 0 {
+		t.Errorf("forged gap moved the sensor's cursor to %d", next)
 	}
 }
 
@@ -494,7 +491,7 @@ func TestAuthHandshakeSurvivesMidDialStationKill(t *testing.T) {
 // TestAuthReconnectPreservesGoBackN: killing live connections mid-stream
 // forces fresh sessions, and buffered frames — re-MAC'd under each new
 // session at transmit time — still land exactly once against the
-// station's preserved want cursors.
+// station's preserved sequence cursors.
 func TestAuthReconnectPreservesGoBackN(t *testing.T) {
 	st, memSink, addr := authHarness(t, &flagEveryOther{})
 	ecgCfg := ecgAuth()

@@ -129,11 +129,11 @@ func TestStationConcealsLoss(t *testing.T) {
 	if err := st.HandleFrame(mk(2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.ConcealedSamples(); got != 90 {
+	if got := st.Stats().Concealed; got != 90 {
 		t.Errorf("concealed = %d, want 90", got)
 	}
-	if st.SeqErrors() != 1 {
-		t.Errorf("seq errors = %d, want 1", st.SeqErrors())
+	if st.Stats().SeqErrors != 1 {
+		t.Errorf("seq errors = %d, want 1", st.Stats().SeqErrors)
 	}
 	if len(st.ecg) != 270 {
 		t.Fatalf("buffer = %d samples, want 270", len(st.ecg))
@@ -153,8 +153,8 @@ func TestStationDropsDuplicates(t *testing.T) {
 	if err := st.HandleFrame(f); err != nil { // duplicate
 		t.Fatal(err)
 	}
-	if st.StaleFrames() != 1 {
-		t.Errorf("stale = %d, want 1", st.StaleFrames())
+	if st.Stats().Stale != 1 {
+		t.Errorf("stale = %d, want 1", st.Stats().Stale)
 	}
 	if len(st.abp) != 2 {
 		t.Errorf("buffer = %d samples, want 2 (duplicate dropped)", len(st.abp))
@@ -182,10 +182,10 @@ func TestStationStreamsStayAlignedUnderLoss(t *testing.T) {
 	// Tail concealment only happens on the *next* frame, so the two
 	// buffers may differ by at most the trailing lost frames; windows
 	// already produced must match exactly.
-	if st.WindowsProcessed() < 3 {
-		t.Errorf("windows = %d, want >= 3 despite 10%% loss", st.WindowsProcessed())
+	if st.Stats().Windows < 3 {
+		t.Errorf("windows = %d, want >= 3 despite 10%% loss", st.Stats().Windows)
 	}
-	if st.ConcealedSamples() == 0 {
+	if st.Stats().Concealed == 0 {
 		t.Error("expected concealment under 10% loss")
 	}
 }

@@ -50,30 +50,18 @@ type AuthProvision struct {
 // retransmission) must still deliver every frame exactly once, so the
 // verdicts match an in-process run byte for byte.
 func RunScenarioOverTCP(ctx context.Context, sc Scenario, nc NetConfig) (ScenarioResult, error) {
-	hasAttack, err := sc.normalize()
-	if err != nil {
-		return ScenarioResult{}, err
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return sc.run(func(station *BaseStation) error { return nc.deliver(ctx, &sc, station) })
+}
 
-	sink := &MemorySink{}
-	station, err := NewBaseStation(StationConfig{
-		SubjectID:            sc.Record.SubjectID,
-		SampleRate:           sc.Record.SampleRate,
-		WindowSec:            sc.WindowSec,
-		Detector:             sc.Detector,
-		Sink:                 sink,
-		DetectPeaksAtRuntime: true,
-	})
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-
+// deliver streams the scenario to station over loopback TCP: a
+// supervised TCPStation in front of it, one ReconnectSink per sensor.
+func (nc NetConfig) deliver(ctx context.Context, sc *Scenario, station *BaseStation) error {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return ScenarioResult{}, fmt.Errorf("wiot: listen: %w", err)
+		return fmt.Errorf("wiot: listen: %w", err)
 	}
 	addr := lis.Addr().String()
 	wrapped := lis
@@ -87,7 +75,7 @@ func RunScenarioOverTCP(ctx context.Context, sc Scenario, nc NetConfig) (Scenari
 	st, err := ServeTCPConfig(ctx, wrapped, station, stCfg)
 	if err != nil {
 		_ = lis.Close()
-		return ScenarioResult{}, err
+		return err
 	}
 
 	mkSink := func(offset int64, sensor SensorID) (*ReconnectSink, error) {
@@ -113,61 +101,26 @@ func RunScenarioOverTCP(ctx context.Context, sc Scenario, nc NetConfig) (Scenari
 	ecgSink, err := mkSink(1, SensorECG)
 	if err != nil {
 		_ = st.Close()
-		return ScenarioResult{}, err
+		return err
 	}
 	abpSink, err := mkSink(2, SensorABP)
 	if err != nil {
 		ecgSink.abort()
 		_ = ecgSink.Close()
 		_ = st.Close()
-		return ScenarioResult{}, err
+		return err
 	}
-	// On any failure below, abort both sinks (skipping the flush wait)
-	// before tearing the station down so nothing leaks.
-	fail := func(err error) (ScenarioResult, error) {
+
+	// The ReconnectSinks absorb transport faults behind the stream's
+	// back. On failure, abort both sinks (skipping the flush wait) before
+	// tearing the station down so nothing leaks.
+	if err := sc.stream(ctx, ecgSink, abpSink); err != nil {
 		ecgSink.abort()
 		abpSink.abort()
 		_ = ecgSink.Close()
 		_ = abpSink.Close()
 		_ = st.Close()
-		return ScenarioResult{}, err
-	}
-
-	ecg, err := NewSensor(SensorECG, sc.Record, sc.ChunkSize)
-	if err != nil {
-		return fail(err)
-	}
-	abp, err := NewSensor(SensorABP, sc.Record, sc.ChunkSize)
-	if err != nil {
-		return fail(err)
-	}
-
-	// Interleave the two sensors frame by frame, as a BLE connection
-	// schedule would. The ReconnectSinks absorb transport faults behind
-	// this loop's back.
-	for {
-		if err := ctx.Err(); err != nil {
-			return fail(err)
-		}
-		ef, okE := ecg.Next()
-		af, okA := abp.Next()
-		if !okE && !okA {
-			break
-		}
-		if okE {
-			for _, d := range sc.Channel.Transmit(sc.Attack.Intercept(ef)) {
-				if err := ecgSink.HandleFrame(d); err != nil {
-					return fail(fmt.Errorf("wiot: ECG frame: %w", err))
-				}
-			}
-		}
-		if okA {
-			for _, d := range sc.Channel.Transmit(af) {
-				if err := abpSink.HandleFrame(d); err != nil {
-					return fail(fmt.Errorf("wiot: ABP frame: %w", err))
-				}
-			}
-		}
+		return err
 	}
 
 	// Flush: each sink's Close blocks until the station has acknowledged
@@ -175,8 +128,5 @@ func RunScenarioOverTCP(ctx context.Context, sc Scenario, nc NetConfig) (Scenari
 	errE := ecgSink.Close()
 	errA := abpSink.Close()
 	errS := st.Close()
-	if err := errors.Join(errE, errA, errS); err != nil {
-		return ScenarioResult{}, err
-	}
-	return scoreScenario(sc, hasAttack, station.Stats(), sink.Alerts()), nil
+	return errors.Join(errE, errA, errS)
 }

@@ -67,7 +67,8 @@ const (
 	ctrlNack
 	// ctrlGap (sensor→station): the sender will never deliver seqs below
 	// Seq for Sensor (they were dropped under buffer pressure); stop
-	// waiting and conceal.
+	// waiting, and conceal them (or resync, past the concealment bound)
+	// when Seq arrives.
 	ctrlGap
 	// ctrlHello (sensor→station): sent first on every connection by a
 	// reliable sender. Receivers ignore it; it stays on the wire so a

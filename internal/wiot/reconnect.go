@@ -174,7 +174,7 @@ type ReconnectSink struct {
 	gapPend map[SensorID]bool
 	// holes tracks frames dropped before they were ever buffered
 	// (DropNewest, DropBlock timeout): the value is the exclusive serial
-	// bound the station's want cursor must reach. The gap is declared as
+	// bound the station's sequence cursor must reach. The gap is declared as
 	// soon as no buffered frame below the hole remains (eagerly at drop
 	// time when possible, re-armed from onAck otherwise) — converging on
 	// acks alone, without waiting for the station to discover the miss
@@ -692,9 +692,9 @@ func (r *ReconnectSink) onNack(sensor SensorID, seq uint32) {
 }
 
 // declareGapLocked schedules a gap announcement for the sensor and
-// rewinds the cursor to its oldest buffered frame: the station drops
-// everything above its want cursor, so frames sent before the gap was
-// known need another pass once want jumps forward. Callers hold mu.
+// rewinds the cursor to its oldest buffered frame: the station nacks
+// everything past its sequence cursor, so frames sent before the gap was
+// known need another pass once the cursor jumps forward. Callers hold mu.
 func (r *ReconnectSink) declareGapLocked(sensor SensorID) {
 	r.gapPend[sensor] = true
 	for i, e := range r.queue {

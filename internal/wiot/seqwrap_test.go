@@ -42,22 +42,21 @@ func TestSerialArithmetic(t *testing.T) {
 
 // TestSeqWrapStationCursor drives the station's two comparison sites
 // across the wrap with raw wire records: a gap announcement whose target
-// has wrapped must still advance the want cursor, and a pre-wrap
+// has wrapped must still advance the sensor's cursor, and a pre-wrap
 // duplicate must be re-acked as stale rather than nacked as future.
 func TestSeqWrapStationCursor(t *testing.T) {
 	st, _, addr := reliableHarness(t, &flagEveryOther{})
-	st.handleMu.Lock()
-	st.want[SensorECG] = 0xFFFFFFFE
-	st.handleMu.Unlock()
-
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(appendCtrl(nil, ctrlRecord{Kind: ctrlHello})); err != nil {
+	if _, err := conn.Write(appendGapWalk(appendCtrl(nil, ctrlRecord{Kind: ctrlHello}), SensorECG, 0, 0xFFFFFFFE)); err != nil {
 		t.Fatal(err)
 	}
+	waitUntil(t, 2*time.Second, func() bool {
+		return cursorOf(st.Station, SensorECG) == 0xFFFFFFFE
+	}, "the gap walk to reach the wrap")
 
 	// The sensor dropped everything below seq 2 (post-wrap). With raw
 	// unsigned compares 2 > 0xFFFFFFFE is false and the cursor would
@@ -66,10 +65,8 @@ func TestSeqWrapStationCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, 2*time.Second, func() bool {
-		st.handleMu.Lock()
-		defer st.handleMu.Unlock()
-		return st.want[SensorECG] == 2
-	}, "the wrapped gap to advance the want cursor")
+		return cursorOf(st.Station, SensorECG) == 2
+	}, "the wrapped gap to advance the cursor")
 
 	// In-order delivery resumes at 2.
 	f := FrameFromFloats(SensorECG, 2, make([]float64, 4))
@@ -90,7 +87,7 @@ func TestSeqWrapStationCursor(t *testing.T) {
 	}
 
 	// A duplicate from before the wrap is stale, not future: it must be
-	// re-acked at want-1, never nacked (a nack here would rewind the
+	// re-acked at the cursor's predecessor, never nacked (a nack here would rewind the
 	// sender into an endless retransmit loop).
 	dup := FrameFromFloats(SensorECG, 0xFFFFFFFF, make([]float64, 4))
 	payload, err = dup.EncodeChecksummed()
@@ -244,9 +241,7 @@ func TestDropNewestDeclaresGapEagerly(t *testing.T) {
 		return sink.Stats().GapsDeclared >= 1
 	}, "the gap to be declared from acks alone")
 	waitUntil(t, 2*time.Second, func() bool {
-		st.handleMu.Lock()
-		defer st.handleMu.Unlock()
-		return st.want[SensorECG] == 3
+		return cursorOf(st.Station, SensorECG) == 3
 	}, "the station to skip to the hole bound")
 
 	// Delivery resumes seamlessly past the hole.
@@ -271,10 +266,20 @@ func TestDropNewestDeclaresGapEagerly(t *testing.T) {
 func TestSeqWrapEndToEnd(t *testing.T) {
 	const start = uint32(0xFFFFFFF4) // wraps after 12 of the 24 frames
 	st, memSink, addr := reliableHarness(t, &flagEveryOther{})
-	st.handleMu.Lock()
-	st.want[SensorECG] = start
-	st.want[SensorABP] = start
-	st.handleMu.Unlock()
+	// Walk both cursors to the start with gap records on a throwaway
+	// connection; neither sensor has sent a frame, so the first frame at
+	// the start sets its origin.
+	walk, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := walk.Write(appendGapWalk(appendGapWalk(nil, SensorECG, 0, start), SensorABP, 0, start)); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 2*time.Second, func() bool {
+		return cursorOf(st.Station, SensorECG) == start && cursorOf(st.Station, SensorABP) == start
+	}, "both cursors to reach the start")
+	_ = walk.Close()
 
 	ecg, err := NewReconnectSink(ReconnectConfig{
 		Addr: addr, Seed: 21, BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond,

@@ -64,34 +64,32 @@ func RunScenario(sc Scenario) (ScenarioResult, error) {
 // positions.
 const DefaultChunkSize = 90
 
-// normalize applies scenario defaults in place, reporting whether the
-// scenario carries a real attack. Both the in-process and TCP runners
-// share it so they drive identical streams.
-func (sc *Scenario) normalize() (hasAttack bool, err error) {
-	if sc.Record == nil {
-		return false, errors.New("wiot: scenario needs a record")
-	}
-	if sc.ChunkSize == 0 {
-		sc.ChunkSize = DefaultChunkSize
-	}
-	hasAttack = sc.Attack != nil
-	if !hasAttack {
-		sc.Attack = PassThrough{}
-	}
-	if sc.Channel == nil {
-		sc.Channel = Reliable{}
-	}
-	return hasAttack, nil
-}
-
 // RunScenarioContext is RunScenario with cancellation: the frame loop
 // checks ctx between BLE connection events and aborts with ctx's error
 // as soon as it is cancelled, so a fleet engine can tear down in-flight
 // scenarios promptly.
 func RunScenarioContext(ctx context.Context, sc Scenario) (ScenarioResult, error) {
-	hasAttack, err := sc.normalize()
-	if err != nil {
-		return ScenarioResult{}, err
+	return sc.run(func(station *BaseStation) error { return sc.stream(ctx, station, station) })
+}
+
+// run applies the scenario's defaults in place, builds the base station
+// that scores it (runtime peak detection on, verdicts into a MemorySink),
+// has deliver carry the recording to it, and grades the verdicts. Every
+// scenario runner is a deliver function around it, so they all drive
+// identical streams.
+func (sc *Scenario) run(deliver func(*BaseStation) error) (ScenarioResult, error) {
+	if sc.Record == nil {
+		return ScenarioResult{}, errors.New("wiot: scenario needs a record")
+	}
+	if sc.ChunkSize == 0 {
+		sc.ChunkSize = DefaultChunkSize
+	}
+	hasAttack := sc.Attack != nil
+	if !hasAttack {
+		sc.Attack = PassThrough{}
+	}
+	if sc.Channel == nil {
+		sc.Channel = Reliable{}
 	}
 	sink := &MemorySink{}
 	station, err := NewBaseStation(StationConfig{
@@ -105,56 +103,63 @@ func RunScenarioContext(ctx context.Context, sc Scenario) (ScenarioResult, error
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-
-	ecg, err := NewSensor(SensorECG, sc.Record, sc.ChunkSize)
-	if err != nil {
+	if err := deliver(station); err != nil {
 		return ScenarioResult{}, err
 	}
-	abp, err := NewSensor(SensorABP, sc.Record, sc.ChunkSize)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
+	return scoreScenario(*sc, hasAttack, station, sink.Alerts()), nil
+}
 
-	// Interleave the two sensors frame by frame, as a BLE connection
-	// schedule would.
+// stream plays the scenario's recording into ecg and abp, interleaving
+// the two sensors frame by frame as a BLE connection schedule would: the
+// ECG frame passes the attack hook, and both pass the channel. It checks
+// ctx between connection events and stops at the first frame a sink
+// refuses.
+func (sc *Scenario) stream(ctx context.Context, ecg, abp FrameSink) error {
+	es, err := NewSensor(SensorECG, sc.Record, sc.ChunkSize)
+	if err != nil {
+		return err
+	}
+	as, err := NewSensor(SensorABP, sc.Record, sc.ChunkSize)
+	if err != nil {
+		return err
+	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return ScenarioResult{}, err
+			return err
 		}
-		ef, okE := ecg.Next()
-		af, okA := abp.Next()
+		ef, okE := es.Next()
+		af, okA := as.Next()
 		if !okE && !okA {
-			break
+			return nil
 		}
 		if okE {
 			for _, d := range sc.Channel.Transmit(sc.Attack.Intercept(ef)) {
-				if err := station.HandleFrame(d); err != nil {
-					return ScenarioResult{}, fmt.Errorf("wiot: ECG frame: %w", err)
+				if err := ecg.HandleFrame(d); err != nil {
+					return fmt.Errorf("wiot: ECG frame: %w", err)
 				}
 			}
 		}
 		if okA {
 			for _, d := range sc.Channel.Transmit(af) {
-				if err := station.HandleFrame(d); err != nil {
-					return ScenarioResult{}, fmt.Errorf("wiot: ABP frame: %w", err)
+				if err := abp.HandleFrame(d); err != nil {
+					return fmt.Errorf("wiot: ABP frame: %w", err)
 				}
 			}
 		}
 	}
-
-	return scoreScenario(sc, hasAttack, station.Stats(), sink.Alerts()), nil
 }
 
 // scoreScenario grades a completed run's alerts against the attack
 // interval's ground truth, shared by every scenario runner.
-func scoreScenario(sc Scenario, hasAttack bool, stats StationStats, alerts []Alert) ScenarioResult {
+func scoreScenario(sc Scenario, hasAttack bool, station *BaseStation, alerts []Alert) ScenarioResult {
+	stats := station.Stats()
 	res := ScenarioResult{
 		Alerts:       alerts,
 		Windows:      stats.Windows,
 		SeqErrors:    stats.SeqErrors,
 		Concealed:    stats.Concealed,
 		Stale:        stats.Stale,
-		WindowLength: int(stationWindowSec(sc) * sc.Record.SampleRate),
+		WindowLength: station.wlen,
 	}
 	attackFrom, attackTo := sc.AttackFrom, sc.AttackTo
 	if attackTo == 0 {
@@ -182,13 +187,6 @@ func scoreScenario(sc Scenario, hasAttack bool, stats StationStats, alerts []Ale
 		}
 	}
 	return res
-}
-
-func stationWindowSec(sc Scenario) float64 {
-	if sc.WindowSec > 0 {
-		return sc.WindowSec
-	}
-	return 3
 }
 
 func intersect(aLo, aHi, bLo, bHi int) int {

@@ -161,10 +161,10 @@ func TestTCPEndToEnd(t *testing.T) {
 	// Wait for the station to drain both connections (6 s of signal → 2
 	// full windows).
 	deadline := time.Now().Add(5 * time.Second)
-	for station.WindowsProcessed() < 2 && time.Now().Before(deadline) {
+	for station.Stats().Windows < 2 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := station.WindowsProcessed(); got != 2 {
+	if got := station.Stats().Windows; got != 2 {
 		t.Errorf("windows over TCP = %d, want 2 (errors: %v)", got, srv.Errors())
 	}
 }
@@ -278,5 +278,46 @@ func TestRunScenarioContextCancellation(t *testing.T) {
 	_, err = RunScenarioContext(ctx, Scenario{Record: rec, Detector: constDetector{}})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled scenario returned %v, want context.Canceled", err)
+	}
+}
+
+// reuseChannel delivers every frame once from a reused slice.
+type reuseChannel struct{ out []Frame }
+
+func (c *reuseChannel) Transmit(f Frame) []Frame {
+	c.out = append(c.out[:0], f)
+	return c.out
+}
+
+// frameCounter is a FrameSink that counts and drops frames.
+type frameCounter struct{ n int }
+
+func (c *frameCounter) HandleFrame(Frame) error {
+	c.n++
+	return nil
+}
+
+// TestStreamAllocatesNothingPerFrame: the one stream pump both scenario
+// runners share costs no allocation per frame beyond the frame each
+// sensor builds.
+func TestStreamAllocatesNothingPerFrame(t *testing.T) {
+	rec, err := physio.Generate(physio.DefaultSubject(), 12, physio.DefaultSampleRate, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Record: rec, ChunkSize: DefaultChunkSize, Attack: PassThrough{}, Channel: &reuseChannel{}}
+	frames := 2 * ((len(rec.ECG) + DefaultChunkSize - 1) / DefaultChunkSize)
+	var sink frameCounter
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := sc.stream(context.Background(), &sink, &sink); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sink.n != 4*frames {
+		t.Fatalf("sinks saw %d frames over 4 runs, want %d", sink.n, 4*frames)
+	}
+	// One allocation per frame's samples, one per sensor.
+	if allocs > float64(frames+2) {
+		t.Errorf("streaming %d frames allocates %.0f times, want <= %d", frames, allocs, frames+2)
 	}
 }

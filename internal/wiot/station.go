@@ -6,18 +6,24 @@ import (
 	"sync"
 
 	"github.com/wiot-security/sift/internal/dataset"
+	"github.com/wiot-security/sift/internal/obs"
 	"github.com/wiot-security/sift/internal/peaks"
 )
 
-// ErrSeqGap reports a frame whose sequence jump would need more
-// concealment than the station synthesizes. The frame is dropped and the
-// sensor's cursor kept, so one forged or corrupt sequence number can
-// neither exhaust memory nor derail the stream.
+// obsStationResyncs counts BaseStation.resync calls; wiot.tcp.resyncs is
+// the wire scanner's framing recovery, not this.
+var obsStationResyncs = obs.NewCounter("wiot.station.resync")
+
+// ErrSeqGap reports a frame on a lossy link (HandleFrame) whose own
+// sequence number jumps further than the station conceals. The frame is
+// dropped and the sensor's cursor kept, so one forged or corrupt sequence
+// number can neither exhaust memory nor derail the stream. A reliable
+// link only declares long jumps, and those resync instead.
 var ErrSeqGap = errors.New("wiot: sequence gap exceeds concealment bound")
 
-// concealWindows bounds loss concealment per frame, in windows: a gap
-// longer than this many windows' worth of samples is refused with
-// ErrSeqGap rather than filled with hold-last samples.
+// concealWindows bounds loss concealment per frame, in windows: a longer
+// gap is refused with ErrSeqGap (or, when declared, resynced) rather
+// than filled with hold-last samples.
 const concealWindows = 8
 
 // Detector is the base station's pluggable classification back end; both
@@ -89,16 +95,21 @@ type BaseStation struct {
 	wlen int
 	rdet *peaks.RDetector // runtime R detector; nil when off
 
-	mu        sync.Mutex
-	ecg       []float64
-	abp       []float64
-	nextSeq   map[SensorID]uint32
-	seqSynced map[SensorID]bool // first frame seen; nextSeq is meaningful
-	lastVal   map[SensorID]float64
-	seqErrors int
-	concealed int // samples synthesized to cover lost frames
-	stale     int // duplicate/out-of-order frames dropped
-	windows   int
+	mu    sync.Mutex
+	ecg   []float64
+	abp   []float64
+	cur   [2]seqCursor // per sensor, indexed by SensorID-1
+	index int          // the next window's index: index·wlen is its first sample's position
+	stats StationStats
+}
+
+// seqCursor is one sensor's place in its frame sequence, shared by
+// HandleFrame (lossy link) and admit (reliable link).
+type seqCursor struct {
+	next   uint32  // the sequence the sensor's stream continues at
+	owed   int     // frames below next a declared gap skipped; concealed when next arrives
+	synced bool    // a frame has arrived (or a resync placed the cursor)
+	hold   float64 // last sample, the concealment fill
 }
 
 // NewBaseStation validates the configuration and builds a station.
@@ -130,121 +141,169 @@ func NewBaseStation(cfg StationConfig) (*BaseStation, error) {
 		}
 		rdet = d
 	}
-	return &BaseStation{
-		cfg:       cfg,
-		wlen:      wlen,
-		rdet:      rdet,
-		nextSeq:   make(map[SensorID]uint32),
-		seqSynced: make(map[SensorID]bool),
-		lastVal:   make(map[SensorID]float64),
-	}, nil
+	// A buffer holds under a window plus a frame and its concealment, so
+	// two windows of room up front spare the dozen reallocations that
+	// growing it sample by sample would cost every stream.
+	b := &BaseStation{cfg: cfg, wlen: wlen, rdet: rdet}
+	b.ecg, b.abp = make([]float64, 0, 2*wlen), make([]float64, 0, 2*wlen)
+	return b, nil
 }
 
 // StationStats is a consistent snapshot of a station's counters, taken
 // under one lock so concurrent observers never see torn values.
 type StationStats struct {
 	Windows   int // complete windows classified
-	SeqErrors int // sequence gaps detected
+	SeqErrors int // lost frames concealed
 	Concealed int // samples synthesized to cover lost frames
 	Stale     int // duplicate/out-of-order frames dropped
+	Resyncs   int // declared gaps too long to conceal, restarted at their target
 }
 
 // Stats returns a consistent snapshot of the station's counters.
 func (b *BaseStation) Stats() StationStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return StationStats{
-		Windows:   b.windows,
-		SeqErrors: b.seqErrors,
-		Concealed: b.concealed,
-		Stale:     b.stale,
-	}
+	return b.stats
 }
 
-// SeqErrors returns the number of out-of-order or duplicate frames seen.
-func (b *BaseStation) SeqErrors() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seqErrors
-}
-
-// WindowsProcessed returns how many complete windows have been classified.
-func (b *BaseStation) WindowsProcessed() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.windows
-}
-
-// HandleFrame ingests one sensor frame, classifying any windows that
-// complete as a result. Sequence numbers drive the pipeline's loss
-// handling (Insight #1): a gap of k frames is concealed by synthesizing
-// k frames' worth of hold-last samples, so the ECG and ABP streams stay
-// mutually aligned; stale or duplicate frames are dropped. A gap needing
-// more than concealWindows windows of concealment drops the frame and
-// returns ErrSeqGap.
+// HandleFrame ingests one sensor frame from a lossy link, classifying
+// any windows that complete as a result. Sequence numbers drive the
+// pipeline's loss handling (Insight #1): a gap of k frames is concealed
+// by synthesizing k frames' worth of hold-last samples, so the ECG and
+// ABP streams stay mutually aligned; stale or duplicate frames are
+// dropped. A gap needing more than concealWindows windows of
+// concealment drops the frame and returns ErrSeqGap.
 func (b *BaseStation) HandleFrame(f Frame) error {
 	if !f.Sensor.Valid() {
 		return fmt.Errorf("%w: %d", ErrBadSensor, f.Sensor)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-
-	buf := &b.abp
-	if f.Sensor == SensorECG {
-		buf = &b.ecg
-	}
-	want, synced := b.nextSeq[f.Sensor], b.seqSynced[f.Sensor]
-	seen := f.Seq
-	switch {
-	case !synced:
-		// First frame from this sensor: adopt its sequence as the stream
-		// origin. Treating an arbitrary starting point as a gap from zero
-		// would synthesize up to 2^32 frames of concealment.
-		b.seqSynced[f.Sensor] = true
-	case seqBefore(seen, want):
+	if c := &b.cur[f.Sensor-1]; c.synced && seqBefore(f.Seq, c.next) {
 		// Duplicate or reordered-late frame: already accounted for. The
 		// comparison is serial (RFC 1982): after the u32 sequence space
 		// wraps, post-wrap frames are later than pre-wrap ones, not stale.
-		b.stale++
+		b.stats.Stale++
 		return nil
-	case seqAfter(seen, want):
-		gap := int(seen - want)
-		if bound := concealWindows * b.wlen; len(f.Samples) > 0 && gap > bound/len(f.Samples) {
-			return fmt.Errorf("%w: sensor %v jumped %d frames of %d samples (bound %d samples)",
-				ErrSeqGap, f.Sensor, gap, len(f.Samples), bound)
-		}
-		b.seqErrors += gap
-		fill := gap * len(f.Samples)
-		b.concealed += fill
-		hold := b.lastVal[f.Sensor]
-		for i := 0; i < fill; i++ {
-			*buf = append(*buf, hold)
-		}
 	}
-	b.nextSeq[f.Sensor] = seen + 1
+	return b.accept(f, false)
+}
 
-	if n := len(f.Samples); n > 0 {
-		b.lastVal[f.Sensor] = f.Samples[n-1].Float()
+// admission is the go-back-N verdict on one frame from a reliable link.
+type admission int
+
+const (
+	admitted     admission = iota // in order: handled, ack it
+	admitStale                    // already handled: re-ack the cursor's predecessor
+	admitMissing                  // ahead of the cursor: nack the cursor
+)
+
+// admit judges one frame from a reliable link against its sensor's
+// cursor, which it returns too; an unsynced sensor expects seq 0. Only an
+// in-order frame is handled, as by HandleFrame, except that a declared
+// gap too long to conceal resyncs. A handling error still consumes it.
+func (b *BaseStation) admit(f Frame) (admission, uint32, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	next := b.cur[f.Sensor-1].next
+	switch {
+	case seqBefore(f.Seq, next):
+		return admitStale, next, nil
+	case f.Seq != next:
+		return admitMissing, next, nil
 	}
+	return admitted, next, b.accept(f, true)
+}
+
+// declareGap records a reliable sender's word that it will never deliver
+// the sensor's frames below seq: the cursor moves up to seq, owing the
+// skipped frames concealment (or a resync) when seq arrives.
+func (b *BaseStation) declareGap(sensor SensorID, seq uint32) {
+	if !sensor.Valid() {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if c := &b.cur[sensor-1]; seqAfter(seq, c.next) {
+		c.owed += int(seq - c.next)
+		c.next = seq
+	}
+}
+
+// accept appends f, at or after its sensor's cursor, to its stream after
+// concealing the frames in between (and any a declared gap owes), then
+// classifies completed windows. A gap past the bound returns ErrSeqGap
+// and keeps the cursor, or with resync set restarts both streams at f.
+// A first frame sets the origin: a start far from zero is no gap. Caller
+// holds mu.
+func (b *BaseStation) accept(f Frame, resync bool) error {
+	c := &b.cur[f.Sensor-1]
+	n := len(f.Samples)
+	if c.synced {
+		gap := int(f.Seq-c.next) + c.owed
+		switch {
+		case n == 0 || gap <= concealWindows*b.wlen/n:
+			b.stats.SeqErrors += gap
+			b.conceal(f.Sensor, gap*n)
+		case resync:
+			b.resync(f, gap)
+		default:
+			return fmt.Errorf("%w: sensor %v jumped %d frames of %d samples (bound %d samples)",
+				ErrSeqGap, f.Sensor, gap, n, concealWindows*b.wlen)
+		}
+	}
+	c.next, c.owed, c.synced = f.Seq+1, 0, true
+	if n > 0 {
+		c.hold = f.Samples[n-1].Float()
+	}
+	buf := b.buf(f.Sensor)
 	for _, q := range f.Samples {
 		*buf = append(*buf, q.Float())
 	}
 	return b.drainWindows()
 }
 
-// ConcealedSamples returns how many samples were synthesized to cover
-// lost frames.
-func (b *BaseStation) ConcealedSamples() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.concealed
+// resync restarts both streams at f, whose declared gap of gap frames is
+// too long to conceal. Same seq means same time for both sensors, so f's
+// first sample keeps the position the gap implies: the partial samples
+// are dropped, the window index moves to the window holding that
+// position, and both buffers are filled with hold-last samples up to it
+// (less than a window). Every cursor behind f moves to it; one past f
+// owes the frames in between. Caller holds mu and sets f's cursor.
+func (b *BaseStation) resync(f Frame, gap int) {
+	pos := b.index*b.wlen + len(*b.buf(f.Sensor)) + gap*len(f.Samples)
+	b.index = pos / b.wlen
+	b.stats.Resyncs++
+	obsStationResyncs.Add(1)
+	for i := range b.cur {
+		c, id := &b.cur[i], SensorID(i+1)
+		c.owed, c.synced = 0, true
+		if seqAfter(c.next, f.Seq) {
+			c.owed = int(c.next - f.Seq)
+		} else {
+			c.next = f.Seq
+		}
+		buf := b.buf(id)
+		*buf = (*buf)[:0]
+		b.conceal(id, pos%b.wlen)
+	}
 }
 
-// StaleFrames returns how many duplicate/out-of-order frames were dropped.
-func (b *BaseStation) StaleFrames() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stale
+// conceal appends n of the sensor's hold-last samples. Caller holds mu.
+func (b *BaseStation) conceal(sensor SensorID, n int) {
+	buf, hold := b.buf(sensor), b.cur[sensor-1].hold
+	for i := 0; i < n; i++ {
+		*buf = append(*buf, hold)
+	}
+	b.stats.Concealed += n
+}
+
+// buf returns the sensor's sample buffer.
+func (b *BaseStation) buf(sensor SensorID) *[]float64 {
+	if sensor == SensorECG {
+		return &b.ecg
+	}
+	return &b.abp
 }
 
 // drainWindows pops and classifies every complete window. Caller holds mu.
@@ -261,7 +320,7 @@ func (b *BaseStation) drainWindows() error {
 
 		w := dataset.Window{
 			SubjectID: b.cfg.SubjectID,
-			Index:     b.windows,
+			Index:     b.index,
 			ECG:       ecg,
 			ABP:       abp,
 		}
@@ -283,8 +342,9 @@ func (b *BaseStation) drainWindows() error {
 		if err != nil {
 			return fmt.Errorf("wiot: classify window %d: %w", w.Index, err)
 		}
-		b.cfg.Sink.Deliver(Alert{WindowIndex: b.windows, Altered: altered, SubjectID: b.cfg.SubjectID})
-		b.windows++
+		b.cfg.Sink.Deliver(Alert{WindowIndex: b.index, Altered: altered, SubjectID: b.cfg.SubjectID})
+		b.index++
+		b.stats.Windows++
 	}
 	return nil
 }

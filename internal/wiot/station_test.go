@@ -63,8 +63,8 @@ func TestStationConcealmentBound(t *testing.T) {
 		if refused := errors.Is(err, ErrSeqGap); refused != tc.refused || (!refused && err != nil) {
 			t.Errorf("gap %d: err = %v, want refused=%v", tc.gap, err, tc.refused)
 		}
-		if want := int(tc.gap) * frame; !tc.refused && st.ConcealedSamples() != want {
-			t.Errorf("gap %d: concealed %d, want %d", tc.gap, st.ConcealedSamples(), want)
+		if want := int(tc.gap) * frame; !tc.refused && st.Stats().Concealed != want {
+			t.Errorf("gap %d: concealed %d, want %d", tc.gap, st.Stats().Concealed, want)
 		}
 	}
 }
@@ -110,7 +110,7 @@ func TestTCPStationSurvivesSeqGap(t *testing.T) {
 		send(SensorABP, seq)
 	}
 	waitUntil(t, 2*time.Second, func() bool {
-		return station.WindowsProcessed() == 1
+		return station.Stats().Windows == 1
 	}, "the window after the forged frame to complete")
 	if got := st.Stats(); got.Nacks != 1 || got.FrameErrors != 0 {
 		t.Errorf("transport stats %+v, want one nack and no frame errors", got)
@@ -149,7 +149,7 @@ func TestHandleFrameSteadyStateAllocs(t *testing.T) {
 	}
 	// Warm up past two windows so both buffers reach working capacity,
 	// then stop on a window boundary.
-	for st.WindowsProcessed() < 2 || len(st.ecg) != 0 {
+	for st.Stats().Windows < 2 || len(st.ecg) != 0 {
 		send()
 		seq++
 	}
@@ -161,7 +161,7 @@ func TestHandleFrameSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { seq++; send(); seq++ }); n != 0 {
 		t.Errorf("HandleFrame after a 1-frame gap allocates %.1f/op, want 0", n)
 	}
-	if st.WindowsProcessed() != 2 || st.Stats().Concealed != 11*2*frame {
-		t.Errorf("pins crossed a window or missed the gaps: %d windows, stats %+v", st.WindowsProcessed(), st.Stats())
+	if st.Stats().Windows != 2 || st.Stats().Concealed != 11*2*frame {
+		t.Errorf("pins crossed a window or missed the gaps: %d windows, stats %+v", st.Stats().Windows, st.Stats())
 	}
 }

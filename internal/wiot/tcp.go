@@ -142,12 +142,6 @@ type TCPStation struct {
 	errs    []error // ring: errHead is the logical start once full
 	errHead int
 
-	// handleMu serializes the reliable path: HandleFrame plus the
-	// per-sensor want cursor, which lives on the station (not the
-	// connection) so retransmits after a reconnect resume cleanly.
-	handleMu sync.Mutex
-	want     map[SensorID]uint32
-
 	conns64   atomic.Int64
 	resyncs   atomic.Int64
 	skipped   atomic.Int64
@@ -185,7 +179,6 @@ func ServeTCPConfig(ctx context.Context, lis net.Listener, station *BaseStation,
 		lis:     lis,
 		done:    make(chan struct{}),
 		conns:   make(map[net.Conn]struct{}),
-		want:    make(map[SensorID]uint32),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -380,8 +373,8 @@ type ackMark struct {
 }
 
 // ack records that every frame of sensor up to seq has been handled.
-// Callers pass increasing seqs per sensor (the want cursor only moves
-// forward), so the latest mark is the cumulative one.
+// Callers pass increasing seqs per sensor (the base station's sequence
+// cursor only moves forward), so the latest mark is the cumulative one.
 func (w *ctrlWriter) ack(sensor SensorID, seq uint32) {
 	for i := range w.pending {
 		if w.pending[i].sensor == sensor {
@@ -523,39 +516,32 @@ func (s *TCPStation) handleAuthFrame(cw *ctrlWriter, rec wireRecord, ss *station
 func (s *TCPStation) handleCtrl(c ctrlRecord, ss *stationSession) {
 	switch c.Kind {
 	case ctrlGap:
-		// The sender dropped everything below c.Seq; stop waiting for it.
-		// The next frame's sequence jump drives the base station's own
-		// gap concealment. When auth is required, only an established
-		// session may declare gaps, and only for its own sensor — a
-		// forged gap record would otherwise skip the cursor past frames
-		// the real sensor still holds.
+		// The sender dropped everything below c.Seq; the base station
+		// stops waiting for it, and conceals or resyncs when c.Seq
+		// arrives. When auth is required, only an established session may
+		// declare gaps, and only for its own sensor — a forged gap record
+		// would otherwise skip the cursor past frames the real sensor
+		// still holds.
 		if s.cfg.Keys != nil && (ss.state != 2 || c.Sensor != ss.sensor) {
 			s.authRejSession.Add(1)
 			obsAuthRejectSession.Add(1)
 			return
 		}
-		s.handleMu.Lock()
-		if seqAfter(c.Seq, s.want[c.Sensor]) {
-			s.want[c.Sensor] = c.Seq
-		}
-		s.handleMu.Unlock()
+		s.Station.declareGap(c.Sensor, c.Seq)
 	}
 }
 
 // handleReliable runs the go-back-N receive side for one checksummed
-// frame: in-order frames are handled and their sensor's cumulative ack
-// moved (written with the rest of the read batch), stale ones re-acked,
-// and a gap provokes a nack naming the sequence we still need. Acks
-// counts frames acknowledged. Acks and nacks are counted before they are
+// frame: the base station admits it against its sensor's cursor. An
+// in-order frame is handled and its sensor's cumulative ack moved
+// (written with the rest of the read batch), a stale one re-acked, and
+// one past the cursor nacked with the sequence still needed. Acks counts
+// frames acknowledged. Acks and nacks are counted before they are
 // written, so a sensor that has seen one never reads a smaller count.
 func (s *TCPStation) handleReliable(cw *ctrlWriter, f Frame) {
-	s.handleMu.Lock()
-	want := s.want[f.Sensor]
-	switch {
-	case f.Seq == want:
-		err := s.Station.HandleFrame(f)
-		s.want[f.Sensor] = want + 1
-		s.handleMu.Unlock()
+	verdict, next, err := s.Station.admit(f)
+	switch verdict {
+	case admitted:
 		if err != nil {
 			// The frame is consumed either way — retransmitting it would
 			// fail identically, so ack and record rather than poison the
@@ -567,18 +553,16 @@ func (s *TCPStation) handleReliable(cw *ctrlWriter, f Frame) {
 		s.acks.Add(1)
 		obsTCPAcks.Add(1)
 		cw.ack(f.Sensor, f.Seq)
-	case seqBefore(f.Seq, want):
-		s.handleMu.Unlock()
+	case admitStale:
 		// Duplicate from a retransmit overlap; re-ack so the sender's
 		// window advances.
 		s.acks.Add(1)
 		obsTCPAcks.Add(1)
-		s.sendCtrl(cw, ctrlRecord{Kind: ctrlAck, Sensor: f.Sensor, Seq: want - 1})
+		s.sendCtrl(cw, ctrlRecord{Kind: ctrlAck, Sensor: f.Sensor, Seq: next - 1})
 	default:
-		s.handleMu.Unlock()
 		s.nacks.Add(1)
 		obsTCPNacks.Add(1)
-		s.sendCtrl(cw, ctrlRecord{Kind: ctrlNack, Sensor: f.Sensor, Seq: want})
+		s.sendCtrl(cw, ctrlRecord{Kind: ctrlNack, Sensor: f.Sensor, Seq: next})
 	}
 }
 

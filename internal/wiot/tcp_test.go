@@ -509,7 +509,7 @@ func TestBareFrameBodyNeverReachesStation(t *testing.T) {
 				t.Errorf("transport stats %+v: want one resync and no frame surfaced", got)
 			}
 			station.mu.Lock()
-			reached := station.seqSynced[SensorECG]
+			reached := station.cur[SensorECG-1].synced
 			station.mu.Unlock()
 			if reached || station.Stats() != (StationStats{}) {
 				t.Errorf("the frame body reached the station: %+v", station.Stats())

@@ -208,7 +208,7 @@ func TestStationAssemblesWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := st.WindowsProcessed(); got != 2 {
+	if got := st.Stats().Windows; got != 2 {
 		t.Errorf("windows = %d, want 2", got)
 	}
 	alerts := sink.Alerts()
@@ -218,8 +218,8 @@ func TestStationAssemblesWindows(t *testing.T) {
 	if alerts[0].Altered || !alerts[1].Altered {
 		t.Errorf("alert pattern = %v/%v, want false/true", alerts[0].Altered, alerts[1].Altered)
 	}
-	if st.SeqErrors() != 0 {
-		t.Errorf("unexpected sequence errors: %d", st.SeqErrors())
+	if st.Stats().SeqErrors != 0 {
+		t.Errorf("unexpected sequence errors: %d", st.Stats().SeqErrors)
 	}
 }
 
@@ -232,11 +232,11 @@ func TestStationCountsSeqGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Frames 1–4 were lost: four missing frames counted and concealed.
-	if st.SeqErrors() != 4 {
-		t.Errorf("seq errors = %d, want 4", st.SeqErrors())
+	if st.Stats().SeqErrors != 4 {
+		t.Errorf("seq errors = %d, want 4", st.Stats().SeqErrors)
 	}
-	if st.ConcealedSamples() != 4 {
-		t.Errorf("concealed = %d, want 4", st.ConcealedSamples())
+	if st.Stats().Concealed != 4 {
+		t.Errorf("concealed = %d, want 4", st.Stats().Concealed)
 	}
 }
 
