@@ -32,11 +32,12 @@ race:
 	$(GO) test -race ./...
 
 # The fault-injected transport suite: the chaos injector itself, the
-# reconnecting sinks, and the over-TCP scenario/fleet parity tests, all
+# reconnecting sinks, the over-TCP scenario/fleet parity tests, and the
+# base station's window pipeline with its admission reference model, all
 # under the race detector and run twice (-count=2 catches state leaking
 # between runs through package-level counters or lingering goroutines).
 chaos:
-	$(GO) test -race -count=2 ./internal/wiot/chaos/ ./internal/wiot/ -run 'Chaos|Reconnect|RunScenarioOverTCP|FrameScanner|ServeTCP|ServeConn|TCPStation|PeekRecord|AcceptLoop|ErrorRing|BareFrameBody|Corruption|Cut|Partition|ControlRecords|Latency|CoalescedAcks|SinkBatch'
+	$(GO) test -race -count=2 ./internal/wiot/chaos/ ./internal/wiot/ -run 'Chaos|Reconnect|RunScenarioOverTCP|FrameScanner|ServeTCP|ServeConn|Station|Admission|PeekRecord|AcceptLoop|ErrorRing|BareFrameBody|Corruption|Cut|Partition|ControlRecords|Latency|CoalescedAcks|SinkBatch'
 	$(GO) test -race -count=2 ./internal/fleet/ -run 'FleetRunnerOverChaosTCP'
 
 # The sharded control plane under the race detector: the coordinator's

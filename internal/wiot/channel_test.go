@@ -135,12 +135,12 @@ func TestStationConcealsLoss(t *testing.T) {
 	if st.Stats().SeqErrors != 1 {
 		t.Errorf("seq errors = %d, want 1", st.Stats().SeqErrors)
 	}
-	if len(st.ecg) != 270 {
-		t.Fatalf("buffer = %d samples, want 270", len(st.ecg))
+	if n := buffered(st, SensorECG); n != 270 {
+		t.Fatalf("buffer = %d samples, want 270", n)
 	}
 	// The concealed span holds the last value before the gap.
-	if st.ecg[100] != 1 {
-		t.Errorf("concealed sample = %v, want hold-last 1", st.ecg[100])
+	if v := st.ch[SensorECG-1].part[100]; v != 1 {
+		t.Errorf("concealed sample = %v, want hold-last 1", v)
 	}
 }
 
@@ -156,8 +156,8 @@ func TestStationDropsDuplicates(t *testing.T) {
 	if st.Stats().Stale != 1 {
 		t.Errorf("stale = %d, want 1", st.Stats().Stale)
 	}
-	if len(st.abp) != 2 {
-		t.Errorf("buffer = %d samples, want 2 (duplicate dropped)", len(st.abp))
+	if n := buffered(st, SensorABP); n != 2 {
+		t.Errorf("buffer = %d samples, want 2 (duplicate dropped)", n)
 	}
 }
 

@@ -184,9 +184,7 @@ func TestTCPStationForgedGapPlain(t *testing.T) {
 	if got := st.Station.Stats(); got.Resyncs != 1 || got.Windows != 8 {
 		t.Errorf("station stats %+v, want one resync and the 8 windows before it", got)
 	}
-	st.Station.mu.Lock()
-	ecg, abp := len(st.Station.ecg), len(st.Station.abp)
-	st.Station.mu.Unlock()
+	ecg, abp := buffered(st.Station, SensorECG), buffered(st.Station, SensorABP)
 	if ecg > 1080+90 || abp > 1080+90 {
 		t.Errorf("after the jump the station buffers %d ECG / %d ABP samples, want <= one window plus a frame", ecg, abp)
 	}
@@ -302,9 +300,10 @@ func TestTCPStationDeclaredGapAcrossWrap(t *testing.T) {
 	if got := st.Stats(); got.FrameErrors != 0 || got.Nacks != 0 {
 		t.Errorf("transport stats %+v, want no frame errors and no nacks", got)
 	}
-	// The wrapped gap conceals 28 frames per sensor; the resync puts rel
-	// 236 (sample 21,240) 720 samples into window 19.
-	want := StationStats{Windows: 4, SeqErrors: 2 * 28, Concealed: 2*28*90 + 2*720, Resyncs: 1}
+	// The wrapped gap conceals 28 frames per sensor, so ECG frame 32 fills
+	// two windows that wait for ABP frame 32; the resync puts rel 236
+	// (sample 21,240) 720 samples into window 19.
+	want := StationStats{Windows: 4, SeqErrors: 2 * 28, Concealed: 2*28*90 + 2*720, Resyncs: 1, PeakLead: 2}
 	if got := st.Station.Stats(); got != want {
 		t.Errorf("station stats %+v, want %+v", got, want)
 	}
@@ -332,6 +331,9 @@ type refStation struct {
 	stats StationStats
 	acks  int64
 	nacks int64
+	// leadResyncs counts resyncs of a sensor holding a complete window
+	// that waits for its partner: the position must count it.
+	leadResyncs int
 }
 
 // refEvent is one record of a schedule: a frame of n samples, or a gap
@@ -370,6 +372,9 @@ func refStep(m refStation, ev refEvent) (refStation, ctrlRecord, []int) {
 	if x.synced && ev.n > 0 && x.owed*ev.n > concealWindows*m.wlen {
 		pos := m.index*m.wlen + x.buffered + x.owed*ev.n
 		m.index, m.stats.Resyncs = pos/m.wlen, m.stats.Resyncs+1
+		if x.buffered >= m.wlen {
+			m.leadResyncs++
+		}
 		for i := range m.s {
 			o := &m.s[i]
 			if int32(o.next-ev.seq) > 0 {
@@ -395,12 +400,14 @@ func refStep(m refStation, ev refEvent) (refStation, ctrlRecord, []int) {
 		m.index++
 		m.stats.Windows++
 	}
+	m.stats.PeakLead = max(m.stats.PeakLead, m.s[0].buffered/m.wlen, m.s[1].buffered/m.wlen)
 	return m, ctrlRecord{Kind: ctrlAck, Sensor: ev.sensor, Seq: ev.seq}, windows
 }
 
 // refSchedule draws a seeded sender schedule for both sensors: in-order
 // frames, losses, duplicates, go-back-N rewinds, short and long declared
-// gaps, and odd frame sizes. Odd seeds start near 2³², walking both
+// gaps, bursts that put one sensor windows ahead right before its long
+// gap, and odd frame sizes. Odd seeds start near 2³², walking both
 // cursors there with gap records first.
 func refSchedule(seed int64, steps int) []refEvent {
 	rng := rand.New(rand.NewSource(seed))
@@ -432,9 +439,17 @@ func refSchedule(seed int64, steps int) []refEvent {
 			evs = append(evs, refEvent{sensor: id, seq: snd[i] - 1 - uint32(rng.Intn(5)), n: n})
 		case r < 92: // go-back-N rewind
 			snd[i] -= uint32(rng.Intn(10))
-		case r < 98:
+		case r < 97:
 			snd[i] += 1 + uint32(rng.Intn(40))
 			evs = append(evs, refEvent{gap: true, sensor: id, seq: snd[i]})
+		case r < 98: // 2–5 windows ahead of the partner, then a long outage and its resync
+			for k := 12 * (2 + rng.Intn(4)); k > 0; k-- {
+				evs = append(evs, refEvent{sensor: id, seq: snd[i], n: 90})
+				snd[i]++
+			}
+			snd[i] += 100 + uint32(rng.Intn(2000))
+			evs = append(evs, refEvent{gap: true, sensor: id, seq: snd[i]}, refEvent{sensor: id, seq: snd[i], n: 90})
+			snd[i]++
 		default: // a long outage, past the concealment bound at 90 samples
 			snd[i] += 100 + uint32(rng.Intn(2000))
 			evs = append(evs, refEvent{gap: true, sensor: id, seq: snd[i]})
@@ -445,11 +460,13 @@ func refSchedule(seed int64, steps int) []refEvent {
 
 // TestAdmissionMatchesReferenceModel runs seeded schedules through the
 // reference model and through a live TCPStation, record by record: every
-// frame's reply (ack, stale re-ack or nack, with its sequence), the
-// transport's ack and nack counts, the station's stats and the window
-// indices must agree.
+// frame's reply (ack, stale re-ack or nack, with its sequence), the window
+// position and the samples each sensor holds after it, the transport's
+// ack and nack counts, the station's stats and the window indices must
+// agree.
 func TestAdmissionMatchesReferenceModel(t *testing.T) {
 	var total StationStats
+	leadResyncs := 0
 	for seed := int64(1); seed <= 12; seed++ {
 		log := &windowLog{}
 		st, memSink, addr := reliableHarness(t, log)
@@ -485,6 +502,15 @@ func TestAdmissionMatchesReferenceModel(t *testing.T) {
 			if !got.isCtrl || got.ctrl.Kind != reply.Kind || got.ctrl.Sensor != reply.Sensor || got.ctrl.Seq != reply.Seq {
 				t.Fatalf("seed %d step %d (%+v): station replied %+v, model %+v", seed, step, ev, got.ctrl, reply)
 			}
+			// The reply follows the frame's handling: the window position
+			// and what each sensor holds must match the model's now.
+			st.Station.mu.Lock()
+			index := st.Station.index
+			st.Station.mu.Unlock()
+			if ecg, abp := buffered(st.Station, SensorECG), buffered(st.Station, SensorABP); index != m.index || ecg != m.s[0].buffered || abp != m.s[1].buffered {
+				t.Fatalf("seed %d step %d (%+v): station at window %d holding %d ECG / %d ABP samples, model at %d holding %d / %d",
+					seed, step, ev, index, ecg, abp, m.index, m.s[0].buffered, m.s[1].buffered)
+			}
 		}
 		if got := st.Stats(); got.Acks != m.acks || got.Nacks != m.nacks || got.FrameErrors != 0 {
 			t.Errorf("seed %d: transport stats %+v, model %d acks / %d nacks", seed, got, m.acks, m.nacks)
@@ -504,11 +530,12 @@ func TestAdmissionMatchesReferenceModel(t *testing.T) {
 		total.Windows += m.stats.Windows
 		total.SeqErrors += m.stats.SeqErrors
 		total.Resyncs += m.stats.Resyncs
+		leadResyncs += m.leadResyncs
 		_ = conn.Close()
 		_ = st.Close()
 	}
 	// The schedules must reach every rule, or agreement proves little.
-	if total.Windows == 0 || total.SeqErrors == 0 || total.Resyncs == 0 {
-		t.Errorf("schedules exercised too little: %+v", total)
+	if total.Windows == 0 || total.SeqErrors == 0 || total.Resyncs == 0 || leadResyncs == 0 {
+		t.Errorf("schedules exercised too little: %+v, %d resyncs behind a queued window", total, leadResyncs)
 	}
 }

@@ -12,6 +12,15 @@ import (
 	"github.com/wiot-security/sift/internal/physio"
 )
 
+// buffered counts the samples the station holds for a sensor: its
+// partial window and the complete windows it has queued.
+func buffered(b *BaseStation, sensor SensorID) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ch := &b.ch[sensor-1]
+	return ch.waiting()*b.wlen + len(ch.part)
+}
+
 // TestStationRefusesHugeSeqGap is the regression test for unbounded
 // concealment: a frame whose sequence number jumps by 2^30 used to make
 // the station allocate 2^30 frames of hold-last samples and die with an
@@ -33,16 +42,16 @@ func TestStationRefusesHugeSeqGap(t *testing.T) {
 	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
 		t.Errorf("refusing the gap allocated %d bytes", grown)
 	}
-	if got := st.Stats(); got.Concealed != 0 || got.SeqErrors != 0 || len(st.ecg) != 90 {
-		t.Errorf("after refusal: stats %+v, buffer %d samples; want nothing concealed or buffered", got, len(st.ecg))
+	if got := st.Stats(); got.Concealed != 0 || got.SeqErrors != 0 || buffered(st, SensorECG) != 90 {
+		t.Errorf("after refusal: stats %+v, buffer %d samples; want nothing concealed or buffered", got, buffered(st, SensorECG))
 	}
 	// The cursor stayed at 1: the stream carries on as if the forged
 	// frame never arrived.
 	if err := st.HandleFrame(FrameFromFloats(SensorECG, 1, make([]float64, 90))); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.ecg) != 180 || st.Stats().Concealed != 0 {
-		t.Errorf("next in-order frame: buffer %d samples, concealed %d; want 180, 0", len(st.ecg), st.Stats().Concealed)
+	if buffered(st, SensorECG) != 180 || st.Stats().Concealed != 0 {
+		t.Errorf("next in-order frame: buffer %d samples, concealed %d; want 180, 0", buffered(st, SensorECG), st.Stats().Concealed)
 	}
 }
 
@@ -149,7 +158,7 @@ func TestHandleFrameSteadyStateAllocs(t *testing.T) {
 	}
 	// Warm up past two windows so both buffers reach working capacity,
 	// then stop on a window boundary.
-	for st.Stats().Windows < 2 || len(st.ecg) != 0 {
+	for st.Stats().Windows < 2 || buffered(st, SensorECG) != 0 {
 		send()
 		seq++
 	}
