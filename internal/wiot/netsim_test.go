@@ -54,6 +54,12 @@ func TestRunScenarioOverTCPMatchesInProcess(t *testing.T) {
 	if net.Windows != base.Windows || net.Concealed != 0 || net.SeqErrors != 0 {
 		t.Errorf("clean TCP run stats diverged: %+v vs %+v", net, base)
 	}
+	// The in-process pump hands the station each ECG frame before its ABP
+	// frame, so each ECG window waits exactly one frame; over TCP the two
+	// sensors' connections race, and whichever leads holds at least one.
+	if base.PeakLead != 1 || net.PeakLead < 1 {
+		t.Errorf("PeakLead in-process %d, over TCP %d; want 1 and at least 1", base.PeakLead, net.PeakLead)
+	}
 }
 
 // corruptingListener flips one byte in a seeded-random ~1/7 of data

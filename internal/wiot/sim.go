@@ -38,6 +38,7 @@ type ScenarioResult struct {
 	WindowLength int // samples per window
 	Concealed    int // samples synthesized to cover lost frames
 	Stale        int // duplicate/out-of-order frames dropped
+	PeakLead     int // most complete windows one sensor held waiting for the other's
 }
 
 // Accuracy returns the fraction of windows classified correctly.
@@ -159,6 +160,7 @@ func scoreScenario(sc Scenario, hasAttack bool, station *BaseStation, alerts []A
 		SeqErrors:    stats.SeqErrors,
 		Concealed:    stats.Concealed,
 		Stale:        stats.Stale,
+		PeakLead:     stats.PeakLead,
 		WindowLength: station.wlen,
 	}
 	attackFrom, attackTo := sc.AttackFrom, sc.AttackTo
