@@ -32,12 +32,15 @@ race:
 	$(GO) test -race ./...
 
 # The fault-injected transport suite: the chaos injector itself, the
-# reconnecting sinks, the over-TCP scenario/fleet parity tests, and the
-# base station's window pipeline with its admission reference model, all
-# under the race detector and run twice (-count=2 catches state leaking
-# between runs through package-level counters or lingering goroutines).
+# reconnecting sinks, the over-TCP scenario/fleet parity tests, the
+# base station's window pipeline with its admission reference model, and
+# the borrowed-frame pins (zero steady-state allocations per hop, and
+# verdicts unmoved when every frame is poisoned once its callee
+# returns), all under the race detector and run twice (-count=2 catches
+# state leaking between runs through package-level counters or lingering
+# goroutines).
 chaos:
-	$(GO) test -race -count=2 ./internal/wiot/chaos/ ./internal/wiot/ -run 'Chaos|Reconnect|RunScenarioOverTCP|FrameScanner|ServeTCP|ServeConn|Station|Admission|PeekRecord|AcceptLoop|ErrorRing|BareFrameBody|Corruption|Cut|Partition|ControlRecords|Latency|CoalescedAcks|SinkBatch'
+	$(GO) test -race -count=2 ./internal/wiot/chaos/ ./internal/wiot/ -run 'Chaos|Reconnect|RunScenarioOverTCP|FrameScanner|ServeTCP|ServeConn|Station|Admission|PeekRecord|AcceptLoop|ErrorRing|BareFrameBody|Corruption|Cut|Partition|ControlRecords|Latency|CoalescedAcks|SinkBatch|SteadyStateAllocs|BorrowedFrame'
 	$(GO) test -race -count=2 ./internal/fleet/ -run 'FleetRunnerOverChaosTCP'
 
 # The sharded control plane under the race detector: the coordinator's
@@ -76,9 +79,10 @@ shard-smoke-1m:
 # rejected while honest verdicts converge with plain v2), the wire
 # attack campaigns (impersonation, frame replay, session hijack — zero
 # forged frames accepted, every attempt accounted for in the reject
-# counters), and the declarative auth-adversary campaign.
+# counters), the borrowed-frame lifetime test over the sealed wire, and
+# the declarative auth-adversary campaign.
 auth:
-	$(GO) test -race -count=2 ./internal/wiot/ -run 'Auth|Session|Serial|SeqWrap|DeriveSensorKey|KeyStore|CMAC|MACState|SinkBatch'
+	$(GO) test -race -count=2 ./internal/wiot/ -run 'Auth|Session|Serial|SeqWrap|DeriveSensorKey|KeyStore|CMAC|MACState|SinkBatch|BorrowedFrame'
 	$(GO) test -race -count=1 ./internal/wiot/chaos/ -run 'Adversary'
 	$(GO) test -race -count=1 ./internal/attack/
 	$(GO) test -race -count=1 ./internal/campaign/ -run 'AuthAdversary|AuthParity'

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"hash/crc32"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -235,11 +234,10 @@ func ForgeSession(id uint32, sensor SensorID, alg MACAlg, key []byte) *Session {
 // replayed at a different window position, and the session id, so a
 // frame cannot be spliced into another session.
 func (s *Session) SealFrame(f *Frame) ([]byte, error) {
-	body, err := f.encode(frameMagicV3, authTrailerSize)
-	if err != nil {
+	if err := f.check(); err != nil {
 		return nil, err
 	}
-	return s.seal(body, 0), nil
+	return s.seal(f.appendBody(nil, frameMagicV3, authTrailerSize), 0), nil
 }
 
 // seal turns buf[start:], a frame body under any frame magic, into a v3
@@ -257,7 +255,7 @@ func (s *Session) seal(buf []byte, start int) []byte {
 	tag := s.mac.tag(buf[start:])
 	s.mu.Unlock()
 	buf = binary.LittleEndian.AppendUint64(buf, tag)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable))
+	return appendCRC(buf, start)
 }
 
 // frameMAC is one session key's keyed frame-MAC state, built once per

@@ -12,7 +12,9 @@ import (
 // modeled: BLE's link layer delivers in order or not at all.)
 type ChannelEffect interface {
 	// Transmit returns the frames actually delivered for f: empty for a
-	// loss, one for delivery, two for a duplicate.
+	// loss, one for delivery, two for a duplicate. f's samples are
+	// borrowed (see Frame); the delivered frames may share them, so they
+	// are valid only as long as f's are.
 	Transmit(f Frame) []Frame
 }
 

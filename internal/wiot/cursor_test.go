@@ -408,8 +408,14 @@ func refStep(m refStation, ev refEvent) (refStation, ctrlRecord, []int) {
 // frames, losses, duplicates, go-back-N rewinds, short and long declared
 // gaps, bursts that put one sensor windows ahead right before its long
 // gap, and odd frame sizes. Odd seeds start near 2³², walking both
-// cursors there with gap records first.
-func refSchedule(seed int64, steps int) []refEvent {
+// cursors there with gap records first. A calm schedule has no bursts,
+// and a long outage in place of one in twenty of the stormy schedule's
+// bursts and outages (3% of its steps), sending in-order frames instead
+// of the rest. Its outages hit both sensors' links at once, as when the
+// station itself drops out: a one-sided outage leaves the partner's
+// sender a whole outage behind the cursor the resync moves, and none of
+// its frames counts until it catches up.
+func refSchedule(seed int64, steps int, calm bool) []refEvent {
 	rng := rand.New(rand.NewSource(seed))
 	var evs []refEvent
 	var snd [2]uint32
@@ -429,7 +435,14 @@ func refSchedule(seed int64, steps int) []refEvent {
 		if rng.Intn(10) == 0 {
 			n = rng.Intn(MaxFrameSamples + 1)
 		}
-		switch r := rng.Intn(100); {
+		r := rng.Intn(100)
+		if calm && r >= 97 {
+			r = 0
+			if rng.Intn(20) == 0 {
+				r = 99
+			}
+		}
+		switch {
 		case r < 70:
 			evs = append(evs, refEvent{sensor: id, seq: snd[i], n: n})
 			snd[i]++
@@ -451,8 +464,13 @@ func refSchedule(seed int64, steps int) []refEvent {
 			evs = append(evs, refEvent{gap: true, sensor: id, seq: snd[i]}, refEvent{sensor: id, seq: snd[i], n: 90})
 			snd[i]++
 		default: // a long outage, past the concealment bound at 90 samples
-			snd[i] += 100 + uint32(rng.Intn(2000))
-			evs = append(evs, refEvent{gap: true, sensor: id, seq: snd[i]})
+			d := 100 + uint32(rng.Intn(2000))
+			for k := range snd {
+				if k == i || calm {
+					snd[k] += d
+					evs = append(evs, refEvent{gap: true, sensor: SensorID(k + 1), seq: snd[k]})
+				}
+			}
 		}
 	}
 	return evs
@@ -463,11 +481,16 @@ func refSchedule(seed int64, steps int) []refEvent {
 // frame's reply (ack, stale re-ack or nack, with its sequence), the window
 // position and the samples each sensor holds after it, the transport's
 // ack and nack counts, the station's stats and the window indices must
-// agree.
+// agree. Seeds 1–12 draw stormy schedules, which exercise resyncs but
+// mostly classify few windows or none; seeds 13–24 draw calm ones, and
+// each must classify at least minCalmWindows windows, so the window
+// and alert comparisons rest on every calm schedule.
 func TestAdmissionMatchesReferenceModel(t *testing.T) {
+	const minCalmWindows = 8
 	var total StationStats
 	leadResyncs := 0
-	for seed := int64(1); seed <= 12; seed++ {
+	for seed := int64(1); seed <= 24; seed++ {
+		calm := seed > 12
 		log := &windowLog{}
 		st, memSink, addr := reliableHarness(t, log)
 		conn, sc := rawStationConn(t, addr)
@@ -476,7 +499,7 @@ func TestAdmissionMatchesReferenceModel(t *testing.T) {
 		}
 		m := refStation{wlen: 1080}
 		var alerts []int
-		for step, ev := range refSchedule(seed, 400) {
+		for step, ev := range refSchedule(seed, 400, calm) {
 			var reply ctrlRecord
 			var windows []int
 			m, reply, windows = refStep(m, ev)
@@ -526,6 +549,9 @@ func TestAdmissionMatchesReferenceModel(t *testing.T) {
 			if a.WindowIndex != alerts[i] {
 				t.Fatalf("seed %d: alert %d at window %d, model %d", seed, i, a.WindowIndex, alerts[i])
 			}
+		}
+		if calm && m.stats.Windows < minCalmWindows {
+			t.Errorf("calm seed %d classified %d windows, want at least %d", seed, m.stats.Windows, minCalmWindows)
 		}
 		total.Windows += m.stats.Windows
 		total.SeqErrors += m.stats.SeqErrors

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/obs"
@@ -56,6 +57,14 @@ func (s SensorID) Valid() bool { return s == SensorECG || s == SensorABP }
 // Frame is one batch of samples from a sensor. Samples travel as Q16.16
 // words — the fixed-point representation the base station's detector
 // consumes directly.
+//
+// Samples are borrowed: whoever hands a frame on keeps owning its
+// samples, and they are valid only while the call that received them
+// runs (FrameSink.HandleFrame, Interceptor.Intercept,
+// ChannelEffect.Transmit). A callee copies anything it keeps and never
+// writes to them. That lets each hop reuse one buffer it owns: the
+// sensor quantises every frame into the same slice, the MITM rewrites
+// into its own, and the wire scanner decodes into its own.
 type Frame struct {
 	Sensor  SensorID
 	Seq     uint32
@@ -84,22 +93,33 @@ func EncodedSize(n int) int { return 1 + 1 + 4 + 2 + 4*n }
 
 // Encode serializes the frame body.
 func (f *Frame) Encode() ([]byte, error) {
-	return f.encode(frameMagic, 0)
+	if err := f.check(); err != nil {
+		return nil, err
+	}
+	return f.appendBody(nil, frameMagic, 0), nil
 }
 
-// encode serializes the frame body under magic into a buffer with
-// trailer bytes of spare capacity, so a record wrapper can append its
-// trailer without regrowing.
-func (f *Frame) encode(magic byte, trailer int) ([]byte, error) {
-	span := obsEncode.Start()
-	defer span.End()
+// check reports why the frame cannot be encoded, if it cannot.
+func (f *Frame) check() error {
 	if !f.Sensor.Valid() {
-		return nil, fmt.Errorf("%w: %d", ErrBadSensor, f.Sensor)
+		return fmt.Errorf("%w: %d", ErrBadSensor, f.Sensor)
 	}
 	if len(f.Samples) > MaxFrameSamples {
-		return nil, fmt.Errorf("%w: %d samples", ErrFrameSize, len(f.Samples))
+		return fmt.Errorf("%w: %d samples", ErrFrameSize, len(f.Samples))
 	}
-	buf := make([]byte, 0, EncodedSize(len(f.Samples))+trailer)
+	return nil
+}
+
+// appendBody appends the frame body under magic to buf, a frame that
+// check accepts, growing buf first by the body and spare bytes more so
+// a record wrapper can append its trailer in place. Every encoder —
+// Encode, EncodeChecksummed, SealFrame and the reconnect sink's
+// recycled payloads — goes through it.
+func (f *Frame) appendBody(buf []byte, magic byte, spare int) []byte {
+	span := obsEncode.Start()
+	defer span.End()
+	start := len(buf)
+	buf = slices.Grow(buf, EncodedSize(len(f.Samples))+spare)
 	buf = append(buf, magic, byte(f.Sensor))
 	buf = binary.LittleEndian.AppendUint32(buf, f.Seq)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(f.Samples)))
@@ -107,19 +127,20 @@ func (f *Frame) encode(magic byte, trailer int) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(q.Raw()))
 	}
 	obsFramesCoded.Add(1)
-	obsWireBytes.Add(int64(len(buf)))
-	return buf, nil
+	obsWireBytes.Add(int64(len(buf) - start))
+	return buf
 }
 
 // DecodeFrame parses one frame body from buf, returning the frame and
 // the number of bytes consumed.
 func DecodeFrame(buf []byte) (Frame, int, error) {
-	return decodeBody(buf, frameMagic)
+	return decodeBody(buf, frameMagic, nil)
 }
 
-// decodeBody parses a frame body headed by magic. The wire scanner
-// decodes each record's body in place through it.
-func decodeBody(buf []byte, magic byte) (Frame, int, error) {
+// decodeBody parses a frame body headed by magic. Its samples land in
+// scratch when it has the capacity, else in a fresh slice: the wire
+// scanner passes its per-connection buffer, DecodeFrame passes nil.
+func decodeBody(buf []byte, magic byte, scratch []fixedpoint.Q) (Frame, int, error) {
 	span := obsDecode.Start()
 	defer span.End()
 	if len(buf) < EncodedSize(0) {
@@ -141,8 +162,11 @@ func decodeBody(buf []byte, magic byte) (Frame, int, error) {
 	if len(buf) < total {
 		return Frame{}, 0, ErrShortFrame
 	}
-	f := Frame{Sensor: sensor, Seq: seq, Samples: make([]fixedpoint.Q, n)}
-	for i := 0; i < n; i++ {
+	if cap(scratch) < n {
+		scratch = make([]fixedpoint.Q, n)
+	}
+	f := Frame{Sensor: sensor, Seq: seq, Samples: scratch[:n]}
+	for i := range f.Samples {
 		raw := binary.LittleEndian.Uint32(buf[8+4*i:])
 		f.Samples[i] = fixedpoint.FromRaw(int32(raw))
 	}
@@ -152,9 +176,14 @@ func decodeBody(buf []byte, magic byte) (Frame, int, error) {
 // FrameFromFloats builds a frame from float64 samples, saturating values
 // outside the Q16.16 range; NaN becomes 0 (fixedpoint.FromFloat's rules).
 func FrameFromFloats(sensor SensorID, seq uint32, samples []float64) Frame {
-	qs := make([]fixedpoint.Q, len(samples))
+	return Frame{Sensor: sensor, Seq: seq, Samples: quantize(make([]fixedpoint.Q, len(samples)), samples)}
+}
+
+// quantize converts samples into dst, which must be as long, and returns
+// dst.
+func quantize(dst []fixedpoint.Q, samples []float64) []fixedpoint.Q {
 	for i, v := range samples {
-		qs[i] = fixedpoint.FromFloat(v)
+		dst[i] = fixedpoint.FromFloat(v)
 	}
-	return Frame{Sensor: sensor, Seq: seq, Samples: qs}
+	return dst
 }

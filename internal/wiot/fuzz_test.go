@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/wiot-security/sift/internal/fixedpoint"
@@ -30,7 +31,10 @@ func randomFrame(rng *rand.Rand) Frame {
 // decoder accepts an input, re-encoding the decoded frame must
 // reproduce exactly the bytes consumed — the body codec is canonical.
 // The scanner is held to the same rule per surfaced record, and may
-// surface only CRC-valid records, never a bare 0xA5 frame body.
+// surface only CRC-valid records, never a bare 0xA5 frame body. The
+// reuse paths must not leak stale bytes: decoding into a dirty scratch
+// buffer equals a fresh DecodeFrame, and encoding into a dirty recycled
+// buffer, as the reconnect sink does, equals EncodeChecksummed.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{frameMagic})
@@ -61,9 +65,21 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	})
 }
 
-// checkBodyRoundTrip holds DecodeFrame to the canonical body encoding.
+// dirtySamples returns a full-size sample buffer holding garbage.
+func dirtySamples() []fixedpoint.Q {
+	q := make([]fixedpoint.Q, MaxFrameSamples)
+	garbage(q)
+	return q
+}
+
+// checkBodyRoundTrip holds DecodeFrame to the canonical body encoding,
+// and decoding into a dirty scratch buffer to DecodeFrame.
 func checkBodyRoundTrip(t *testing.T, data []byte) {
 	fr, n, err := DecodeFrame(data)
+	reused, rn, rerr := decodeBody(data, frameMagic, dirtySamples())
+	if (err == nil) != (rerr == nil) || rn != n || !slices.Equal(reused.Samples, fr.Samples) || reused.Sensor != fr.Sensor || reused.Seq != fr.Seq {
+		t.Fatalf("decoding into a dirty buffer gave %+v, %d, %v; DecodeFrame %+v, %d, %v", reused, rn, rerr, fr, n, err)
+	}
 	if err != nil {
 		return
 	}
@@ -87,6 +103,10 @@ func checkBodyRoundTrip(t *testing.T, data []byte) {
 func checkScannerRoundTrip(t *testing.T, data []byte) {
 	src := bytes.NewReader(data)
 	sc := newFrameScanner(src)
+	sc.samples = dirtySamples()
+	// recycled plays a sink's released payload buffer: it starts as
+	// garbage and then holds the previous record.
+	recycled := bytes.Repeat([]byte{0xEE}, 64)
 	prevEnd, prevSkipped := 0, int64(0)
 	for {
 		rec, err := sc.next()
@@ -114,11 +134,15 @@ func checkScannerRoundTrip(t *testing.T, data []byte) {
 			if !bytes.Equal(rec.macMsg, raw[:len(raw)-authTagSize-crcSize]) {
 				t.Fatalf("MAC message %x is not the record prefix %x", rec.macMsg, raw)
 			}
-			enc, err = rec.frame.encode(frameMagicV3, authTrailerSize)
+			enc = rec.frame.appendBody(nil, frameMagicV3, authTrailerSize)
 			enc = binary.LittleEndian.AppendUint32(enc, rec.sid)
-			enc = appendCRC(binary.LittleEndian.AppendUint64(enc, rec.mac))
+			enc = appendCRC(binary.LittleEndian.AppendUint64(enc, rec.mac), 0)
 		default:
 			enc, err = rec.frame.EncodeChecksummed()
+			recycled = rec.frame.appendChecksummed(recycled[:0])
+			if err == nil && !bytes.Equal(recycled, enc) {
+				t.Fatalf("encoding into a recycled buffer gave %x, EncodeChecksummed %x", recycled, enc)
+			}
 		}
 		if err != nil {
 			t.Fatalf("re-encoding a surfaced record failed: %v", err)

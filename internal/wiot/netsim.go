@@ -53,12 +53,15 @@ func RunScenarioOverTCP(ctx context.Context, sc Scenario, nc NetConfig) (Scenari
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return sc.run(func(station *BaseStation) error { return nc.deliver(ctx, &sc, station) })
+	return sc.run(func(station *BaseStation) error {
+		return nc.serve(ctx, station, func(ecg, abp FrameSink) error { return sc.stream(ctx, ecg, abp) })
+	})
 }
 
-// deliver streams the scenario to station over loopback TCP: a
-// supervised TCPStation in front of it, one ReconnectSink per sensor.
-func (nc NetConfig) deliver(ctx context.Context, sc *Scenario, station *BaseStation) error {
+// serve puts station behind loopback TCP: a supervised TCPStation in
+// front of it, one ReconnectSink per sensor. pump streams into the two
+// sinks; serve then flushes them and tears the transport down.
+func (nc NetConfig) serve(ctx context.Context, station *BaseStation, pump func(ecg, abp FrameSink) error) error {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return fmt.Errorf("wiot: listen: %w", err)
@@ -114,7 +117,7 @@ func (nc NetConfig) deliver(ctx context.Context, sc *Scenario, station *BaseStat
 	// The ReconnectSinks absorb transport faults behind the stream's
 	// back. On failure, abort both sinks (skipping the flush wait) before
 	// tearing the station down so nothing leaks.
-	if err := sc.stream(ctx, ecgSink, abpSink); err != nil {
+	if err := pump(ecgSink, abpSink); err != nil {
 		ecgSink.abort()
 		abpSink.abort()
 		_ = ecgSink.Close()

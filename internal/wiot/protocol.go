@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"github.com/wiot-security/sift/internal/fixedpoint"
 )
 
 // The wire protocol. The sensor→station byte stream is a sequence of
@@ -134,10 +136,10 @@ type ctrlRecord struct {
 	Mac    [authProofSize]byte
 }
 
-// appendCRC seals a record with its CRC32-C trailer over every byte so
-// far.
-func appendCRC(buf []byte) []byte {
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+// appendCRC seals the record that starts at buf[start] with its CRC32-C
+// trailer over every byte of it so far.
+func appendCRC(buf []byte, start int) []byte {
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable))
 }
 
 // appendCtrl serializes a control record, CRC included, in the layout of
@@ -161,8 +163,7 @@ func appendCtrl(buf []byte, c ctrlRecord) []byte {
 	default:
 		buf = binary.LittleEndian.AppendUint32(buf, c.Seq)
 	}
-	sum := crc32.Checksum(buf[start:], crcTable)
-	return binary.LittleEndian.AppendUint32(buf, sum)
+	return appendCRC(buf, start)
 }
 
 // decodeCtrl parses one control record. The buffer must hold exactly the
@@ -209,11 +210,16 @@ func decodeCtrl(buf []byte) (ctrlRecord, error) {
 // under the v2 magic and a CRC32-C trailer, so the receiver can reject
 // in-flight byte corruption instead of classifying garbage.
 func (f *Frame) EncodeChecksummed() ([]byte, error) {
-	buf, err := f.encode(frameMagicV2, crcSize)
-	if err != nil {
+	if err := f.check(); err != nil {
 		return nil, err
 	}
-	return appendCRC(buf), nil
+	return f.appendChecksummed(nil), nil
+}
+
+// appendChecksummed appends the frame, which check accepts, to buf as a
+// v2 record.
+func (f *Frame) appendChecksummed(buf []byte) []byte {
+	return appendCRC(f.appendBody(buf, frameMagicV2, crcSize), len(buf))
 }
 
 // RecordKind classifies a wire record for stream middleware (the chaos
@@ -277,7 +283,9 @@ func PeekRecord(buf []byte) (RecordInfo, error) {
 }
 
 // wireRecord is one record surfaced by the scanner: exactly one of
-// isFrame/isCtrl is set. Every frame carried a verified CRC.
+// isFrame/isCtrl is set. Every frame carried a verified CRC. The frame's
+// samples are the scanner's scratch buffer: borrowed, valid until the
+// next call to next.
 type wireRecord struct {
 	frame   Frame
 	isFrame bool
@@ -301,10 +309,11 @@ type wireRecord struct {
 // byte instead of surfacing an error. Only I/O failures (including a
 // disconnect mid-record, reported as io.ErrUnexpectedEOF) terminate it.
 type frameScanner struct {
-	src    io.Reader
-	buf    []byte // unparsed bytes, a window into back
-	back   []byte // retained backing array buf rewinds to
-	inJunk bool
+	src     io.Reader
+	buf     []byte         // unparsed bytes, a window into back
+	back    []byte         // retained backing array buf rewinds to
+	samples []fixedpoint.Q // scratch every data record's samples decode into
+	inJunk  bool
 
 	resyncs int64 // contiguous runs of skipped bytes
 	skipped int64 // total bytes discarded
@@ -426,11 +435,12 @@ func (s *frameScanner) next() (wireRecord, error) {
 			continue
 		}
 		body := raw[:info.Len-crcSize]
-		f, _, err := decodeBody(body, raw[0])
+		f, _, err := decodeBody(body, raw[0], s.samples)
 		if err != nil {
 			s.skipByte()
 			continue
 		}
+		s.samples = f.Samples
 		s.consume(info.Len)
 		rec := wireRecord{frame: f, isFrame: true}
 		if info.Kind == RecordFrameAuth {

@@ -146,7 +146,8 @@ type ReconnectStats struct {
 }
 
 // sinkEntry is one buffered frame, pre-encoded so retransmits cost no
-// CPU on the hot path.
+// CPU on the hot path. Its payload goes back to the sink's free list
+// once an ack covers the frame or it is evicted.
 type sinkEntry struct {
 	sensor  SensorID
 	seq     uint32
@@ -167,7 +168,8 @@ type ReconnectSink struct {
 	cond *sync.Cond
 
 	queue   []sinkEntry
-	cursor  int // queue index of the next entry to transmit
+	free    [][]byte // released payload buffers; with queue's, never more than cfg.Buffer
+	cursor  int      // queue index of the next entry to transmit
 	acked   map[SensorID]uint32
 	hasAck  map[SensorID]bool
 	nextSeq map[SensorID]uint32
@@ -208,6 +210,14 @@ func NewReconnectSink(cfg ReconnectConfig) (*ReconnectSink, error) {
 	if cfg.Addr == "" {
 		return nil, errors.New("wiot: ReconnectSink needs an address")
 	}
+	r := newReconnectSink(cfg)
+	r.wg.Add(1)
+	go r.run()
+	return r, nil
+}
+
+// newReconnectSink builds a sink whose supervisor has not started.
+func newReconnectSink(cfg ReconnectConfig) *ReconnectSink {
 	r := &ReconnectSink{
 		cfg:     cfg.withDefaults(),
 		acked:   make(map[SensorID]uint32),
@@ -218,9 +228,7 @@ func NewReconnectSink(cfg ReconnectConfig) (*ReconnectSink, error) {
 		abortCh: make(chan struct{}),
 	}
 	r.cond = sync.NewCond(&r.mu)
-	r.wg.Add(1)
-	go r.run()
-	return r, nil
+	return r
 }
 
 // computeBackoff returns the redial delay for the given zero-based
@@ -237,12 +245,11 @@ func computeBackoff(base, max time.Duration, attempt int, rng *rand.Rand) time.D
 	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
 }
 
-// HandleFrame implements FrameSink: the frame is encoded once and
-// buffered for (re)transmission. At capacity the configured DropPolicy
-// applies.
+// HandleFrame implements FrameSink: the frame is encoded once, into a
+// payload buffer an ack released when there is one, and buffered for
+// (re)transmission. At capacity the configured DropPolicy applies.
 func (r *ReconnectSink) HandleFrame(f Frame) error {
-	payload, err := f.EncodeChecksummed()
-	if err != nil {
+	if err := f.check(); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -280,13 +287,9 @@ func (r *ReconnectSink) HandleFrame(f Frame) error {
 				r.cond.Wait()
 			}
 		case DropOldest:
-			evicted := r.queue[0]
-			r.queue[0] = sinkEntry{}
-			r.queue = r.queue[1:]
-			if r.cursor > 0 {
-				r.cursor--
-			}
-			r.declareGapLocked(evicted.sensor)
+			evicted := r.queue[0].sensor
+			r.releaseLocked(1)
+			r.declareGapLocked(evicted)
 			r.framesDropped.Add(1)
 			obsSinkFramesDropped.Add(1)
 			trace.Instant("wiot.sink.drop")
@@ -304,10 +307,28 @@ func (r *ReconnectSink) HandleFrame(f Frame) error {
 			return ErrBufferFull
 		}
 	}
-	r.queue = append(r.queue, sinkEntry{sensor: f.Sensor, seq: f.Seq, payload: payload})
+	var buf []byte
+	if n := len(r.free); n > 0 {
+		buf, r.free = r.free[n-1], r.free[:n-1]
+	}
+	r.queue = append(r.queue, sinkEntry{sensor: f.Sensor, seq: f.Seq, payload: f.appendChecksummed(buf)})
 	r.nextSeq[f.Sensor] = f.Seq + 1
 	r.cond.Broadcast()
 	return nil
+}
+
+// releaseLocked drops the k oldest entries: their payload buffers join
+// the free list, and the rest of the queue moves down in place, so
+// neither the queue nor its payloads are reallocated in steady state.
+// Callers hold mu.
+func (r *ReconnectSink) releaseLocked(k int) {
+	for _, e := range r.queue[:k] {
+		r.free = append(r.free, e.payload[:0])
+	}
+	n := copy(r.queue, r.queue[k:])
+	clear(r.queue[n:])
+	r.queue = r.queue[:n]
+	r.cursor = max(r.cursor-k, 0)
 }
 
 // run is the connection supervisor: dial (with backoff), announce, pump
@@ -643,17 +664,14 @@ func (r *ReconnectSink) onAck(sensor SensorID, seq uint32) {
 		r.hasAck[sensor] = true
 		r.acked[sensor] = seq
 	}
-	for len(r.queue) > 0 {
-		e := r.queue[0]
+	k := 0
+	for ; k < len(r.queue); k++ {
+		e := &r.queue[k]
 		if !r.hasAck[e.sensor] || seqAfter(e.seq, r.acked[e.sensor]) {
 			break
 		}
-		r.queue[0] = sinkEntry{}
-		r.queue = r.queue[1:]
-		if r.cursor > 0 {
-			r.cursor--
-		}
 	}
+	r.releaseLocked(k)
 	if h, ok := r.holes[sensor]; ok {
 		switch {
 		case r.hasAck[sensor] && !seqBefore(r.acked[sensor], h-1):

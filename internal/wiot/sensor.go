@@ -11,6 +11,8 @@ import (
 // FrameSink accepts frames; the base station and the transports implement
 // it. (One-method interface named for what it does with the frame.)
 type FrameSink interface {
+	// HandleFrame consumes f. Its samples are borrowed (see Frame): the
+	// sink copies or encodes what it needs before returning.
 	HandleFrame(f Frame) error
 }
 
@@ -25,6 +27,7 @@ type Sensor struct {
 	seq  uint32
 	data []float64
 	pos  int
+	buf  []fixedpoint.Q // every frame's samples, quantised in place
 }
 
 // NewSensor builds a sensor over the given channel of a record.
@@ -49,16 +52,17 @@ func NewSensor(id SensorID, rec *physio.Record, chunkSize int) (*Sensor, error) 
 }
 
 // Next produces the next frame, or ok=false when the recording is
-// exhausted.
+// exhausted. Every frame's samples are the sensor's one buffer: they
+// are overwritten by the next call.
 func (s *Sensor) Next() (Frame, bool) {
 	if s.pos >= len(s.data) {
 		return Frame{}, false
 	}
-	end := s.pos + s.ChunkSize
-	if end > len(s.data) {
-		end = len(s.data)
+	end := min(s.pos+s.ChunkSize, len(s.data))
+	if cap(s.buf) < s.ChunkSize {
+		s.buf = make([]fixedpoint.Q, s.ChunkSize)
 	}
-	f := FrameFromFloats(s.ID, s.seq, s.data[s.pos:end])
+	f := Frame{Sensor: s.ID, Seq: s.seq, Samples: quantize(s.buf[:end-s.pos], s.data[s.pos:end])}
 	s.pos = end
 	s.seq++
 	return f, true
@@ -72,7 +76,9 @@ func (s *Sensor) Remaining() int { return len(s.data) - s.pos }
 // the transport level (compromised communication channel, vulnerability
 // class (1) in the paper's taxonomy).
 type Interceptor interface {
-	// Intercept returns the frame to deliver in place of f.
+	// Intercept returns the frame to deliver in place of f: f itself, or
+	// a frame whose samples the interceptor owns, valid until its next
+	// call. f's samples are borrowed (see Frame) and never written to.
 	Intercept(f Frame) Frame
 }
 
@@ -94,7 +100,8 @@ type SubstitutionMITM struct {
 
 	pos        int // victim stream position
 	donorPos   int
-	Intercepts int // frames rewritten (telemetry)
+	Intercepts int            // frames rewritten (telemetry)
+	buf        []fixedpoint.Q // the rewritten frame's samples, reused per frame
 }
 
 var (
@@ -117,9 +124,11 @@ func (m *SubstitutionMITM) Intercept(f Frame) Frame {
 	if end <= m.ActiveFrom || start >= activeTo {
 		return f
 	}
-	// Rewrite the overlapping portion of the frame.
+	// Rewrite the overlapping portion of the frame, copy on write: the
+	// borrowed input stays as it was.
+	m.buf = append(m.buf[:0], f.Samples...)
 	out := f
-	out.Samples = append(out.Samples[:0:0], f.Samples...)
+	out.Samples = m.buf
 	for i := range out.Samples {
 		idx := start + i
 		if idx < m.ActiveFrom || idx >= activeTo {

@@ -298,8 +298,8 @@ func (c *frameCounter) HandleFrame(Frame) error {
 }
 
 // TestStreamAllocatesNothingPerFrame: the one stream pump both scenario
-// runners share costs no allocation per frame beyond the frame each
-// sensor builds.
+// runners share costs no allocation per frame: each sensor quantises
+// every frame into its one buffer.
 func TestStreamAllocatesNothingPerFrame(t *testing.T) {
 	rec, err := physio.Generate(physio.DefaultSubject(), 12, physio.DefaultSampleRate, 31)
 	if err != nil {
@@ -316,8 +316,8 @@ func TestStreamAllocatesNothingPerFrame(t *testing.T) {
 	if sink.n != 4*frames {
 		t.Fatalf("sinks saw %d frames over 4 runs, want %d", sink.n, 4*frames)
 	}
-	// One allocation per frame's samples, one per sensor.
-	if allocs > float64(frames+2) {
-		t.Errorf("streaming %d frames allocates %.0f times, want <= %d", frames, allocs, frames+2)
+	// Two per sensor: the sensor and its sample buffer.
+	if allocs > 4 {
+		t.Errorf("streaming %d frames allocates %.0f times, want <= 4", frames, allocs)
 	}
 }

@@ -223,7 +223,8 @@ func (b *BaseStation) Stats() StationStats {
 // by synthesizing k frames' worth of hold-last samples, so the ECG and
 // ABP streams stay mutually aligned; stale or duplicate frames are
 // dropped. A gap needing more than concealWindows windows of
-// concealment drops the frame and returns ErrSeqGap.
+// concealment drops the frame and returns ErrSeqGap. The samples are
+// converted into the sensor's window array; none is kept.
 func (b *BaseStation) HandleFrame(f Frame) error {
 	if !f.Sensor.Valid() {
 		return fmt.Errorf("%w: %d", ErrBadSensor, f.Sensor)
@@ -309,9 +310,11 @@ func (b *BaseStation) accept(f Frame, resync bool) error {
 	}
 	ch := &b.ch[f.Sensor-1]
 	for samples := f.Samples; len(samples) > 0; {
-		k := min(len(samples), b.wlen-len(ch.part))
-		for _, q := range samples[:k] {
-			ch.part = append(ch.part, q.Float())
+		n := len(ch.part)
+		k := min(len(samples), b.wlen-n)
+		ch.part = ch.part[:n+k]
+		for i, q := range samples[:k] {
+			ch.part[n+i] = q.Float()
 		}
 		samples = samples[k:]
 		b.cutIfFull(f.Sensor)
