@@ -7,7 +7,7 @@ GO ?= go
 # Coverage floor (percent) enforced on the packages PR 1 race-proofed.
 COVER_FLOOR ?= 85.0
 
-.PHONY: check fmt-check vet build test race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-features fuzz-auth fuzz-station fleet-demo lint lint-custom campaigns vuln cover bench bench-check
+.PHONY: check fmt-check vet build test race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-features fuzz-auth fuzz-station fleet-demo lint lint-custom campaigns vuln cover bench bench-check perf-smoke
 
 check: vet build race
 
@@ -173,6 +173,16 @@ cover:
 		echo "internal/$$pkg coverage: $$pct% (floor $(COVER_FLOOR)%)"; \
 		awk -v got=$$pct -v floor=$(COVER_FLOOR) 'BEGIN { exit (got + 0 < floor + 0) }' || \
 			{ echo "internal/$$pkg below coverage floor"; exit 1; }; \
+	done
+
+# The repository benchmark's own checks: wiotperf's tests (its reference
+# verdict digests and the wire-vs-in-process check), then a 2 s run of
+# each workload. A run whose verdicts do not match its references prints
+# correct:false and exits non-zero, which fails the target.
+perf-smoke:
+	cd wiotperf && $(GO) test ./...
+	for w in cohort-host cohort-device wire-auth; do \
+		bash wiotperf/run.sh --workload $$w --seconds 2 --trace 0 || exit 1; \
 	done
 
 # Continuous-benchmark harness: quick suite into BENCH_dev.json, then

@@ -1,10 +1,13 @@
 package attack
 
 import (
+	"math"
 	"testing"
 
 	"github.com/wiot-security/sift/internal/dataset"
+	"github.com/wiot-security/sift/internal/features"
 	"github.com/wiot-security/sift/internal/physio"
+	"github.com/wiot-security/sift/internal/wiot"
 )
 
 func windowsFor(t *testing.T, id string, dur float64, seed int64) []dataset.Window {
@@ -240,5 +243,81 @@ func TestGallery(t *testing.T) {
 			t.Errorf("duplicate attack name %q", a.Name())
 		}
 		seen[a.Name()] = true
+	}
+}
+
+// windowCapture is a station detector that keeps every window it gets.
+type windowCapture struct{ windows []dataset.Window }
+
+func (c *windowCapture) Classify(w dataset.Window) (bool, error) {
+	c.windows = append(c.windows, w)
+	return false, nil
+}
+
+// TestAttacksOnStationWindowsDropStaleRanges: a window the base station
+// cut carries its ECG and ABP ranges. Every attack replaces the ECG
+// array, so the ECG range it keeps no longer matches; features of the
+// attacked window must equal, bit for bit, those of the same window
+// carrying no range at all.
+func TestAttacksOnStationWindowsDropStaleRanges(t *testing.T) {
+	rec, err := physio.Generate(physio.DefaultSubject(), 12, physio.DefaultSampleRate, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := &windowCapture{}
+	st, err := wiot.NewBaseStation(wiot.StationConfig{
+		SubjectID:            "V",
+		SampleRate:           rec.SampleRate,
+		Detector:             capture,
+		Sink:                 &wiot.MemorySink{},
+		DetectPeaksAtRuntime: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo, seq := 0, uint32(0); lo < len(rec.ECG); lo, seq = lo+90, seq+1 {
+		hi := min(lo+90, len(rec.ECG))
+		for _, f := range []wiot.Frame{
+			wiot.FrameFromFloats(wiot.SensorECG, seq, rec.ECG[lo:hi]),
+			wiot.FrameFromFloats(wiot.SensorABP, seq, rec.ABP[lo:hi]),
+		} {
+			if err := st.HandleFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(capture.windows) != 4 {
+		t.Fatalf("station cut %d windows, want 4", len(capture.windows))
+	}
+	history := windowsFor(t, "V", 12, 1)
+	donors := windowsFor(t, "D", 12, 2)
+	for _, a := range Gallery(history, donors, rec.SampleRate, 7) {
+		for _, w := range capture.windows {
+			if _, _, ok := w.ECGRange.Of(w.ECG); !ok {
+				t.Fatalf("station window %d carries no ECG range", w.Index)
+			}
+			out, err := a.Apply(w)
+			if err != nil {
+				t.Fatalf("%s on window %d: %v", a.Name(), w.Index, err)
+			}
+			bare := out
+			bare.ECGRange, bare.ABPRange = dataset.Range{}, dataset.Range{}
+			for _, v := range features.Versions {
+				got, err := features.FromWindow(nil, v, &out, 50)
+				if err != nil {
+					t.Fatalf("%s %s window %d: %v", a.Name(), v, w.Index, err)
+				}
+				want, err := features.FromWindow(nil, v, &bare, 50)
+				if err != nil {
+					t.Fatalf("%s %s window %d without ranges: %v", a.Name(), v, w.Index, err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Errorf("%s %s window %d: feature %d = %v with the carried ranges, %v without",
+							a.Name(), v, w.Index, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -44,6 +44,41 @@ type Window struct {
 
 	Altered bool
 	Attack  string // attack name when Altered
+
+	// ECGRange and ABPRange carry each signal's minimum and maximum when
+	// whoever built the window already knows them (the base station
+	// tracks them as samples arrive). A range binds to the array it was
+	// taken over, so one whose signal was replaced is ignored.
+	ECGRange Range
+	ABPRange Range
+}
+
+// Range is the minimum and maximum of one signal array, bound to that
+// array by the address of its first element and its length. The zero
+// Range matches no array.
+type Range struct {
+	lo, hi float64
+	first  *float64
+	n      int
+}
+
+// RangeOf binds lo and hi to x as its minimum and maximum; the caller
+// vouches that they are what dsp.MinMax(x) returns. An empty x binds
+// nothing.
+func RangeOf(x []float64, lo, hi float64) Range {
+	if len(x) == 0 {
+		return Range{}
+	}
+	return Range{lo: lo, hi: hi, first: &x[0], n: len(x)}
+}
+
+// Of returns the range's minimum and maximum when it was bound to x —
+// the same first element and length — and ok false otherwise.
+func (r Range) Of(x []float64) (lo, hi float64, ok bool) {
+	if r.n == 0 || len(x) != r.n || &x[0] != r.first {
+		return 0, 0, false
+	}
+	return r.lo, r.hi, true
 }
 
 // Len returns the window's length in samples (its ECG's; a well-formed

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/wiot-security/sift/internal/dataset"
+	"github.com/wiot-security/sift/internal/dsp"
 	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/peaks"
 	"github.com/wiot-security/sift/internal/physio"
@@ -141,12 +142,15 @@ func refMeanSquaredPairDist(pairs [][2]portrait.Point) float64 {
 
 // checkCore asserts that FromWindow, and Extract on the window's
 // portrait, reproduce referenceExtract bit for bit for every version.
+// FromWindow runs on w as given, on w carrying valid ranges, and on w
+// carrying stale ones (withRanges).
 func checkCore(t *testing.T, name string, w *dataset.Window, gridN int) {
 	t.Helper()
 	p, err := portrait.New(w.ECG, w.ABP, w.RPeaks, w.SysPeaks, w.Pairs)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	ranged, stale := withRanges(w)
 	for _, v := range Versions {
 		want, err := referenceExtract(v, w, gridN)
 		if err != nil {
@@ -156,6 +160,14 @@ func checkCore(t *testing.T, name string, w *dataset.Window, gridN int) {
 		if err != nil {
 			t.Fatalf("%s %s: FromWindow: %v", name, v, err)
 		}
+		gotRanged, err := FromWindow(nil, v, ranged, gridN)
+		if err != nil {
+			t.Fatalf("%s %s: FromWindow with ranges: %v", name, v, err)
+		}
+		gotStale, err := FromWindow(nil, v, stale, gridN)
+		if err != nil {
+			t.Fatalf("%s %s: FromWindow with stale ranges: %v", name, v, err)
+		}
 		viaPortrait, err := Extract(v, p, gridN)
 		if err != nil {
 			t.Fatalf("%s %s: Extract: %v", name, v, err)
@@ -163,7 +175,7 @@ func checkCore(t *testing.T, name string, w *dataset.Window, gridN int) {
 		for _, pair := range []struct {
 			path string
 			f    []float64
-		}{{"FromWindow", got}, {"Extract", viaPortrait}} {
+		}{{"FromWindow", got}, {"FromWindow with ranges", gotRanged}, {"FromWindow with stale ranges", gotStale}, {"Extract", viaPortrait}} {
 			if len(pair.f) != len(want) {
 				t.Fatalf("%s %s gridN=%d: %s has %d features, reference %d", name, v, gridN, pair.path, len(pair.f), len(want))
 			}
@@ -175,6 +187,32 @@ func checkCore(t *testing.T, name string, w *dataset.Window, gridN int) {
 			}
 		}
 	}
+}
+
+// withRanges returns copies of w: ranged carries each signal's
+// dsp.MinMax range bound to its array; stale carries ranges that no
+// longer match. Its ECG range was taken over an array whose values
+// differ, before a copy of w's ECG was swapped in. Its ABP range covers
+// all but the last sample: the same first element, another length.
+func withRanges(w *dataset.Window) (ranged, stale *dataset.Window) {
+	r, s := *w, *w
+	lo, hi, _ := dsp.MinMax(w.ECG)
+	r.ECGRange = dataset.RangeOf(w.ECG, lo, hi)
+	lo, hi, _ = dsp.MinMax(w.ABP)
+	r.ABPRange = dataset.RangeOf(w.ABP, lo, hi)
+
+	prev := make([]float64, len(w.ECG))
+	for i, v := range w.ECG {
+		prev[i] = 3*v - 1
+	}
+	lo, hi, _ = dsp.MinMax(prev)
+	s.ECGRange = dataset.RangeOf(prev, lo, hi)
+	s.ECG = append([]float64(nil), w.ECG...)
+	if n := len(w.ABP) - 1; n > 0 {
+		lo, hi, _ = dsp.MinMax(w.ABP[:n])
+		s.ABPRange = dataset.RangeOf(w.ABP[:n], lo-1, hi+1)
+	}
+	return &r, &s
 }
 
 // randomPeaks draws k ascending in-range indices, the ends included
@@ -288,7 +326,8 @@ func TestFromWindowRejectsWhatPortraitRejects(t *testing.T) {
 }
 
 // TestMatrixLeavesGridClean pins the pool invariant: after binning, every
-// cell and column tally is zero again, whatever grid size came before.
+// cell, occupancy bit and column tally is zero again, whatever grid size
+// came before.
 func TestMatrixLeavesGridClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := new(gridScratch)
@@ -309,13 +348,19 @@ func TestMatrixLeavesGridClean(t *testing.T) {
 				t.Fatalf("n=%d: column tally %d = %d after matrix", n, j, c)
 			}
 		}
+		for k, b := range g.occ[:cap(g.occ)] {
+			if b != 0 {
+				t.Fatalf("n=%d: occupancy word %d = %#x after matrix", n, k, b)
+			}
+		}
 	}
 }
 
 // FuzzFeatureCoreVsPortrait drives the one-pass core with arbitrary
 // Q16.16 sample pairs — what a station decodes from an untrusted sensor
 // — and arbitrary in-range peaks, and holds it bit-exact to the
-// portrait path for every version.
+// portrait path for every version, with the window's ranges carried,
+// stale or absent.
 func FuzzFeatureCoreVsPortrait(f *testing.F) {
 	seed := func(raws ...int32) []byte {
 		b := make([]byte, 0, 4*len(raws))

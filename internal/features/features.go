@@ -23,6 +23,7 @@ package features
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"github.com/wiot-security/sift/internal/dataset"
@@ -130,8 +131,10 @@ func Extract(v Version, p *portrait.Portrait, gridN int) ([]float64, error) {
 // dst and returns it. It is portrait.New followed by Extract in one pass
 // per signal: each sample is normalized with dsp.Normalize's expression
 // and binned on the spot, so no normalized copy or fresh grid exists and,
-// when dst has room, nothing is allocated. The result is bit-identical
-// to the two-step path. FromWindow is safe for concurrent use.
+// when dst has room, nothing is allocated. A signal whose range the
+// window carries (ECGRange, ABPRange) is not rescanned for its min and
+// max. The result is bit-identical to the two-step path. FromWindow is
+// safe for concurrent use.
 func FromWindow(dst []float64, v Version, w *dataset.Window, gridN int) ([]float64, error) {
 	span := obsExtract.Start()
 	defer span.End()
@@ -139,7 +142,7 @@ func FromWindow(dst []float64, v Version, w *dataset.Window, gridN int) ([]float
 	if err := portrait.Validate(w.ECG, w.ABP, w.RPeaks, w.SysPeaks, w.Pairs); err != nil {
 		return nil, err
 	}
-	t := trajectory{abp: w.ABP, ecg: w.ECG, x: unitOf(w.ABP), y: unitOf(w.ECG)}
+	t := trajectory{abp: w.ABP, ecg: w.ECG, x: unitOf(w.ABP, w.ABPRange), y: unitOf(w.ECG, w.ECGRange)}
 	return t.extract(dst, v, gridN, w.RPeaks, w.SysPeaks, w.Pairs)
 }
 
@@ -150,8 +153,13 @@ type unit struct{ lo, span float64 }
 // identity leaves a value's bits unchanged: v−0 is v and v/1 is v.
 var identity = unit{lo: 0, span: 1}
 
-func unitOf(x []float64) unit {
-	lo, hi, _ := dsp.MinMax(x)
+// unitOf normalizes x by the range r carries for it, or by a dsp.MinMax
+// pass when r was bound to another array or to none.
+func unitOf(x []float64, r dataset.Range) unit {
+	lo, hi, ok := r.Of(x)
+	if !ok {
+		lo, hi, _ = dsp.MinMax(x)
+	}
 	return unit{lo: lo, span: hi - lo}
 }
 
@@ -214,12 +222,14 @@ func (t *trajectory) extract(dst []float64, v Version, gridN int, rPeaks, sysPea
 	), nil
 }
 
-// gridScratch is one extraction's n×n occupancy grid (row-major) and
-// per-column tallies, as int32 to halve what each pooled grid holds.
-// Every cell and tally up to capacity is zero while it sits in gridPool;
-// matrix clears what it touched.
+// gridScratch is one extraction's n×n occupancy grid (row-major), a
+// bitmap of its occupied cells, and per-column tallies, as int32 to
+// halve what each pooled grid holds. Every cell, bit and tally up to
+// capacity is zero while it sits in gridPool; matrix clears what it
+// touched.
 type gridScratch struct {
 	cells []int32
+	occ   []uint64 // bit k set: cells[k] != 0
 	cols  []int32
 	avg   []float64
 }
@@ -234,31 +244,41 @@ var gridPool = sync.Pool{New: func() any { return new(gridScratch) }}
 // ColumnAverages:
 //   - a column's tally counts its points as binning goes, an integer sum
 //     that is exact in any order;
-//   - SFI sums p·p row-major over occupied cells only, since an empty
-//     cell adds +0 and the sum is never −0.
+//   - SFI sums p·p over occupied cells only, since an empty cell adds +0
+//     and the sum is never −0. It visits them by walking the occupancy
+//     bitmap's set bits in ascending order, which is row-major, and
+//     clears each cell as it reads it.
 func (t *trajectory) matrix(g *gridScratch, n int) (float64, []float64) {
+	words := (n*n + 63) / 64
 	if cap(g.cells) < n*n {
 		g.cells = make([]int32, n*n)
+	}
+	if cap(g.occ) < words {
+		g.occ = make([]uint64, words)
 	}
 	if cap(g.cols) < n {
 		g.cols, g.avg = make([]int32, n), make([]float64, n)
 	}
-	cells, cols, avg := g.cells[:n*n], g.cols[:n], g.avg[:n]
+	cells, occ, cols, avg := g.cells[:n*n], g.occ[:words], g.cols[:n], g.avg[:n]
 	ecg := t.ecg[:len(t.abp)]
 	for k, a := range t.abp {
 		col := portrait.BinIndex(t.x.at(a), n)
 		row := portrait.BinIndex(t.y.at(ecg[k]), n)
-		cells[row*n+col]++
+		c := row*n + col
+		cells[c]++
+		occ[c>>6] |= 1 << (c & 63)
 		cols[col]++
 	}
 	var s float64
 	tot := float64(len(t.abp))
-	for k, c := range cells {
-		if c != 0 {
-			p := float64(c) / tot
+	for w, set := range occ {
+		for ; set != 0; set &= set - 1 {
+			k := w<<6 + bits.TrailingZeros64(set)
+			p := float64(cells[k]) / tot
 			s += p * p
 			cells[k] = 0
 		}
+		occ[w] = 0
 	}
 	for j, c := range cols {
 		avg[j] = float64(c) / float64(n)

@@ -38,19 +38,22 @@ const Eps Q = 1
 // the representable range.
 func FromFloat(f float64) Q {
 	scaled := f * float64(One)
+	if scaled > float64(math.MinInt32) && scaled < float64(math.MaxInt32) {
+		// |scaled| < 2^31: adding roundMagic lands it in the binade whose
+		// spacing is exactly 1, so the add itself rounds half to even and
+		// the integer is the mantissa difference — math.RoundToEven's
+		// result at a fraction of its cost. The conversion keeps the add
+		// unfused.
+		return Q(int64(math.Float64bits(float64(scaled)+roundMagic) - math.Float64bits(roundMagic)))
+	}
+	// NaN fails both comparisons above.
 	switch {
 	case math.IsNaN(scaled):
 		return 0
-	case scaled >= float64(math.MaxInt32):
+	case scaled > 0:
 		return Max
-	case scaled <= float64(math.MinInt32):
-		return Min
 	}
-	// |scaled| < 2^31: adding roundMagic lands it in the binade whose
-	// spacing is exactly 1, so the add itself rounds half to even and the
-	// integer is the mantissa difference — math.RoundToEven's result at
-	// a fraction of its cost. The conversion keeps the add unfused.
-	return Q(int64(math.Float64bits(float64(scaled)+roundMagic) - math.Float64bits(roundMagic)))
+	return Min
 }
 
 const roundMagic = 1.5 * (1 << 52)

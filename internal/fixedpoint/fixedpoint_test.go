@@ -20,18 +20,7 @@ func TestFromFloatRoundTrip(t *testing.T) {
 // implements, saturate then math.RoundToEven, on ties, the saturation
 // edges, tiny and signed-zero inputs, and arbitrary bit patterns.
 func TestFromFloatRoundsHalfToEven(t *testing.T) {
-	ref := func(f float64) Q {
-		scaled := f * float64(One)
-		switch {
-		case math.IsNaN(scaled):
-			return 0
-		case scaled >= float64(math.MaxInt32):
-			return Max
-		case scaled <= float64(math.MinInt32):
-			return Min
-		}
-		return Q(math.RoundToEven(scaled))
-	}
+	ref := refFromFloat
 	var cases []float64
 	for _, k := range []float64{0, 1, 2, 3, 1 << 20, 1<<31 - 2, 1<<31 - 1, 1 << 31} {
 		for _, d := range []float64{-0.75, -0.5, -0.25, 0, 0.25, 0.5, 0.75} {
@@ -48,6 +37,75 @@ func TestFromFloatRoundsHalfToEven(t *testing.T) {
 	for _, f := range cases {
 		if got, want := FromFloat(f), ref(f); got != want {
 			t.Fatalf("FromFloat(%v) = %d, want %d", f, got, want)
+		}
+	}
+}
+
+// refFromFloat is FromFloat's definition: NaN to 0, saturate, then
+// math.RoundToEven.
+func refFromFloat(f float64) Q {
+	scaled := f * float64(One)
+	switch {
+	case math.IsNaN(scaled):
+		return 0
+	case scaled >= float64(math.MaxInt32):
+		return Max
+	case scaled <= float64(math.MinInt32):
+		return Min
+	}
+	return Q(math.RoundToEven(scaled))
+}
+
+// TestFromFloatEdgeTable holds FromFloat's in-range fast path and its
+// NaN and saturation fallback to refFromFloat on the inputs at their
+// border, by name.
+func TestFromFloatEdgeTable(t *testing.T) {
+	const lsb = 1.0 / (1 << Shift)
+	top := float64(math.MaxInt32) / (1 << Shift) // (2^31−1)/2^16, Max's value
+	cases := []struct {
+		name string
+		in   float64
+	}{
+		{"+0", 0},
+		{"-0", math.Copysign(0, -1)},
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+		{"-Inf", math.Inf(-1)},
+		{"smallest subnormal", math.SmallestNonzeroFloat64},
+		{"-smallest subnormal", -math.SmallestNonzeroFloat64},
+		{"largest subnormal", math.Float64frombits(1<<52 - 1)},
+		{"-largest subnormal", -math.Float64frombits(1<<52 - 1)},
+		{"2^15", 1 << 15},
+		{"-2^15", -(1 << 15)},
+		{"2^15 - lsb", 1<<15 - lsb},
+		{"-2^15 + lsb", -(1 << 15) + lsb},
+		{"2^15 + lsb", 1<<15 + lsb},
+		{"-2^15 - lsb", -(1 << 15) - lsb},
+		{"next below 2^15", math.Nextafter(1<<15, 0)},
+		{"next above -2^15", math.Nextafter(-(1 << 15), 0)},
+		{"next above 2^15", math.Nextafter(1<<15, math.Inf(1))},
+		{"next below -2^15", math.Nextafter(-(1 << 15), math.Inf(-1))},
+		{"(2^31-1)/2^16", top},
+		{"-(2^31-1)/2^16", -top},
+		{"(2^31-1)/2^16 - half lsb", top - lsb/2},
+		{"-(2^31-1)/2^16 - half lsb", -top - lsb/2},
+		{"next below (2^31-1)/2^16", math.Nextafter(top, 0)},
+		{"next above (2^31-1)/2^16", math.Nextafter(top, math.Inf(1))},
+		{"tie 0.5 lsb", lsb / 2},
+		{"tie -0.5 lsb", -lsb / 2},
+		{"tie 1.5 lsb", 1.5 * lsb},
+		{"tie -1.5 lsb", -1.5 * lsb},
+		{"tie 2.5 lsb", 2.5 * lsb},
+		{"tie -2.5 lsb", -2.5 * lsb},
+		{"tie 1 + 0.5 lsb", 1 + lsb/2},
+		{"tie -1 - 0.5 lsb", -1 - lsb/2},
+		{"next above tie 0.5 lsb", math.Nextafter(lsb/2, 1)},
+		{"next below tie 0.5 lsb", math.Nextafter(lsb/2, 0)},
+	}
+	for _, tc := range cases {
+		got, want := FromFloat(tc.in), refFromFloat(tc.in)
+		if got != want {
+			t.Errorf("%s: FromFloat(%v) = %d, want %d", tc.name, tc.in, got, want)
 		}
 	}
 }

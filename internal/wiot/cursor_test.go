@@ -52,13 +52,17 @@ func appendFrame(t *testing.T, buf []byte, sensor SensorID, seq uint32, v float6
 	return append(buf, rec...)
 }
 
-// windowLog is a Detector that keeps every window it classifies.
+// windowLog is a Detector that keeps every window it classifies. Like
+// flagEveryOther it refuses a window whose carried ranges are wrong.
 type windowLog struct {
 	mu      sync.Mutex
 	windows []dataset.Window
 }
 
 func (d *windowLog) Classify(w dataset.Window) (bool, error) {
+	if err := checkRanges(w); err != nil {
+		return false, err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.windows = append(d.windows, w)

@@ -110,7 +110,9 @@ func stationGoroutines() int {
 // FuzzStationIngress feeds fuzzed bytes through one connection of a
 // TCPStation — scanner, auth, control and go-back-N admission into the
 // base station, as a sensor's socket would. Nothing may panic, no frame
-// may fail (a reliable link resyncs rather than refusing a jump), the
+// may fail (a reliable link resyncs rather than refusing a jump; the
+// detector, flagEveryOther, fails a frame whose window carries a range
+// that is not dsp.MinMax of its samples), the
 // cursors move only forward in serial order, each sensor's partial and
 // queued windows together stay within one window plus a frame's
 // concealment and samples per admitted frame, the station writes back
@@ -139,6 +141,28 @@ func FuzzStationIngress(f *testing.F) {
 	long = append(long, EncodeGapRecord(SensorECG, 300)...)
 	long = append(long, EncodeGapRecord(SensorABP, 300)...)
 	f.Add(false, frames(long, 300, 314))
+	// Varied samples and a short declared ECG gap: window ranges come
+	// from frame samples and from the hold that conceals the gap.
+	varied := append([]byte(nil), hello...)
+	for seq := uint32(0); seq < 18; seq++ {
+		for _, id := range []SensorID{SensorECG, SensorABP} {
+			if id == SensorECG && seq == 7 {
+				varied = append(varied, EncodeGapRecord(SensorECG, 8)...)
+				continue
+			}
+			samples := make([]float64, 70)
+			for i := range samples {
+				samples[i] = float64((int(seq)*31+i*7)%23) - 11
+			}
+			fr := FrameFromFloats(id, seq, samples)
+			rec, err := fr.EncodeChecksummed()
+			if err != nil {
+				f.Fatal(err)
+			}
+			varied = append(varied, rec...)
+		}
+	}
+	f.Add(false, varied)
 	// Both cursors walked to the wrap, a duplicate, and junk.
 	wrap := appendGapWalk(appendGapWalk(append([]byte(nil), hello...), SensorECG, 0, 0xFFFFFFF8), SensorABP, 0, 0xFFFFFFF8)
 	wrap = frames(wrap, 0xFFFFFFF8, 4)

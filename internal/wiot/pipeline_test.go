@@ -1,10 +1,12 @@
 package wiot
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
 	"github.com/wiot-security/sift/internal/dataset"
+	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/peaks"
 	"github.com/wiot-security/sift/internal/physio"
 )
@@ -230,4 +232,81 @@ func TestStationResyncCountsQueuedWindows(t *testing.T) {
 		}
 	}
 	checkAlignment(t, log.all(), delivered)
+}
+
+// TestStationWindowRangesMatchSamples: every window the station
+// classifies carries ECG and ABP ranges bound to its arrays and equal,
+// bit for bit, to dsp.MinMax of them (windowLog refuses any other). It
+// drives the ways a window's samples arrive: frames that straddle
+// window edges, hold-last concealment whose value lies outside the
+// frames' own samples, duplicates, and a resync that fills a sensor
+// with its hold before that sensor sent its first sample.
+func TestStationWindowRangesMatchSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	frame := func(id SensorID, seq uint32, n int, lo, hi float64) Frame {
+		samples := make([]float64, n)
+		for i := range samples {
+			samples[i] = lo + rng.Float64()*(hi-lo)
+		}
+		return FrameFromFloats(id, seq, samples)
+	}
+
+	t.Run("lossy", func(t *testing.T) {
+		st, log, _ := pipelineStation(t, false)
+		for seq := uint32(0); seq < 200; seq++ {
+			for _, id := range []SensorID{SensorECG, SensorABP} {
+				if rng.Intn(6) == 0 {
+					continue // lost: concealed when the next frame arrives
+				}
+				f := frame(id, seq, 70, -5, 5)
+				if rng.Intn(4) == 0 {
+					// The last sample, the hold a gap conceals with,
+					// lies outside every other sample's range.
+					f.Samples[len(f.Samples)-1] = fixedpoint.FromFloat(float64(rng.Intn(3)-1) * 20)
+				}
+				for range 1 + rng.Intn(2) { // sometimes duplicated
+					if err := st.HandleFrame(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if got := st.Stats(); got.Windows < 10 || got.Concealed == 0 || got.Stale == 0 {
+			t.Fatalf("stats %+v: want windows, concealment and duplicates", got)
+		}
+		for _, w := range log.all() {
+			if err := checkRanges(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+
+	t.Run("resync before the partner's first sample", func(t *testing.T) {
+		st, log, _ := pipelineStation(t, false)
+		for seq := uint32(0); seq < 5; seq++ {
+			if a, _, err := st.admit(frame(SensorECG, seq, 90, -9, -1)); a != admitted || err != nil {
+				t.Fatalf("ECG frame %d: admission %d, err %v", seq, a, err)
+			}
+		}
+		// ABP has sent nothing, so its hold is 0. The resync at 305
+		// fills 450 samples of window 25 with it in both streams.
+		st.declareGap(SensorECG, 305)
+		for seq := uint32(305); seq < 336; seq++ {
+			for _, id := range []SensorID{SensorECG, SensorABP} {
+				if a, _, err := st.admit(frame(id, seq, 90, 60, 120)); a != admitted || err != nil {
+					t.Fatalf("%v frame %d: admission %d, err %v", id, seq, a, err)
+				}
+			}
+		}
+		windows := log.all()
+		if got := st.Stats(); got.Resyncs != 1 || len(windows) != 3 || windows[0].Index != 25 {
+			t.Fatalf("stats %+v, %d windows: want one resync, then windows 25 to 27", got, len(windows))
+		}
+		if lo, _, _ := windows[0].ABPRange.Of(windows[0].ABP); lo != 0 {
+			t.Errorf("window 25's ABP minimum = %v, want the pre-first-sample hold 0", lo)
+		}
+		if lo, _, _ := windows[0].ECGRange.Of(windows[0].ECG); lo >= -1 {
+			t.Errorf("window 25's ECG minimum = %v, want the hold (< -1), below every new sample", lo)
+		}
+	})
 }

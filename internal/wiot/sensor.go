@@ -98,8 +98,8 @@ type SubstitutionMITM struct {
 	ActiveFrom int
 	ActiveTo   int
 
-	pos        int // victim stream position
-	donorPos   int
+	pos        int            // victim stream position
+	donorPos   int            // next donor sample, wrapping at len(Donor)
 	Intercepts int            // frames rewritten (telemetry)
 	buf        []fixedpoint.Q // the rewritten frame's samples, reused per frame
 }
@@ -129,14 +129,18 @@ func (m *SubstitutionMITM) Intercept(f Frame) Frame {
 	m.buf = append(m.buf[:0], f.Samples...)
 	out := f
 	out.Samples = m.buf
+	if m.donorPos >= len(m.Donor) {
+		m.donorPos = 0 // a shorter Donor was swapped in between frames
+	}
 	for i := range out.Samples {
 		idx := start + i
 		if idx < m.ActiveFrom || idx >= activeTo {
 			continue
 		}
-		donor := m.Donor[m.donorPos%len(m.Donor)]
-		m.donorPos++
-		out.Samples[i] = fixedpoint.FromFloat(donor)
+		out.Samples[i] = fixedpoint.FromFloat(m.Donor[m.donorPos])
+		if m.donorPos++; m.donorPos == len(m.Donor) {
+			m.donorPos = 0
+		}
 	}
 	m.Intercepts++
 	return out

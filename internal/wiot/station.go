@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/wiot-security/sift/internal/dataset"
+	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/obs"
 	"github.com/wiot-security/sift/internal/peaks"
 )
@@ -109,20 +110,33 @@ type BaseStation struct {
 }
 
 // channel is one sensor's stage of window assembly: the window its
-// samples are filling, and its complete windows, oldest first, that wait
-// for the other sensor's window of the same index.
+// samples are filling, with their running minimum and maximum, and its
+// complete windows, oldest first, that wait for the other sensor's
+// window of the same index.
 type channel struct {
-	part  []float64   // the filling window, capacity wlen; handed to Classify as is once full
-	queue []cutWindow // queue[head:] waits
-	head  int
+	part   []float64    // the filling window: nil until its first sample, then capacity wlen; handed to Classify as is once full
+	lo, hi fixedpoint.Q // min and max of part's samples; meaningless while part is empty
+	queue  []cutWindow  // queue[head:] waits
+	head   int
 }
 
-// cutWindow is one sensor's complete window with the peaks its detector
-// found in it, or the error the detector returned.
+// cutWindow is one sensor's complete window, its minimum and maximum,
+// and the peaks its detector found in it, or the error the detector
+// returned.
 type cutWindow struct {
 	samples []float64
+	lo, hi  float64
 	peaks   []int
 	err     error
+}
+
+// widen folds lo and hi, the range of samples just written at part[n:],
+// into the window's range; n = 0 starts the range afresh.
+func (c *channel) widen(n int, lo, hi fixedpoint.Q) {
+	if n > 0 {
+		lo, hi = min(lo, c.lo), max(hi, c.hi)
+	}
+	c.lo, c.hi = lo, hi
 }
 
 // waiting returns how many complete windows the channel holds.
@@ -157,10 +171,10 @@ func (c *channel) reset() {
 // seqCursor is one sensor's place in its frame sequence, shared by
 // HandleFrame (lossy link) and admit (reliable link).
 type seqCursor struct {
-	next   uint32  // the sequence the sensor's stream continues at
-	owed   int     // frames below next a declared gap skipped; concealed when next arrives
-	synced bool    // a frame has arrived (or a resync placed the cursor)
-	hold   float64 // last sample, the concealment fill
+	next   uint32       // the sequence the sensor's stream continues at
+	owed   int          // frames below next a declared gap skipped; concealed when next arrives
+	synced bool         // a frame has arrived (or a resync placed the cursor)
+	hold   fixedpoint.Q // last sample, the concealment fill
 }
 
 // NewBaseStation validates the configuration and builds a station.
@@ -192,11 +206,7 @@ func NewBaseStation(cfg StationConfig) (*BaseStation, error) {
 		}
 		rdet = d
 	}
-	b := &BaseStation{cfg: cfg, wlen: wlen, rdet: rdet}
-	for i := range b.ch {
-		b.ch[i].part = make([]float64, 0, wlen)
-	}
-	return b, nil
+	return &BaseStation{cfg: cfg, wlen: wlen, rdet: rdet}, nil
 }
 
 // StationStats is a consistent snapshot of a station's counters, taken
@@ -306,16 +316,20 @@ func (b *BaseStation) accept(f Frame, resync bool) error {
 	}
 	c.next, c.owed, c.synced = f.Seq+1, 0, true
 	if n > 0 {
-		c.hold = f.Samples[n-1].Float()
+		c.hold = f.Samples[n-1]
 	}
 	ch := &b.ch[f.Sensor-1]
 	for samples := f.Samples; len(samples) > 0; {
+		b.open(ch)
 		n := len(ch.part)
 		k := min(len(samples), b.wlen-n)
 		ch.part = ch.part[:n+k]
+		lo, hi := samples[0], samples[0]
 		for i, q := range samples[:k] {
 			ch.part[n+i] = q.Float()
+			lo, hi = min(lo, q), max(hi, q)
 		}
+		ch.widen(n, lo, hi)
 		samples = samples[k:]
 		b.cutIfFull(f.Sensor)
 	}
@@ -354,12 +368,24 @@ func (b *BaseStation) conceal(sensor SensorID, n int) {
 	ch, hold := &b.ch[sensor-1], b.cur[sensor-1].hold
 	b.stats.Concealed += n
 	for n > 0 {
+		b.open(ch)
 		k := min(n, b.wlen-len(ch.part))
+		ch.widen(len(ch.part), hold, hold)
+		v := hold.Float()
 		for range k {
-			ch.part = append(ch.part, hold)
+			ch.part = append(ch.part, v)
 		}
 		n -= k
 		b.cutIfFull(sensor)
+	}
+}
+
+// open gives the channel an array for its filling window when it has
+// none: a window's array is made when its first sample arrives. Caller
+// holds mu.
+func (b *BaseStation) open(ch *channel) {
+	if ch.part == nil {
+		ch.part = make([]float64, 0, b.wlen)
 	}
 }
 
@@ -372,8 +398,8 @@ func (b *BaseStation) cutIfFull(sensor SensorID) {
 	if len(ch.part) < b.wlen {
 		return
 	}
-	w := cutWindow{samples: ch.part}
-	ch.part = make([]float64, 0, b.wlen)
+	w := cutWindow{samples: ch.part, lo: ch.lo.Float(), hi: ch.hi.Float()}
+	ch.part = nil
 	if b.cfg.DetectPeaksAtRuntime {
 		if sensor == SensorECG {
 			if w.peaks, w.err = b.rdet.Detect(w.samples); w.err != nil {
@@ -404,6 +430,8 @@ func (b *BaseStation) drainWindows() error {
 			ECG:       ew.samples,
 			ABP:       aw.samples,
 		}
+		w.ECGRange = dataset.RangeOf(w.ECG, ew.lo, ew.hi)
+		w.ABPRange = dataset.RangeOf(w.ABP, aw.lo, aw.hi)
 		if b.cfg.DetectPeaksAtRuntime {
 			w.RPeaks, w.SysPeaks = ew.peaks, aw.peaks
 			w.Pairs = peaks.Pair(w.RPeaks, w.SysPeaks, int(dataset.MaxPairLagSec*b.cfg.SampleRate))

@@ -3,11 +3,13 @@ package wiot
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"github.com/wiot-security/sift/internal/dataset"
+	"github.com/wiot-security/sift/internal/dsp"
 	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/physio"
 )
@@ -168,12 +170,40 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// flagEveryOther is a deterministic detector stub.
+// flagEveryOther is a deterministic detector stub. It refuses a window
+// whose carried ranges do not match its samples (checkRanges).
 type flagEveryOther struct{ calls int }
 
 func (d *flagEveryOther) Classify(w dataset.Window) (bool, error) {
 	d.calls++
+	if err := checkRanges(w); err != nil {
+		return false, err
+	}
 	return w.Index%2 == 1, nil
+}
+
+// checkRanges reports a station-cut window whose ECGRange or ABPRange is
+// not bound to its array, or differs bit for bit from dsp.MinMax of it.
+func checkRanges(w dataset.Window) error {
+	if err := checkRange(w.Index, "ECG", w.ECG, w.ECGRange); err != nil {
+		return err
+	}
+	return checkRange(w.Index, "ABP", w.ABP, w.ABPRange)
+}
+
+func checkRange(index int, signal string, x []float64, r dataset.Range) error {
+	lo, hi, ok := r.Of(x)
+	if !ok {
+		return fmt.Errorf("window %d: %s carries no range bound to its samples", index, signal)
+	}
+	wantLo, wantHi, err := dsp.MinMax(x)
+	if err != nil {
+		return err
+	}
+	if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) {
+		return fmt.Errorf("window %d: %s range [%v, %v], dsp.MinMax [%v, %v]", index, signal, lo, hi, wantLo, wantHi)
+	}
+	return nil
 }
 
 func newTestStation(t *testing.T, det Detector, sink Sink) *BaseStation {
@@ -358,6 +388,38 @@ func TestSubstitutionMITMWindow(t *testing.T) {
 	// The original frame must not be mutated.
 	if in.Samples[12].Float() != 0 {
 		t.Error("interceptor mutated the input frame")
+	}
+}
+
+// TestSubstitutionMITMDonorWrapsMidFrame: a donor shorter than one frame
+// wraps inside frames, and the cursor reads the same donor sample as
+// Donor[k % len(Donor)] for the k-th substituted sample, across frames
+// that start, end and straddle the active span.
+func TestSubstitutionMITMDonorWrapsMidFrame(t *testing.T) {
+	donor := []float64{1.5, -2.25, 3, 0.125, -7, 11, 6.5}
+	m := &SubstitutionMITM{Donor: donor, ActiveFrom: 4, ActiveTo: 80}
+	pos, k := 0, 0
+	for seq := uint32(0); pos < 100; seq++ {
+		n := 9 + int(seq)%8 // 9..16 samples, each more than the donor holds
+		in := make([]float64, n)
+		for i := range in {
+			in[i] = float64(pos + i)
+		}
+		out := m.Intercept(FrameFromFloats(SensorECG, seq, in))
+		for i, q := range out.Samples {
+			want := fixedpoint.FromFloat(in[i])
+			if idx := pos + i; idx >= m.ActiveFrom && idx < m.ActiveTo {
+				want = fixedpoint.FromFloat(donor[k%len(donor)])
+				k++
+			}
+			if q != want {
+				t.Fatalf("frame %d sample %d (stream %d) = %v, want %v", seq, i, pos+i, q, want)
+			}
+		}
+		pos += n
+	}
+	if k != 76 {
+		t.Fatalf("%d samples substituted, want 76", k)
 	}
 }
 
