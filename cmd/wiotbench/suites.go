@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/wiot-security/sift/internal/amulet"
+	"github.com/wiot-security/sift/internal/amulet/jit"
 	"github.com/wiot-security/sift/internal/amulet/program"
 	"github.com/wiot-security/sift/internal/campaign"
 	"github.com/wiot-security/sift/internal/dataset"
@@ -132,7 +134,9 @@ func vmSuite(v features.Version) suite {
 // default device, whose Install compiled the verified bytecode with the
 // template JIT. Pairing each jit/* suite with its interpreter-pinned
 // vm/* twin in one report is what lets -compare gate the compiled
-// backend's speedup floor.
+// backend's speedup floor. After the timed batches, Extra attributes the
+// compiled run to its fused loops (loopProfile); the timed batches run
+// unprofiled.
 func jitSuite(v features.Version) suite {
 	name := "jit/" + v.String()
 	return suite{
@@ -165,9 +169,79 @@ func jitSuite(v features.Version) suite {
 				"cyclesPerWindow": det.AvgCyclesPerWindow(),
 				"cyclesPerSec":    det.AvgCyclesPerWindow() * res.OpsPerSec,
 			}
+			runs := 400
+			if quick {
+				runs = 100
+			}
+			if err := loopProfile(v, w, runs, res.Extra); err != nil {
+				return Result{}, fmt.Errorf("%s: %w", name, err)
+			}
 			return res, nil
 		},
 	}
+}
+
+// loopProfile runs the compiled detector runs times on the window's
+// marshalled segment, each time on a fresh copy in one reused buffer (as
+// DeviceDetector.Classify's pooled segment is), and adds to extra:
+//   - "runNs": ns per window of jit.Program.Run, unprofiled;
+//   - "marshalNs": ns per window of building the segment (program.Input);
+//   - "loopNN:<pc range>:<template>": ns per window of each fused loop's
+//     kernel dispatches, in Kernels() order, less the cost of an empty
+//     timed region per dispatch, so a loop's share of the run is its ns
+//     over runNs whatever the clock costs;
+//   - "clockNs": that empty timed region, for judging how many dispatches
+//     a loop's figure can stand.
+func loopProfile(v features.Version, w dataset.Window, runs int, extra map[string]float64) error {
+	model := benchModel(v.Dim())
+	p, err := program.Build(v)
+	if err != nil {
+		return err
+	}
+	cp, err := jit.Compile(p)
+	if err != nil {
+		return err
+	}
+	data, err := program.Input(v, w, model)
+	if err != nil {
+		return err
+	}
+	loops := cp.Loops()
+	stats := make([]jit.LoopStat, len(loops))
+	var run, marshal time.Duration
+	buf := make([]int32, len(data))
+	for r := 0; r < runs; r++ {
+		t0 := time.Now()
+		if _, err := program.Input(v, w, model); err != nil {
+			return err
+		}
+		marshal += time.Since(t0)
+		copy(buf, data)
+		t1 := time.Now()
+		if _, err := cp.Run(buf, program.MaxCycles, 0); err != nil {
+			return err
+		}
+		run += time.Since(t1)
+		copy(buf, data)
+		if _, err := cp.RunProfiled(buf, program.MaxCycles, stats); err != nil {
+			return err
+		}
+	}
+	var clock time.Duration
+	const clockReads = 1000
+	for r := 0; r < clockReads; r++ {
+		t0 := time.Now()
+		clock += time.Since(t0)
+	}
+	clockNs := float64(clock.Nanoseconds()) / clockReads
+	perWindow := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(runs) }
+	for k, l := range loops {
+		extra[fmt.Sprintf("loop%02d:%s", k, l)] = perWindow(stats[k].Time) - clockNs*float64(stats[k].Dispatches)/float64(runs)
+	}
+	extra["runNs"] = perWindow(run)
+	extra["marshalNs"] = perWindow(marshal)
+	extra["clockNs"] = clockNs
+	return nil
 }
 
 // featuresSuite measures the host-side reference extractor on a fixed

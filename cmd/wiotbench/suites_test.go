@@ -1,0 +1,40 @@
+package main
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/wiot-security/sift/internal/amulet/jit"
+	"github.com/wiot-security/sift/internal/amulet/program"
+	"github.com/wiot-security/sift/internal/features"
+)
+
+// TestJITSuiteAttributesLoops checks that a jit/* suite reports one
+// ns-per-window figure per fused loop, keyed by pc range and template in
+// Kernels() order, next to the whole run and the marshalling.
+func TestJITSuiteAttributesLoops(t *testing.T) {
+	v := features.Original
+	res, err := jitSuite(v).run(runConfig{warmup: 0, samples: 1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := program.Build(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := jit.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, l := range cp.Loops() {
+		key := fmt.Sprintf("loop%02d:%s", k, l)
+		if _, ok := res.Extra[key]; !ok {
+			t.Errorf("Extra lacks %q: %v", key, res.Extra)
+		}
+	}
+	for _, key := range []string{"runNs", "marshalNs", "clockNs"} {
+		if res.Extra[key] <= 0 {
+			t.Errorf("Extra[%s] = %v, want > 0", key, res.Extra[key])
+		}
+	}
+}

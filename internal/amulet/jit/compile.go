@@ -86,6 +86,7 @@ type compiler struct {
 	inProg  map[int]bool
 	ids     map[blockKey]int
 	blocks  []*block
+	spans   [][2]int // bytecode range [pc, end) each block compiles, by id
 	ctxs    []context
 	work    []workItem
 	total   int
@@ -241,6 +242,7 @@ func (c *compiler) getBlock(ctx, pc, sp int) (int, error) {
 	}
 	id := len(c.blocks)
 	c.blocks = append(c.blocks, &block{entrySP: sp, next: -1})
+	c.spans = append(c.spans, [2]int{pc, pc})
 	c.ids[key] = id
 	c.work = append(c.work, workItem{id: id, ctx: ctx, pc: pc, sp: sp})
 	return id, nil
@@ -287,6 +289,7 @@ func (c *compiler) emitBlock(w workItem) error {
 				blk.locals = in.idx + 1
 			}
 		}
+		c.spans[w.id][1] = in.next
 		if done {
 			break
 		}

@@ -34,6 +34,7 @@ package jit
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"github.com/wiot-security/sift/internal/amulet"
 	"github.com/wiot-security/sift/internal/obs"
@@ -61,6 +62,10 @@ type machine struct {
 	maxStack, maxLocals, maxCall int
 
 	fault error
+
+	// loops, when non-nil, receives each loop kernel's dispatches,
+	// indexed by loopKernel.ord (RunProfiled).
+	loops []LoopStat
 }
 
 func (m *machine) usage() amulet.Usage {
@@ -124,6 +129,8 @@ type cmpInfo struct {
 // interpreter's would.
 type loopKernel struct {
 	name                 string // template that fused the body ("generic" for closure replay)
+	ord                  int    // index among the program's loop kernels, in block order
+	pc, end              int    // bytecode range [pc, end) of header and body
 	iIdx, limIdx         int
 	perCycles, perInstrs uint64 // header + body, one full iteration
 	peak, locals         int    // max telemetry over header and body
@@ -178,15 +185,36 @@ func (p *Program) Name() string { return p.name }
 // contexts compile one copy per call site).
 func (p *Program) Blocks() int { return len(p.blocks) }
 
+// Loop is one fused counted loop: the kernel template that runs it and
+// the bytecode its header and body span. Calls inline per call site, so
+// a loop in a subroutine appears once per inlined copy.
+type Loop struct {
+	Template string
+	PC, End  int // bytecode range [PC, End)
+}
+
+// String keys the loop by its bytecode range and template, e.g.
+// "0158-0171:reduce".
+func (l Loop) String() string { return fmt.Sprintf("%04x-%04x:%s", l.PC, l.End, l.Template) }
+
+// Loops lists every fused counted loop in block order.
+func (p *Program) Loops() []Loop {
+	var out []Loop
+	for _, b := range p.blocks {
+		if k := b.kern; k != nil {
+			out = append(out, Loop{Template: k.name, PC: k.pc, End: k.end})
+		}
+	}
+	return out
+}
+
 // Kernels lists the loop-kernel template of every fused counted loop, in
 // block order: "fill", "minmax", "mapstore", "histogram", "reduce", or
 // "generic" for a body no idiom matched (its fused closures replay).
 func (p *Program) Kernels() []string {
 	var out []string
-	for _, b := range p.blocks {
-		if b.kern != nil {
-			out = append(out, b.kern.name)
-		}
+	for _, l := range p.Loops() {
+		out = append(out, l.Template)
 	}
 	return out
 }
@@ -196,6 +224,28 @@ func (p *Program) Kernels() []string {
 // same data-segment writes, same Usage, and faults wrapping the same
 // sentinels. traceParent links the run's span into an existing trace.
 func (p *Program) Run(data []int32, maxCycles uint64, traceParent uint64) (amulet.Usage, error) {
+	return p.run(data, maxCycles, traceParent, nil)
+}
+
+// LoopStat accumulates one fused loop's kernel dispatches under
+// RunProfiled: how many there were and their summed wall time. Each
+// dispatch is timed by two clock reads, so Time reads high by Dispatches
+// times the cost of an empty timed region.
+type LoopStat struct {
+	Dispatches int64
+	Time       time.Duration
+}
+
+// RunProfiled is Run that also adds every loop-kernel dispatch to
+// stats[k], k indexing Loops().
+func (p *Program) RunProfiled(data []int32, maxCycles uint64, stats []LoopStat) (amulet.Usage, error) {
+	if n := len(p.Loops()); len(stats) != n {
+		return amulet.Usage{}, fmt.Errorf("amulet/jit: %q has %d loops, profile has %d slots", p.name, n, len(stats))
+	}
+	return p.run(data, maxCycles, 0, stats)
+}
+
+func (p *Program) run(data []int32, maxCycles uint64, traceParent uint64, loops []LoopStat) (amulet.Usage, error) {
 	var span obs.Span
 	if traceParent != 0 {
 		span = obsRun.StartChildOf(traceParent)
@@ -206,7 +256,7 @@ func (p *Program) Run(data []int32, maxCycles uint64, traceParent uint64) (amule
 		span.End()
 		return amulet.Usage{}, fmt.Errorf("amulet: program %q needs %d data words, got %d", p.name, p.dataWords, len(data))
 	}
-	m := &machine{data: data}
+	m := &machine{data: data, loops: loops}
 	defer func() {
 		obsInstrs.Add(int64(m.instrs))
 		obsCycles.Add(int64(m.cycles))
@@ -222,8 +272,18 @@ func (p *Program) Run(data []int32, maxCycles uint64, traceParent uint64) (amule
 		if blk.depth > m.maxCall {
 			m.maxCall = blk.depth
 		}
-		if blk.kern != nil {
-			if !blk.kern.fastForward(m, maxCycles) {
+		if k := blk.kern; k != nil {
+			var ok bool
+			if m.loops == nil {
+				ok = k.fastForward(m, maxCycles)
+			} else {
+				t0 := time.Now()
+				ok = k.fastForward(m, maxCycles)
+				st := &m.loops[k.ord]
+				st.Time += time.Since(t0)
+				st.Dispatches++
+			}
+			if !ok {
 				return m.usage(), m.fault
 			}
 			// The header still runs below: its last (failing) compare —

@@ -36,17 +36,40 @@ import (
 //     f one of x, x·x, (x − l)² (column sums, Σc², column mean and
 //     variance).
 //
-// Specialization never changes observable semantics: a kernel replicates
-// the body's stores to scratch locals and the data segment in original
-// order, reproduces saturating arithmetic step by step, accumulates
-// float32 sequentially, and faults with the interpreter's exact error
-// shape, so an unmatched or adversarial body simply stays on the generic
-// tier and the differential fuzzers keep all tiers honest.
+// Each specialized kernel checks a precondition once per run and, when it
+// holds, runs a straight-line Go loop with no per-element address check,
+// saturating step or indirect call; when it fails, the kernel runs its
+// exact loop, which checks and saturates every step as the interpreter
+// does. The preconditions:
+//
+//   - fill, minmax, mapstore: every address base+i of the run is computed
+//     without saturating and lies in the segment (affineRange);
+//   - histogram: both sample runs lie in the segment, and every cell
+//     address over the clamp box of (row, column) is computed without
+//     saturating and lies in the segment (cellsInSegment); the cell
+//     increment still stops at MaxInt32;
+//   - reduce: every address of the run is computed without saturating
+//     and lies in the segment (span); then the integer sum and Σx² shapes
+//     add in int64 and keep the result only if every term is ≥ 0 and the
+//     final sum ≤ MaxInt32, and otherwise rerun the saturating loop from
+//     the run's start value (sumGrows). Float32 sums stay sequential.
+//
+// mapstore and histogram run the generator's float32 and Q16.16 shapes
+// inline and anything else through the interpreter's evaluation
+// functions.
+//
+// Specialization never changes observable semantics: a kernel leaves the
+// scratch locals and the data segment as the body would, reproduces
+// saturating arithmetic exactly, accumulates float32 sequentially, and
+// faults with the interpreter's exact error shape, so an unmatched or
+// adversarial body simply stays on the generic tier and the differential
+// fuzzers keep all tiers honest.
 
 // fuseLoops scans the compiled block graph for counted-loop headers and
 // attaches kernels. Runs after every block is emitted, before the
 // compile-time IR is dropped.
 func (c *compiler) fuseLoops() {
+	ord := 0
 	for id, h := range c.blocks {
 		cmp := h.cmp
 		if cmp == nil || len(h.irs) != 0 || cmp.op != amulet.OpLt || !cmp.isJz {
@@ -82,6 +105,7 @@ func (c *compiler) fuseLoops() {
 			continue
 		}
 		k := &loopKernel{
+			ord: ord, pc: c.spans[id][0], end: c.spans[cmp.f][1],
 			iIdx: iIdx, limIdx: limIdx,
 			perCycles: h.cycles + body.cycles,
 			perInstrs: h.instrs + body.instrs,
@@ -96,6 +120,7 @@ func (c *compiler) fuseLoops() {
 			k.name, k.run = "generic", genericKernel(body.ops[:len(body.ops)-1], iIdx)
 		}
 		h.kern = k
+		ord++
 	}
 }
 
@@ -452,14 +477,34 @@ func matchMapStore(body []irOp, iIdx int) func(*machine, int32, int64) bool {
 	if t == p1 || t == p2 {
 		return nil
 	}
+	shape := mapEval
+	switch {
+	case hasUn && unOp == amulet.OpQtoF && b1.op == amulet.OpFSub && b2.op == amulet.OpFMul:
+		shape = mapF
+	case !hasUn && b1.op == amulet.OpSub && b2.op == amulet.OpMulQ:
+		shape = mapQ
+	}
 	elem := buildMapElem(hasUn, unOp, b1.op, b2.op)
 	ii := iIdx
 	return func(m *machine, i0 int32, n int64) bool {
 		c1, c2 := m.locals[p1], m.locals[p2] // body never writes p1/p2
 		if lo, ok := affineRange(i0, n, base, len(m.data)); ok {
 			sl := m.data[lo : lo+n]
-			for j2, v := range sl {
-				sl[j2] = elem(v, c1, c2)
+			switch shape {
+			case mapF:
+				l, k := f32(c1), f32(c2)
+				for j2, v := range sl {
+					sl[j2] = f32bits((float32(fixedpoint.FromRaw(v).Float()) - l) * k)
+				}
+			case mapQ:
+				l, k := fixedpoint.FromRaw(c1), fixedpoint.FromRaw(c2)
+				for j2, v := range sl {
+					sl[j2] = fixedpoint.Mul(fixedpoint.Sub(fixedpoint.FromRaw(v), l), k).Raw()
+				}
+			default:
+				for j2, v := range sl {
+					sl[j2] = elem(v, c1, c2)
+				}
 			}
 			m.locals[t] = sadd(i0+int32(n)-1, base)
 			m.locals[ii] = i0 + int32(n)
@@ -479,23 +524,21 @@ func matchMapStore(body []irOp, iIdx int) func(*machine, int32, int64) bool {
 	}
 }
 
-// buildMapElem picks the per-element function for matchMapStore: direct
-// code for the two shapes the firmware generator emits (float32 and
-// Q16.16 normalize), captured evaluation functions for anything else.
+// mapShape names a map-store body the kernel runs as an inline loop: the
+// two normalize shapes the firmware generator emits.
+type mapShape uint8
+
+const (
+	mapEval mapShape = iota // captured evaluation functions
+	mapF                    // QtoF, FSub, FMul (Original)
+	mapQ                    // Sub, MulQ (Simplified)
+)
+
+// buildMapElem composes the interpreter's evaluation functions into the
+// per-element function of a map-store body: the whole loop for a shape
+// outside mapF and mapQ, and every shape's fallback when the run leaves
+// the segment.
 func buildMapElem(hasUn bool, u, b1, b2 amulet.Op) func(v, c1, c2 int32) int32 {
-	switch {
-	case hasUn && u == amulet.OpQtoF && b1 == amulet.OpFSub && b2 == amulet.OpFMul:
-		return func(v, c1, c2 int32) int32 {
-			f := float32(fixedpoint.FromRaw(v).Float())
-			f = (f - math.Float32frombits(uint32(c1))) * math.Float32frombits(uint32(c2))
-			return int32(math.Float32bits(f))
-		}
-	case !hasUn && b1 == amulet.OpSub && b2 == amulet.OpMulQ:
-		return func(v, c1, c2 int32) int32 {
-			d := fixedpoint.Sub(fixedpoint.FromRaw(v), fixedpoint.FromRaw(c1))
-			return fixedpoint.Mul(d, fixedpoint.FromRaw(c2)).Raw()
-		}
-	}
 	fb1, fb2 := amulet.BinaryEval(b1), amulet.BinaryEval(b2)
 	if hasUn {
 		fu := amulet.UnaryEval(u)
@@ -646,39 +689,10 @@ type histogram struct {
 }
 
 func (h *histogram) run(m *machine, i0 int32, n int64) bool {
-	cL, rL := h.col.dst, h.row.dst
 	lx, okX := affineRange(i0, n, h.col.base, len(m.data))
 	ly, okY := affineRange(i0, n, h.row.base, len(m.data))
-	if okX && okY {
-		// Both sample runs are in the segment: only the cell address,
-		// which depends on the data, is checked per iteration. The
-		// quantization is bin, inlined for the generator's two shapes.
-		fx, fy := f32(h.col.mulC), f32(h.row.mulC)
-		qx, qy := fixedpoint.FromRaw(h.col.mulC), fixedpoint.FromRaw(h.row.mulC)
-		var addr, r int32
-		for j := int64(0); j < n; j++ {
-			x, y := m.data[lx+j], m.data[ly+j]
-			var c int32
-			switch h.quant {
-			case quantF:
-				c, r = int32(f32(x)*fx), int32(f32(y)*fy)
-			case quantQ:
-				c = int32(fixedpoint.Mul(fixedpoint.FromRaw(x), qx).Int())
-				r = int32(fixedpoint.Mul(fixedpoint.FromRaw(y), qy).Int())
-			default:
-				c, r = h.col.toI(h.col.mul(x, h.col.mulC)), h.row.toI(h.row.mul(y, h.row.mulC))
-			}
-			c = min(max(c, h.col.maxC), h.col.minC)
-			r = min(max(r, h.row.maxC), h.row.minC)
-			addr = sadd(sadd(smulI(r, h.stride), c), h.base)
-			if addr < 0 || int(addr) >= len(m.data) {
-				m.locals[cL], m.locals[rL] = addr, r
-				m.locals[h.ii] = i0 + int32(j)
-				return loadFault(m, addr)
-			}
-			m.data[addr] = sadd(m.data[addr], 1)
-		}
-		m.locals[cL], m.locals[rL] = addr, r
+	if okX && okY && h.cellsInSegment(len(m.data)) {
+		m.locals[h.col.dst], m.locals[h.row.dst] = h.bump(m.data, m.data[lx:lx+n], m.data[ly:ly+n])
 		m.locals[h.ii] = i0 + int32(n)
 		return true
 	}
@@ -688,17 +702,17 @@ func (h *histogram) run(m *machine, i0 int32, n int64) bool {
 			return loadFault(m, ax)
 		}
 		c := h.col.bin(m.data[ax])
-		m.locals[cL] = c
+		m.locals[h.col.dst] = c
 
 		ay := sadd(i, h.row.base)
 		if ay < 0 || int(ay) >= len(m.data) {
 			return loadFault(m, ay)
 		}
 		r := h.row.bin(m.data[ay])
-		m.locals[rL] = r
+		m.locals[h.row.dst] = r
 
 		addr := sadd(sadd(smulI(r, h.stride), c), h.base)
-		m.locals[cL] = addr
+		m.locals[h.col.dst] = addr
 		if addr < 0 || int(addr) >= len(m.data) {
 			return loadFault(m, addr)
 		}
@@ -707,6 +721,66 @@ func (h *histogram) run(m *machine, i0 int32, n int64) bool {
 		m.locals[h.ii] = i
 	}
 	return true
+}
+
+// span is the range [lo, hi] of the unit's clamped coordinate
+// min(max(v, maxC), minC), whatever v is.
+func (u *histUnit) span() (lo, hi int64) {
+	return int64(min(u.maxC, u.minC)), int64(u.minC)
+}
+
+// cellsInSegment is the histogram's precondition: every cell address
+// r·stride + c + base over the clamp box of (r, c) is computed without
+// saturating and lies in the segment. Each step is monotone in r and in
+// c, so checking the box's four corners suffices.
+func (h *histogram) cellsInSegment(dataLen int) bool {
+	rLo, rHi := h.row.span()
+	cLo, cHi := h.col.span()
+	for _, r := range [...]int64{rLo, rHi} {
+		for _, c := range [...]int64{cLo, cHi} {
+			p := r * int64(h.stride)
+			q := p + c
+			a := q + int64(h.base)
+			if p < math.MinInt32 || p > math.MaxInt32 || q < math.MinInt32 || q > math.MaxInt32 ||
+				a < 0 || a >= int64(dataLen) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// bump is the histogram's fast path, entered once cellsInSegment holds:
+// it bins each sample pair of xs, ys and increments its cell, with no
+// saturating step in the address and no address check, and returns the
+// last pair's cell address and row, which the body leaves in its locals.
+// A cell only saturates at MaxInt32, as sadd would.
+func (h *histogram) bump(d, xs, ys []int32) (a, r int32) {
+	fx, fy := f32(h.col.mulC), f32(h.row.mulC)
+	qx, qy := fixedpoint.FromRaw(h.col.mulC), fixedpoint.FromRaw(h.row.mulC)
+	quant, col, row := h.quant, &h.col, &h.row
+	cLo, cHi, rLo, rHi := col.maxC, col.minC, row.maxC, row.minC
+	stride, base := h.stride, h.base
+	for j, x := range xs {
+		y := ys[j]
+		var c int32
+		switch quant {
+		case quantF:
+			c, r = int32(f32(x)*fx), int32(f32(y)*fy)
+		case quantQ:
+			c = int32(fixedpoint.Mul(fixedpoint.FromRaw(x), qx).Int())
+			r = int32(fixedpoint.Mul(fixedpoint.FromRaw(y), qy).Int())
+		default:
+			c, r = col.toI(col.mul(x, col.mulC)), row.toI(row.mul(y, row.mulC))
+		}
+		c = min(max(c, cLo), cHi)
+		r = min(max(r, rLo), rHi)
+		a = r*stride + c + base
+		if v := d[a]; v != math.MaxInt32 {
+			d[a] = v + 1
+		}
+	}
+	return a, r
 }
 
 // matchReduce compiles the accumulation loops of the portrait-matrix
@@ -925,13 +999,18 @@ func (r *reduce) step(m *machine, x int32) {
 
 // fold runs n steps over data[lo], data[lo+step], … once span has proven
 // every address valid: direct loops for the shapes the firmware generator
-// emits, the evaluating step for anything else. Saturating ops stay
-// per-step and float32 sums accumulate in order, so the result is
-// bit-identical to the interpreter's.
+// emits, the evaluating step for anything else. The integer sums first
+// try sumGrows; otherwise saturating ops stay per-step, and float32 sums
+// always accumulate in order, so the result is bit-identical to the
+// interpreter's.
 func (r *reduce) fold(m *machine, lo, step, n int64) {
 	d, a := m.data, lo
 	switch r.shape {
 	case reduceSum:
+		if s, ok := sumGrows(d, lo, step, n, m.locals[r.acc], false); ok {
+			m.locals[r.acc] = s
+			return
+		}
 		acc := m.locals[r.acc]
 		for ; n > 0; n-- {
 			acc = sadd(d[a], acc)
@@ -946,6 +1025,10 @@ func (r *reduce) fold(m *machine, lo, step, n int64) {
 		}
 		m.locals[r.acc] = f32bits(acc)
 	case reduceSquares:
+		if s, ok := sumGrows(d, lo, step, n, m.locals[r.acc], true); ok {
+			m.locals[r.t], m.locals[r.acc] = d[lo+(n-1)*step], s
+			return
+		}
 		acc, x := m.locals[r.acc], int32(0)
 		for ; n > 0; n-- {
 			x = d[a]
@@ -975,4 +1058,34 @@ func (r *reduce) fold(m *machine, lo, step, n int64) {
 			a += step
 		}
 	}
+}
+
+// sumGrows is the integer reduce's fast path: it adds the n terms x (or
+// smulI(x, x) = min(x², MaxInt32) when squares) of data[lo], data[lo+step],
+// … to acc in int64, with no saturating step. When every term is ≥ 0 the
+// partial sums only grow from acc, so they all stay in int32 range
+// exactly when the final one does, and then no sadd step would have
+// clamped: ok reports that, and sum is the interpreter's result. n terms
+// of at most 2³¹ each (n < 2³²) cannot overflow int64. When ok is false
+// nothing was written, and the caller reruns the exact loop from acc.
+func sumGrows(d []int32, lo, step, n int64, acc int32, squares bool) (sum int32, ok bool) {
+	s, neg := int64(acc), int32(0)
+	if squares {
+		for ; n > 0; n-- {
+			x := int64(d[lo])
+			s += min(x*x, math.MaxInt32)
+			lo += step
+		}
+	} else {
+		for ; n > 0; n-- {
+			x := d[lo]
+			s += int64(x)
+			neg |= x
+			lo += step
+		}
+	}
+	if neg < 0 || s > math.MaxInt32 {
+		return 0, false
+	}
+	return int32(s), true
 }

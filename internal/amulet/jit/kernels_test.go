@@ -2,6 +2,7 @@ package jit_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -42,6 +43,57 @@ func TestDetectorLoopKernels(t *testing.T) {
 		if got := cp.Kernels(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v loop kernels:\n got %v\nwant %v", v, got, want)
 		}
+	}
+}
+
+// TestRunProfiledAttributesLoops checks the per-loop profile: Loops
+// agrees with Kernels and gives each loop an increasing, disjoint pc
+// range; RunProfiled leaves the same data and Usage as Run and counts
+// one dispatch per loop entry (GridN for the column-sum loop, which runs
+// once per column); and a profile of the wrong length is refused.
+func TestRunProfiledAttributesLoops(t *testing.T) {
+	v := features.Original
+	p, err := program.Build(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := jit.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loops := cp.Loops()
+	var names []string
+	for k, l := range loops {
+		names = append(names, l.Template)
+		if l.PC >= l.End || (k > 0 && l.PC < loops[k-1].End) {
+			t.Errorf("loop %d range %v overlaps or runs backwards", k, l)
+		}
+	}
+	if !slices.Equal(names, cp.Kernels()) {
+		t.Fatalf("Loops templates %v, Kernels %v", names, cp.Kernels())
+	}
+	data, err := program.Input(v, testWindow(t, 3), testModel(v.Dim()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, profiled := slices.Clone(data), slices.Clone(data)
+	u1, err1 := cp.Run(plain, program.MaxCycles, 0)
+	stats := make([]jit.LoopStat, len(loops))
+	u2, err2 := cp.RunProfiled(profiled, program.MaxCycles, stats)
+	if err1 != nil || err2 != nil || u1 != u2 || !slices.Equal(plain, profiled) {
+		t.Fatalf("RunProfiled diverged from Run: %v/%v, %+v vs %+v", err1, err2, u1, u2)
+	}
+	for k, st := range stats {
+		want := int64(1)
+		if k == 6 { // column sums, inside the loop over columns
+			want = program.GridN
+		}
+		if st.Dispatches != want || st.Time <= 0 {
+			t.Errorf("loop %d (%v): %d dispatches in %v, want %d", k, loops[k], st.Dispatches, st.Time, want)
+		}
+	}
+	if _, err := cp.RunProfiled(slices.Clone(data), program.MaxCycles, stats[1:]); err == nil {
+		t.Error("RunProfiled accepted a profile one slot short")
 	}
 }
 
@@ -219,6 +271,51 @@ func TestReduceKernelMatchesInterpreter(t *testing.T) {
 			body: affineDeviation(2, amulet.OpSub, amulet.OpMulI, amulet.OpAdd),
 			data: func(i int) int32 { return big[(7*i)%len(big)] / 3 },
 		},
+
+		// The integer sums' int64 fast path and its fallback.
+		{
+			// Cell counts, as the column sums see them: the fast path.
+			name: "strided-counts", words: 2 + 50*8, trips: 8, l: 5,
+			body: stridedSum(50, 2),
+			data: func(i int) int32 { return int32(i % 13) },
+		},
+		{
+			// The sum clamps at MaxInt32 before the one negative term
+			// brings it back: only the saturating rerun gets it right.
+			name: "sum-negative-term", words: 2 + 8, trips: 8,
+			body: affineSum(2, amulet.OpAdd),
+			data: func(i int) int32 { return [...]int32{math.MaxInt32 - 10, 100, -200, 1, 1, 1, 1, 1}[i-2] },
+		},
+		{
+			name: "sum-reaches-max", words: 2 + 10, trips: 10, acc: math.MaxInt32 - 100,
+			body: affineSum(2, amulet.OpAdd),
+			data: func(i int) int32 { return 10 },
+		},
+		{
+			// The last term takes the sum past MaxInt32.
+			name: "sum-crosses-max-last", words: 2 + 10, trips: 10, acc: math.MaxInt32 - 100,
+			body: affineSum(2, amulet.OpAdd),
+			data: func(i int) int32 { return 10 + 10*int32(i/11) },
+		},
+		{
+			// 46341² is the first square smulI clamps; alone it sums to
+			// MaxInt32 exactly.
+			name: "squares-46341", words: 2 + 6, trips: 6,
+			body: affineSquares(2),
+			data: func(i int) int32 { return [...]int32{0, -46341, 0, 0, 0, 0}[i-2] },
+		},
+		{
+			// From a negative start, an unclamped 46341² would still end
+			// inside int32 range, with the wrong sum.
+			name: "squares-46341-negative-start", words: 2 + 6, trips: 6, acc: -10000,
+			body: affineSquares(2),
+			data: func(i int) int32 { return [...]int32{46341, 0, 0, 0, 0, 0}[i-2] },
+		},
+		{
+			name: "squares-cross-max-last", words: 2 + 4, trips: 4,
+			body: affineSquares(2),
+			data: func(i int) int32 { return [...]int32{46340, 200, -200, 200}[i-2] },
+		},
 	}
 	for _, rc := range cases {
 		t.Run(rc.name, func(t *testing.T) {
@@ -282,29 +379,41 @@ type histCase struct {
 	xBase, yBase, matrix          int
 	colMul, colToI, rowMul, rowTo amulet.Op
 	colK, rowK                    int32
+	box                           *histBox // nil: the generator's grid
 	data                          func(i int) int32
 }
+
+// histBox is a binning loop's clamp constants, each coordinate clamped
+// as min(max(v, lo), hi), and the row stride of the cell address.
+type histBox struct{ colLo, colHi, rowLo, rowHi, stride int32 }
 
 func (hc histCase) build(t *testing.T) (*amulet.Program, *jit.Program, []int32) {
 	t.Helper()
 	const grid = 50
+	box := histBox{0, grid - 1, 0, grid - 1, grid}
+	if hc.box != nil {
+		box = *hc.box
+	}
 	b := amulet.NewBuilder()
 	b.PushI(hc.trips).StoreL(rLimit)
 	b.ForRange(rI, rLimit, func(b *amulet.Builder) {
-		bin := func(base int, mul, toI amulet.Op, k int32, dst int) {
+		bin := func(base int, mul, toI amulet.Op, k, lo, hi int32, dst int) {
 			b.PushI(base).LoadL(rI).Op(amulet.OpAdd).Op(amulet.OpLoadM)
 			b.Push(k).Op(mul).Op(toI)
-			b.PushI(0).Op(amulet.OpMax).PushI(grid - 1).Op(amulet.OpMin)
+			b.Push(lo).Op(amulet.OpMax).Push(hi).Op(amulet.OpMin)
 			b.StoreL(dst)
 		}
-		bin(hc.xBase, hc.colMul, hc.colToI, hc.colK, rL)
-		bin(hc.yBase, hc.rowMul, hc.rowTo, hc.rowK, rT)
-		b.LoadL(rT).PushI(grid).Op(amulet.OpMulI).LoadL(rL).Op(amulet.OpAdd)
+		bin(hc.xBase, hc.colMul, hc.colToI, hc.colK, box.colLo, box.colHi, rL)
+		bin(hc.yBase, hc.rowMul, hc.rowTo, hc.rowK, box.rowLo, box.rowHi, rT)
+		b.LoadL(rT).Push(box.stride).Op(amulet.OpMulI).LoadL(rL).Op(amulet.OpAdd)
 		b.PushI(hc.matrix).Op(amulet.OpAdd).StoreL(rL)
 		b.LoadL(rL)
 		b.LoadL(rL).Op(amulet.OpLoadM).PushI(1).Op(amulet.OpAdd)
 		b.Op(amulet.OpStoreM)
 	})
+	// The last cell address and row, as the loop left them.
+	b.PushI(0).LoadL(rL).Op(amulet.OpStoreM)
+	b.PushI(1).LoadL(rT).Op(amulet.OpStoreM)
 	b.Op(amulet.OpHalt)
 	p, err := b.Assemble(hc.name, hc.words)
 	if err != nil {
@@ -328,8 +437,11 @@ func (hc histCase) build(t *testing.T) (*amulet.Program, *jit.Program, []int32) 
 // inputs never reach: negative and out-of-range quantized coordinates
 // (FtoI of huge floats and NaN, QtoI truncating toward zero), cells that
 // saturate or leave the segment mid-loop, a sample run that leaves the
-// segment, and a unit pair outside the direct shapes. The contract is
-// TestReduceKernelMatchesInterpreter's.
+// segment, a unit pair outside the direct shapes, clamp constants that
+// fail the fast path's precondition (a corner cell whose address
+// saturates or leaves the segment), and cells that overlap the samples,
+// which the fast path must bump in the interpreter's order. The contract
+// is TestReduceKernelMatchesInterpreter's.
 func TestHistogramKernelMatchesInterpreter(t *testing.T) {
 	fk, qk := f32word(50), fixedpoint.FromInt(50).Raw()
 	floats := []float32{0.5, -0.013, 0.99, 1e12, -3e9, float32(math.NaN()), 0.021, -0.5, 0.2501, 7}
@@ -378,6 +490,75 @@ func TestHistogramKernelMatchesInterpreter(t *testing.T) {
 			colK: fk, rowK: fk, data: fdata,
 		},
 		{
+			// Every hit cell starts at MaxInt32 − 1 or MaxInt32, so the
+			// fast path's increments saturate mid-run.
+			name: "cell-at-max", words: 2700, trips: 40, xBase: 0, yBase: 100, matrix: 200,
+			colMul: amulet.OpFMul, colToI: amulet.OpFtoI, rowMul: amulet.OpFMul, rowTo: amulet.OpFtoI,
+			colK: fk, rowK: fk, data: func(i int) int32 {
+				if i >= 200 {
+					return math.MaxInt32 - int32(i%2)
+				}
+				return f32word(float32(i%23) / 25)
+			},
+		},
+		{
+			// Rows clamp to 60, whose cells lie past the segment's end,
+			// but the samples only reach row 19: the exact loop runs, and
+			// finishes.
+			name: "corner-leaves-segment", words: 2700, trips: 40, xBase: 0, yBase: 100, matrix: 200,
+			colMul: amulet.OpFMul, colToI: amulet.OpFtoI, rowMul: amulet.OpFMul, rowTo: amulet.OpFtoI,
+			colK: fk, rowK: fk, box: &histBox{0, 49, 0, 60, 50},
+			data: func(i int) int32 { return f32word(float32(i%40) / 100) },
+		},
+		{
+			// Row 8 · 2^28 saturates, a negative column keeps the sum in
+			// range, and the matrix base brings the address back to
+			// words 50–98: an unsaturated row product would wrap to the
+			// next cell.
+			name: "corner-product-saturates", words: 400, trips: 40, xBase: 200, yBase: 300, matrix: math.MinInt32 + 100,
+			colMul: amulet.OpFMul, colToI: amulet.OpFtoI, rowMul: amulet.OpFMul, rowTo: amulet.OpFtoI,
+			colK: fk, rowK: fk, box: &histBox{-49, -1, 8, 8, 1 << 28},
+			data: func(i int) int32 { return f32word(float32(i%40)/40 - 1) },
+		},
+		{
+			// The row is MaxInt32 − 20, so adding a column past 20
+			// saturates before the base is added.
+			name: "corner-sum-saturates", words: 400, trips: 40, xBase: 0, yBase: 300, matrix: math.MinInt32 + 200,
+			colMul: amulet.OpFMul, colToI: amulet.OpFtoI, rowMul: amulet.OpFMul, rowTo: amulet.OpFtoI,
+			colK: fk, rowK: fk, box: &histBox{0, 49, math.MaxInt32 - 20, math.MaxInt32 - 20, 1},
+			data: func(i int) int32 { return f32word(float32(i%40) / 40) },
+		},
+		{
+			// The cells overlap the column samples: each sample just
+			// under 1.0 (Q16.16) bins to column 0 and bumps the next
+			// sample to 1.0 before it is read, so it bins to column 1.
+			name: "cells-overlap-samples", words: 400, trips: 40, xBase: 300, yBase: 200, matrix: 301,
+			colMul: amulet.OpMulQ, colToI: amulet.OpQtoI, rowMul: amulet.OpMulQ, rowTo: amulet.OpQtoI,
+			colK: fixedpoint.One.Raw(), rowK: fixedpoint.One.Raw(), box: &histBox{0, 49, 0, 0, 50},
+			data: func(i int) int32 {
+				if i >= 300 {
+					return fixedpoint.One.Raw() - 1
+				}
+				return 0
+			},
+		},
+		{
+			// The last sample bins to its own word (339) and bumps it to
+			// 1.0, which would bin to column 1 if it were read again.
+			name: "last-cell-is-last-sample", words: 400, trips: 40, xBase: 300, yBase: 200, matrix: 339,
+			colMul: amulet.OpMulQ, colToI: amulet.OpQtoI, rowMul: amulet.OpMulQ, rowTo: amulet.OpQtoI,
+			colK: fixedpoint.One.Raw(), rowK: fixedpoint.One.Raw(), box: &histBox{0, 49, 0, 0, 50},
+			data: func(i int) int32 {
+				switch {
+				case i == 339:
+					return fixedpoint.One.Raw() - 1
+				case i >= 300:
+					return fixedpoint.One.Raw()
+				}
+				return 0
+			},
+		},
+		{
 			name: "mixed", words: 2700, trips: 40, xBase: 0, yBase: 100, matrix: 200,
 			colMul: amulet.OpFMul, colToI: amulet.OpFtoI, rowMul: amulet.OpMulQ, rowTo: amulet.OpQtoI,
 			colK: fk, rowK: qk, data: func(i int) int32 {
@@ -398,6 +579,124 @@ func TestHistogramKernelMatchesInterpreter(t *testing.T) {
 			vm.Run(program.MaxCycles)
 			full := vm.Usage().Cycles
 			for budget := uint64(0); budget <= full+8; budget += 7 {
+				sameRun(t, p, cp, data, budget)
+			}
+			sameRun(t, p, cp, data, program.MaxCycles)
+		})
+	}
+}
+
+// mapCase is one hand-built normalize loop in the firmware generator's
+// emission order: data[base+i] = (conv(data[base+i]) ⊖ l) ⊗ k, with l and k
+// held in locals.
+type mapCase struct {
+	name         string
+	words, trips int
+	base         int
+	conv         []amulet.Op // the Q→float conversion, or none
+	sub, mul     amulet.Op
+	l, k         int32
+	data         func(i int) int32
+}
+
+func (mc mapCase) build(t *testing.T) (*amulet.Program, *jit.Program, []int32) {
+	t.Helper()
+	b := amulet.NewBuilder()
+	b.PushI(mc.trips).StoreL(rLimit)
+	b.Push(mc.l).StoreL(rL)
+	b.Push(mc.k).StoreL(rAcc)
+	b.ForRange(rI, rLimit, func(b *amulet.Builder) {
+		b.PushI(mc.base).LoadL(rI).Op(amulet.OpAdd).StoreL(rT)
+		b.LoadL(rT)
+		b.LoadL(rT).Op(amulet.OpLoadM)
+		for _, op := range mc.conv {
+			b.Op(op)
+		}
+		b.LoadL(rL).Op(mc.sub).LoadL(rAcc).Op(mc.mul)
+		b.Op(amulet.OpStoreM)
+	})
+	b.Op(amulet.OpHalt)
+	p, err := b.Assemble(mc.name, mc.words)
+	if err != nil {
+		t.Fatalf("%s: %v", mc.name, err)
+	}
+	cp, err := jit.Compile(p)
+	if err != nil {
+		t.Fatalf("%s: %v", mc.name, err)
+	}
+	if !slices.Equal(cp.Kernels(), []string{"mapstore"}) {
+		t.Fatalf("%s: loop kernels %v, want [mapstore]", mc.name, cp.Kernels())
+	}
+	data := make([]int32, mc.words)
+	for i := range data {
+		data[i] = mc.data(i)
+	}
+	return p, cp, data
+}
+
+// TestMapStoreKernelMatchesInterpreter holds the map-store kernel's
+// inline float32 and Q16.16 loops to the interpreter where they could
+// slip: float constants that are NaN, ±Inf, −0 or subnormal, segment
+// words whose bits read as those as floats, Q16.16 words and constants
+// at MinInt32 and MaxInt32 (Sub and MulQ saturate), a run that leaves the
+// segment, and a body outside the two shapes. The contract is
+// TestReduceKernelMatchesInterpreter's.
+func TestMapStoreKernelMatchesInterpreter(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	subnormal := math.Float32frombits(1)
+	specials := []int32{
+		0, 1, -1, math.MaxInt32, math.MinInt32, math.MaxInt32 - 1, math.MinInt32 + 1,
+		f32word(nan), f32word(inf), f32word(-inf), f32word(negZero), f32word(subnormal),
+		fixedpoint.One.Raw(), -fixedpoint.One.Raw(), 0x7fc00001, 0x3f800000,
+	}
+	word := func(i int) int32 { return specials[i%len(specials)] }
+	toF := []amulet.Op{amulet.OpQtoF}
+	var cases []mapCase
+	for _, c := range [][2]float32{
+		{0.25, 4}, {nan, 1}, {1, nan}, {inf, 2}, {-inf, 0.5}, {0, inf}, {3, -inf},
+		{negZero, negZero}, {subnormal, 1e38}, {-1e38, subnormal},
+	} {
+		cases = append(cases, mapCase{
+			name: fmt.Sprintf("float/%g,%g", c[0], c[1]), words: 40, trips: 36, base: 2, conv: toF,
+			sub: amulet.OpFSub, mul: amulet.OpFMul, l: f32word(c[0]), k: f32word(c[1]), data: word,
+		})
+	}
+	for _, c := range [][2]int32{
+		{math.MinInt32, math.MaxInt32}, {math.MaxInt32, math.MaxInt32}, {math.MaxInt32, math.MinInt32},
+		{math.MinInt32, fixedpoint.One.Raw()}, {12345, -3 * fixedpoint.One.Raw()},
+	} {
+		cases = append(cases, mapCase{
+			name: fmt.Sprintf("q/%d,%d", c[0], c[1]), words: 40, trips: 36, base: 2,
+			sub: amulet.OpSub, mul: amulet.OpMulQ, l: c[0], k: c[1], data: word,
+		})
+	}
+	cases = append(cases,
+		mapCase{
+			// The run leaves the segment at i = 30.
+			name: "float-off-end", words: 40, trips: 36, base: 10, conv: toF,
+			sub: amulet.OpFSub, mul: amulet.OpFMul, l: f32word(0.5), k: f32word(3), data: word,
+		},
+		mapCase{
+			name: "q-off-end", words: 40, trips: 36, base: 10,
+			sub: amulet.OpSub, mul: amulet.OpMulQ, l: 7, k: fixedpoint.One.Raw(), data: word,
+		},
+		mapCase{
+			// Neither shape: captured evaluation functions.
+			name: "eval", words: 40, trips: 36, base: 2,
+			sub: amulet.OpAdd, mul: amulet.OpMulI, l: 3, k: -2, data: word,
+		},
+	)
+	for _, mc := range cases {
+		t.Run(mc.name, func(t *testing.T) {
+			p, cp, data := mc.build(t)
+			vm, err := amulet.NewVM(p, append([]int32(nil), data...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			vm.Run(program.MaxCycles)
+			full := vm.Usage().Cycles
+			for budget := uint64(0); budget <= full+8; budget++ {
 				sameRun(t, p, cp, data, budget)
 			}
 			sameRun(t, p, cp, data, program.MaxCycles)
