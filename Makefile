@@ -7,7 +7,7 @@ GO ?= go
 # Coverage floor (percent) enforced on the packages PR 1 race-proofed.
 COVER_FLOOR ?= 85.0
 
-.PHONY: check fmt-check vet build test race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-features fuzz-auth fuzz-station fleet-demo lint lint-custom campaigns vuln cover bench bench-check perf-smoke
+.PHONY: check fmt-check vet build test race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-marshal fuzz-features fuzz-auth fuzz-station fleet-demo lint lint-custom campaigns vuln cover bench bench-check perf-smoke
 
 check: vet build race
 
@@ -105,6 +105,12 @@ fuzz-verify:
 fuzz-jit:
 	$(GO) test ./internal/amulet/jit/ -run '^$$' -fuzz FuzzJITVsInterp -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/amulet/jit/ -run '^$$' -fuzz FuzzDetectorSegmentVsInterp -fuzztime 30s -fuzzminimizetime 2s
+
+# Differential fuzz: the device input marshaller's branch-free Q16.16
+# conversion against the per-sample fixedpoint.FromFloat loop, word for
+# word, on fuzzed float64 bit patterns in both channels.
+fuzz-marshal:
+	$(GO) test ./internal/amulet/program/ -run '^$$' -fuzz FuzzMarshalMatchesFromFloat -fuzztime 30s -fuzzminimizetime 2s
 
 # Differential fuzz: the one-pass host feature core against the
 # portrait → grid path, bit for bit, on fuzzed Q16.16 sample pairs.

@@ -185,7 +185,9 @@ func jitSuite(v features.Version) suite {
 // marshalled segment, each time on a fresh copy in one reused buffer (as
 // DeviceDetector.Classify's pooled segment is), and adds to extra:
 //   - "runNs": ns per window of jit.Program.Run, unprofiled;
-//   - "marshalNs": ns per window of building the segment (program.Input);
+//   - "marshalNs": ns per window of clearing and filling one reused
+//     segment (program.InputInto), the marshalling DeviceDetector.Classify
+//     runs on its pooled segment;
 //   - "loopNN:<pc range>:<template>": ns per window of each fused loop's
 //     kernel dispatches, in Kernels() order, less the cost of an empty
 //     timed region per dispatch, so a loop's share of the run is its ns
@@ -209,10 +211,10 @@ func loopProfile(v features.Version, w dataset.Window, runs int, extra map[strin
 	loops := cp.Loops()
 	stats := make([]jit.LoopStat, len(loops))
 	var run, marshal time.Duration
-	buf := make([]int32, len(data))
+	buf, seg := make([]int32, len(data)), make([]int32, len(data))
 	for r := 0; r < runs; r++ {
 		t0 := time.Now()
-		if _, err := program.Input(v, w, model); err != nil {
+		if err := program.InputInto(v, w, model, seg); err != nil {
 			return err
 		}
 		marshal += time.Since(t0)

@@ -58,6 +58,14 @@ import (
 // inline and anything else through the interpreter's evaluation
 // functions.
 //
+// Where order cannot change the result, the straight-line loops run in
+// lanes, independent accumulators combined once at the end of the run,
+// so consecutive elements do not wait on one dependency chain: the
+// integer sums and Σx² add in four int64 lanes (exact, and merged before
+// sumGrows checks the total), minmax folds even and odd elements in two
+// (integer min and max are associative), and fill with 0 is a clear.
+// Float32 sums and the histogram's bumps stay sequential.
+//
 // Specialization never changes observable semantics: a kernel leaves the
 // scratch locals and the data segment as the body would, reproduces
 // saturating arithmetic exactly, accumulates float32 sequentially, and
@@ -337,8 +345,12 @@ func matchFill(body []irOp, iIdx int) func(*machine, int32, int64) bool {
 	return func(m *machine, i0 int32, n int64) bool {
 		if lo, ok := affineRange(i0, n, base, len(m.data)); ok {
 			s := m.data[lo : lo+n]
-			for j := range s {
-				s[j] = v
+			if v == 0 {
+				clear(s)
+			} else {
+				for j := range s {
+					s[j] = v
+				}
 			}
 			m.locals[ii] = i0 + int32(n)
 			return true
@@ -392,17 +404,8 @@ func matchMinMax(body []irOp, iIdx int) func(*machine, int32, int64) bool {
 	return func(m *machine, i0 int32, n int64) bool {
 		if lo, ok := affineRange(i0, n, base, len(m.data)); ok {
 			s := m.data[lo : lo+n]
-			lov, hiv := m.locals[mn], m.locals[mx]
-			for _, v := range s {
-				if v < lov {
-					lov = v
-				}
-				if v > hiv {
-					hiv = v
-				}
-			}
 			m.locals[t] = s[n-1]
-			m.locals[mn], m.locals[mx] = lov, hiv
+			m.locals[mn], m.locals[mx] = minMax2(s, m.locals[mn], m.locals[mx])
 			m.locals[ii] = i0 + int32(n)
 			return true
 		}
@@ -424,6 +427,24 @@ func matchMinMax(body []irOp, iIdx int) func(*machine, int32, int64) bool {
 		}
 		return true
 	}
+}
+
+// minMax2 folds s into the running min lo and max hi in two lanes, even
+// and odd elements, merged once at the end: integer min and max are
+// associative and commutative, so the result is the sequential fold's,
+// with half its dependency chain.
+func minMax2(s []int32, lo, hi int32) (int32, int32) {
+	lo1, hi1 := lo, hi
+	for i := 1; i < len(s); i += 2 {
+		a, b := s[i-1], s[i]
+		lo, hi = min(lo, a), max(hi, a)
+		lo1, hi1 = min(lo1, b), max(hi1, b)
+	}
+	if len(s)%2 == 1 {
+		x := s[len(s)-1]
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return min(lo, lo1), max(hi, hi1)
 }
 
 // matchMapStore compiles the in-place normalize pass:
@@ -1066,26 +1087,90 @@ func (r *reduce) fold(m *machine, lo, step, n int64) {
 // partial sums only grow from acc, so they all stay in int32 range
 // exactly when the final one does, and then no sadd step would have
 // clamped: ok reports that, and sum is the interpreter's result. n terms
-// of at most 2³¹ each (n < 2³²) cannot overflow int64. When ok is false
-// nothing was written, and the caller reruns the exact loop from acc.
+// of at most 2³¹ each (n < 2³²) cannot overflow int64, so the terms add
+// in four independent lanes, merged before the check; int64 addition
+// without overflow is associative, so the total is the sequential one.
+// When ok is false nothing was written, and the caller reruns the exact
+// loop from acc.
 func sumGrows(d []int32, lo, step, n int64, acc int32, squares bool) (sum int32, ok bool) {
-	s, neg := int64(acc), int32(0)
-	if squares {
-		for ; n > 0; n-- {
-			x := int64(d[lo])
-			s += min(x*x, math.MaxInt32)
-			lo += step
-		}
-	} else {
-		for ; n > 0; n-- {
-			x := d[lo]
-			s += int64(x)
-			neg |= x
-			lo += step
-		}
+	var s int64
+	var neg int32 // OR of the sum's terms: negative when any term is
+	switch {
+	case squares && step == 1:
+		s = squareLanes(d[lo : lo+n])
+	case squares:
+		s = squareLanesStrided(d, lo, step, n)
+	case step == 1:
+		s, neg = sumLanes(d[lo : lo+n])
+	default:
+		s, neg = sumLanesStrided(d, lo, step, n)
 	}
+	s += int64(acc)
 	if neg < 0 || s > math.MaxInt32 {
 		return 0, false
 	}
 	return int32(s), true
+}
+
+// sq is a Σx² term: smulI(x, x), which is never negative.
+func sq(x int32) int64 { return min(int64(x)*int64(x), math.MaxInt32) }
+
+// sumLanes returns the sum of xs and the OR of its elements.
+func sumLanes(xs []int32) (int64, int32) {
+	var s0, s1, s2, s3 int64
+	var neg int32
+	for ; len(xs) >= 4; xs = xs[4:] {
+		x0, x1, x2, x3 := xs[0], xs[1], xs[2], xs[3]
+		s0, s1, s2, s3 = s0+int64(x0), s1+int64(x1), s2+int64(x2), s3+int64(x3)
+		neg |= x0 | x1 | x2 | x3
+	}
+	for _, x := range xs {
+		s0 += int64(x)
+		neg |= x
+	}
+	return s0 + s1 + s2 + s3, neg
+}
+
+// sumLanesStrided is sumLanes over d[lo], d[lo+step], …, n elements.
+func sumLanesStrided(d []int32, lo, step, n int64) (int64, int32) {
+	var s0, s1, s2, s3 int64
+	var neg int32
+	for ; n >= 4; n -= 4 {
+		x0, x1, x2, x3 := d[lo], d[lo+step], d[lo+2*step], d[lo+3*step]
+		s0, s1, s2, s3 = s0+int64(x0), s1+int64(x1), s2+int64(x2), s3+int64(x3)
+		neg |= x0 | x1 | x2 | x3
+		lo += 4 * step
+	}
+	for ; n > 0; n-- {
+		s0 += int64(d[lo])
+		neg |= d[lo]
+		lo += step
+	}
+	return s0 + s1 + s2 + s3, neg
+}
+
+// squareLanes returns the sum of sq over xs.
+func squareLanes(xs []int32) int64 {
+	var s0, s1, s2, s3 int64
+	for ; len(xs) >= 4; xs = xs[4:] {
+		s0, s1, s2, s3 = s0+sq(xs[0]), s1+sq(xs[1]), s2+sq(xs[2]), s3+sq(xs[3])
+	}
+	for _, x := range xs {
+		s0 += sq(x)
+	}
+	return s0 + s1 + s2 + s3
+}
+
+// squareLanesStrided is squareLanes over d[lo], d[lo+step], …, n elements.
+func squareLanesStrided(d []int32, lo, step, n int64) int64 {
+	var s0, s1, s2, s3 int64
+	for ; n >= 4; n -= 4 {
+		s0, s1, s2, s3 = s0+sq(d[lo]), s1+sq(d[lo+step]), s2+sq(d[lo+2*step]), s3+sq(d[lo+3*step])
+		lo += 4 * step
+	}
+	for ; n > 0; n-- {
+		s0 += sq(d[lo])
+		lo += step
+	}
+	return s0 + s1 + s2 + s3
 }

@@ -320,20 +320,27 @@ func TestReduceKernelMatchesInterpreter(t *testing.T) {
 	for _, rc := range cases {
 		t.Run(rc.name, func(t *testing.T) {
 			p, cp, data := rc.build(t)
-			vm, err := amulet.NewVM(p, append([]int32(nil), data...))
-			if err != nil {
-				t.Fatal(err)
-			}
-			vm.Run(program.MaxCycles)
-			full := vm.Usage().Cycles
-			// A faulting run's cost stops at the fault, so the sweep
-			// ends with a budget that lets the kernel reach it.
-			for budget := uint64(0); budget <= full+8; budget++ {
-				sameRun(t, p, cp, data, budget)
-			}
-			sameRun(t, p, cp, data, program.MaxCycles)
+			sweepBudgets(t, p, cp, data, 1)
 		})
 	}
+}
+
+// sweepBudgets runs sameRun at every step-th budget from 0 to a little
+// past the interpreter's full run, and then at a generous budget. A
+// faulting run's cost stops at the fault, so the sweep ends with a budget
+// that lets the kernel reach it.
+func sweepBudgets(t *testing.T, p *amulet.Program, cp *jit.Program, data []int32, step uint64) {
+	t.Helper()
+	vm, err := amulet.NewVM(p, slices.Clone(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm.Run(program.MaxCycles)
+	full := vm.Usage().Cycles
+	for budget := uint64(0); budget <= full+8; budget += step {
+		sameRun(t, p, cp, data, budget)
+	}
+	sameRun(t, p, cp, data, program.MaxCycles)
 }
 
 // sameRun is runBoth with the stricter contract the hand-built kernel
@@ -415,22 +422,7 @@ func (hc histCase) build(t *testing.T) (*amulet.Program, *jit.Program, []int32) 
 	b.PushI(0).LoadL(rL).Op(amulet.OpStoreM)
 	b.PushI(1).LoadL(rT).Op(amulet.OpStoreM)
 	b.Op(amulet.OpHalt)
-	p, err := b.Assemble(hc.name, hc.words)
-	if err != nil {
-		t.Fatalf("%s: %v", hc.name, err)
-	}
-	cp, err := jit.Compile(p)
-	if err != nil {
-		t.Fatalf("%s: %v", hc.name, err)
-	}
-	if !slices.Equal(cp.Kernels(), []string{"histogram"}) {
-		t.Fatalf("%s: loop kernels %v, want [histogram]", hc.name, cp.Kernels())
-	}
-	data := make([]int32, hc.words)
-	for i := range data {
-		data[i] = hc.data(i)
-	}
-	return p, cp, data
+	return assembleKernel(t, b, hc.name, hc.words, "histogram", hc.data)
 }
 
 // TestHistogramKernelMatchesInterpreter covers what the detectors' own
@@ -572,16 +564,7 @@ func TestHistogramKernelMatchesInterpreter(t *testing.T) {
 	for _, hc := range cases {
 		t.Run(hc.name, func(t *testing.T) {
 			p, cp, data := hc.build(t)
-			vm, err := amulet.NewVM(p, append([]int32(nil), data...))
-			if err != nil {
-				t.Fatal(err)
-			}
-			vm.Run(program.MaxCycles)
-			full := vm.Usage().Cycles
-			for budget := uint64(0); budget <= full+8; budget += 7 {
-				sameRun(t, p, cp, data, budget)
-			}
-			sameRun(t, p, cp, data, program.MaxCycles)
+			sweepBudgets(t, p, cp, data, 7)
 		})
 	}
 }
@@ -616,22 +599,7 @@ func (mc mapCase) build(t *testing.T) (*amulet.Program, *jit.Program, []int32) {
 		b.Op(amulet.OpStoreM)
 	})
 	b.Op(amulet.OpHalt)
-	p, err := b.Assemble(mc.name, mc.words)
-	if err != nil {
-		t.Fatalf("%s: %v", mc.name, err)
-	}
-	cp, err := jit.Compile(p)
-	if err != nil {
-		t.Fatalf("%s: %v", mc.name, err)
-	}
-	if !slices.Equal(cp.Kernels(), []string{"mapstore"}) {
-		t.Fatalf("%s: loop kernels %v, want [mapstore]", mc.name, cp.Kernels())
-	}
-	data := make([]int32, mc.words)
-	for i := range data {
-		data[i] = mc.data(i)
-	}
-	return p, cp, data
+	return assembleKernel(t, b, mc.name, mc.words, "mapstore", mc.data)
 }
 
 // TestMapStoreKernelMatchesInterpreter holds the map-store kernel's
@@ -690,16 +658,7 @@ func TestMapStoreKernelMatchesInterpreter(t *testing.T) {
 	for _, mc := range cases {
 		t.Run(mc.name, func(t *testing.T) {
 			p, cp, data := mc.build(t)
-			vm, err := amulet.NewVM(p, append([]int32(nil), data...))
-			if err != nil {
-				t.Fatal(err)
-			}
-			vm.Run(program.MaxCycles)
-			full := vm.Usage().Cycles
-			for budget := uint64(0); budget <= full+8; budget++ {
-				sameRun(t, p, cp, data, budget)
-			}
-			sameRun(t, p, cp, data, program.MaxCycles)
+			sweepBudgets(t, p, cp, data, 1)
 		})
 	}
 }

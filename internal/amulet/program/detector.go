@@ -67,8 +67,7 @@ func (d *DeviceDetector) Classify(w dataset.Window) (Output, error) {
 	seg := segments.Get().(*[]int32)
 	defer segments.Put(seg)
 	data := *seg
-	clear(data)
-	if err := marshal(d.Version, w, d.Model, data); err != nil {
+	if err := InputInto(d.Version, w, d.Model, data); err != nil {
 		return Output{}, err
 	}
 	res, err := d.Device.RunTraced(d.prog.Name, data, MaxCycles, d.TraceParent)

@@ -96,8 +96,30 @@ var segments = sync.Pool{New: func() any {
 	return &s
 }}
 
+// InputInto is Input into a caller's segment, which must be DataWords
+// words long and may hold an earlier window's segment: on success data is
+// exactly Input's segment. This is the path DeviceDetector.Classify runs
+// on its pooled segment every window. It clears only the words marshal
+// does not write whatever the window: the outputs, the model block, the
+// sample blocks past the window's length, and everything from the peak
+// buffers on (peaks, portrait matrix, column buffer); the header words
+// and the window's samples are always overwritten.
+func InputInto(v features.Version, w dataset.Window, q *svm.Quantized, data []int32) error {
+	if len(data) != DataWords {
+		return fmt.Errorf("program: segment of %d words, want %d", len(data), DataWords)
+	}
+	n := min(w.Len(), MaxSamples)
+	clear(data[HdrOut:EcgBase])
+	clear(data[EcgBase+n : AbpBase])
+	clear(data[AbpBase+n : RBase])
+	clear(data[RBase:])
+	return marshal(v, w, q, data)
+}
+
 // marshal writes Input's segment into data, which must be DataWords long
-// and all zero.
+// and zero wherever marshal does not write (InputInto). The two channels convert in one branch-free pass each
+// (toQ16), into the segment's sample blocks; every window, whether cut by
+// the station or read from a dataset, takes the same path.
 func marshal(v features.Version, w dataset.Window, q *svm.Quantized, data []int32) error {
 	if q == nil {
 		return fmt.Errorf("program: nil model")
@@ -137,10 +159,8 @@ func marshal(v features.Version, w dataset.Window, q *svm.Quantized, data []int3
 		data[modelInvStd+j] = enc(q.InvStd[j])
 	}
 
-	for i := 0; i < n; i++ {
-		data[EcgBase+i] = fixedpoint.FromFloat(w.ECG[i]).Raw()
-		data[AbpBase+i] = fixedpoint.FromFloat(w.ABP[i]).Raw()
-	}
+	toQ16(data[EcgBase:EcgBase+n], w.ECG)
+	toQ16(data[AbpBase:AbpBase+n], w.ABP)
 	for i, p := range w.RPeaks {
 		if p < 0 || p >= n {
 			return fmt.Errorf("program: R peak %d outside window of %d samples", p, n)
@@ -161,6 +181,38 @@ func marshal(v features.Version, w dataset.Window, q *svm.Quantized, data []int3
 		data[PairSBase+i] = int32(pr[1])
 	}
 	return nil
+}
+
+// roundMagic is fixedpoint.FromFloat's rounding constant: adding it to a
+// float64 of magnitude below 2³¹ lands in the binade whose spacing is
+// exactly 1.
+const roundMagic = 1.5 * (1 << 52)
+
+// toQ16 writes fixedpoint.FromFloat(src[i]).Raw() to dst[i] for every
+// sample; src must be at least as long as dst. The loop is FromFloat's
+// in-range formula with no branch: each sample's rounded integer r is
+// stored as is, and bad collects, without a compare, whether any r left
+// int32 range. An r in range is FromFloat's result: either s = x·2¹⁶ is
+// in range, or s rounds onto the bound FromFloat saturates to (MaxInt32
+// for s in [2³¹−1, 2³¹−½), MinInt32 for s in [−2³¹−½, −2³¹]). A NaN, an
+// infinity or any larger s gives an r far outside int32 range, and only
+// then does the per-sample FromFloat loop rerun. The range test needs no
+// float-to-integer conversion, whose result for NaN and out-of-range
+// values Go leaves to the platform.
+func toQ16(dst []int32, src []float64) {
+	src = src[:len(dst)]
+	var bad uint64
+	for i, x := range src {
+		// The conversion keeps the add unfused, as in FromFloat.
+		r := int64(math.Float64bits(float64(x*float64(fixedpoint.One))+roundMagic) - math.Float64bits(roundMagic))
+		bad |= uint64(r-math.MinInt32) >> 32
+		dst[i] = int32(r)
+	}
+	if bad != 0 {
+		for i, x := range src {
+			dst[i] = fixedpoint.FromFloat(x).Raw()
+		}
+	}
 }
 
 // encoderFor returns the Q→native-word encoder for a version's model

@@ -14,7 +14,8 @@ type ChannelEffect interface {
 	// Transmit returns the frames actually delivered for f: empty for a
 	// loss, one for delivery, two for a duplicate. f's samples are
 	// borrowed (see Frame); the delivered frames may share them, so they
-	// are valid only as long as f's are.
+	// are valid only as long as f's are. The returned slice may be the
+	// channel's own buffer, valid only until its next Transmit.
 	Transmit(f Frame) []Frame
 }
 
@@ -32,13 +33,19 @@ func (Reliable) Transmit(f Frame) []Frame { return []Frame{f} }
 // observes its telemetry. Transmit serializes rng draws under a mutex and
 // the counters are atomic, making the whole channel safe for concurrent
 // use (though a single scenario always drives it from one goroutine).
+//
+// Transmit returns a slice of the channel's own two-frame buffer, valid
+// until its next Transmit, so delivering a frame allocates nothing. Only
+// a caller that is the channel's one sender may read the result;
+// concurrent senders must discard it.
 type Lossy struct {
 	lossProb float64
 	dupProb  float64
 	seed     int64
 
-	mu  sync.Mutex // guards rng
+	mu  sync.Mutex // guards rng and out
 	rng *rand.Rand
+	out [2]Frame // Transmit's result
 
 	sent, lost, duplicated atomic.Int64
 }
@@ -97,6 +104,8 @@ func (l *Lossy) Transmit(f Frame) []Frame {
 	if !loss {
 		dup = l.rng.Float64() < l.dupProb
 	}
+	l.out = [2]Frame{f, f}
+	out := l.out[:]
 	l.mu.Unlock()
 
 	l.sent.Add(1)
@@ -106,8 +115,8 @@ func (l *Lossy) Transmit(f Frame) []Frame {
 		return nil
 	case dup:
 		l.duplicated.Add(1)
-		return []Frame{f, f}
+		return out
 	default:
-		return []Frame{f}
+		return out[:1]
 	}
 }

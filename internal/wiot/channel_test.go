@@ -1,6 +1,7 @@
 package wiot
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -66,6 +67,42 @@ func TestLossyDeterministicSeed(t *testing.T) {
 		if len(a.Transmit(f)) != len(b.Transmit(f)) {
 			t.Fatal("identical seeds diverged")
 		}
+	}
+}
+
+// TestLossyTransmitSteadyStateAllocs: called through the ChannelEffect
+// interface, as Scenario.stream calls it, Lossy.Transmit allocates
+// nothing per frame; it returns its own two-frame buffer, valid until the
+// next call. Allocations are counted with runtime.MemStats over many
+// calls, because testing.AllocsPerRun divides integers and would read
+// 0.98 allocations a call as 0.
+func TestLossyTransmitSteadyStateAllocs(t *testing.T) {
+	var ch ChannelEffect = MustLossy(0.02, 0.01, 3)
+	f := FrameFromFloats(SensorECG, 5, []float64{1, 2})
+	const calls = 100_000
+	var delivered, dups int
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		out := ch.Transmit(f)
+		delivered += len(out)
+		if len(out) == 2 {
+			dups++
+		}
+		for _, d := range out {
+			if d.Seq != f.Seq || &d.Samples[0] != &f.Samples[0] {
+				t.Fatalf("call %d delivered %+v, want the sent frame", i, d)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > calls/100 {
+		t.Errorf("%d allocations over %d Transmit calls (%.2f a call), want ≈ 0", n, calls, float64(n)/calls)
+	}
+	l := ch.(*Lossy)
+	if want := int(l.Sent() - l.Lost() + l.Duplicated()); delivered != want || dups == 0 {
+		t.Errorf("delivered %d frames (%d duplicated), telemetry says %d", delivered, dups, want)
 	}
 }
 
