@@ -7,7 +7,7 @@ GO ?= go
 # Coverage floor (percent) enforced on the packages PR 1 race-proofed.
 COVER_FLOOR ?= 85.0
 
-.PHONY: check fmt-check vet build test race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-marshal fuzz-features fuzz-auth fuzz-station fleet-demo lint lint-custom campaigns vuln cover bench bench-check perf-smoke
+.PHONY: check fmt-check vet build test race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-marshal fuzz-features fuzz-auth fuzz-station fuzz-peaks fuzz-campaign fleet-demo lint lint-custom campaigns vuln cover bench bench-check perf-smoke
 
 check: vet build race
 
@@ -128,6 +128,19 @@ fuzz-auth:
 # gets past auth without a valid MAC.
 fuzz-station:
 	$(GO) test ./internal/wiot/ -run '^$$' -fuzz FuzzStationIngress -fuzztime 30s -fuzzminimizetime 2s
+
+# Differential fuzz: the one-pass R detector against the stage-by-stage
+# oracle (band-pass, squared difference, running-sum integrator, MinMax),
+# indices and integrated signal bit for bit, on fuzzed float64 bit
+# patterns at every length up to 2.5 station windows.
+fuzz-peaks:
+	$(GO) test ./internal/peaks/ -run '^$$' -fuzz FuzzRDetectorMatchesMultiPass -fuzztime 30s -fuzzminimizetime 2s
+
+# Fuzz campaign canonical text: ParseCanonical never panics, and any
+# text it accepts reaches a fixed point after one Canonical() re-render
+# with the same DeclDigest.
+fuzz-campaign:
+	$(GO) test ./internal/campaign/ -run '^$$' -fuzz FuzzParseCanonical -fuzztime 30s -fuzzminimizetime 2s
 
 # The acceptance demo: 12 wearers streaming concurrently over a lossy
 # link, with the metrics snapshot printed at the end.

@@ -368,8 +368,8 @@ func TestCascadeApplyResets(t *testing.T) {
 	}
 }
 
-// TestCascadeApplyIntoMatchesStep holds the register-resident cascade
-// bit-exact to repeated Step for one, two and three sections, in place
+// TestCascadeApplyIntoMatchesStep holds ApplyInto bit-exact to repeated
+// Step for one, two and three sections, in place
 // and across calls that must each start from reset state.
 func TestCascadeApplyIntoMatchesStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

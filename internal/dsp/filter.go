@@ -75,18 +75,26 @@ func HighPass(fc, fs float64) (*Biquad, error) {
 
 // BandPass composes a high-pass at lo and a low-pass at hi into a cascade.
 func BandPass(lo, hi, fs float64) (*Cascade, error) {
-	if lo >= hi {
-		return nil, fmt.Errorf("dsp: band edges inverted: lo %.3g >= hi %.3g", lo, hi)
-	}
-	hp, err := HighPass(lo, fs)
-	if err != nil {
-		return nil, err
-	}
-	lp, err := LowPass(hi, fs)
+	hp, lp, err := BandPassSections(lo, hi, fs)
 	if err != nil {
 		return nil, err
 	}
 	return &Cascade{sections: []*Biquad{hp, lp}}, nil
+}
+
+// BandPassSections designs BandPass's two sections, the high-pass at lo
+// and the low-pass at hi, for a caller that runs them itself.
+func BandPassSections(lo, hi, fs float64) (hp, lp *Biquad, err error) {
+	if lo >= hi {
+		return nil, nil, fmt.Errorf("dsp: band edges inverted: lo %.3g >= hi %.3g", lo, hi)
+	}
+	if hp, err = HighPass(lo, fs); err != nil {
+		return nil, nil, err
+	}
+	if lp, err = LowPass(hi, fs); err != nil {
+		return nil, nil, err
+	}
+	return hp, lp, nil
 }
 
 func checkFreq(fc, fs float64) error {
@@ -124,36 +132,12 @@ func (c *Cascade) Apply(x []float64) []float64 { return c.ApplyInto(nil, x) }
 
 // ApplyInto is Apply writing into dst, which is grown when its capacity
 // is short, and returns dst[:len(x)]. x and dst may be the same slice.
-//
-// A two-section cascade (every BandPass) runs with both sections'
-// coefficients and state in locals, sample by sample through the first
-// section and then the second, and stores the state back at the end:
-// no state round-trips through memory inside the recurrence. The
-// expressions are Biquad.Step's, so the output is bit-identical to it.
 func (c *Cascade) ApplyInto(dst, x []float64) []float64 {
 	c.Reset()
 	dst = slices.Grow(dst[:0], len(x))[:len(x)]
-	if len(c.sections) != 2 {
-		for i, v := range x {
-			dst[i] = c.Step(v)
-		}
-		return dst
-	}
-	p, q := c.sections[0], c.sections[1]
-	pb0, pb1, pb2, pa1, pa2 := p.B0, p.B1, p.B2, p.A1, p.A2
-	qb0, qb1, qb2, qa1, qa2 := q.B0, q.B1, q.B2, q.A1, q.A2
-	var px1, px2, py1, py2, qx1, qx2, qy1, qy2 float64
 	for i, v := range x {
-		y := pb0*v + pb1*px1 + pb2*px2 - pa1*py1 - pa2*py2
-		px2, px1 = px1, v
-		py2, py1 = py1, y
-		z := qb0*y + qb1*qx1 + qb2*qx2 - qa1*qy1 - qa2*qy2
-		qx2, qx1 = qx1, y
-		qy2, qy1 = qy1, z
-		dst[i] = z
+		dst[i] = c.Step(v)
 	}
-	p.x1, p.x2, p.y1, p.y2 = px1, px2, py1, py2
-	q.x1, q.x2, q.y1, q.y2 = qx1, qx2, qy1, qy2
 	return dst
 }
 

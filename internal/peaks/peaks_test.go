@@ -1,7 +1,9 @@
 package peaks
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -225,6 +227,134 @@ func detectROracle(t *testing.T, ecg []float64, cfg DetectorConfig) []int {
 		out = append(out, argmaxAround(ecg, c, win))
 	}
 	return dedupeSorted(out, refractory)
+}
+
+// thresholdPeaks appends to out the local maxima of x at or above
+// frac·max(x), with max(x) taken by dsp.MinMax, enforcing the refractory
+// separation.
+func thresholdPeaks(out []int, x []float64, frac float64, refractory int) []int {
+	_, maxV, err := dsp.MinMax(x)
+	if err != nil || maxV <= 0 {
+		return out
+	}
+	return localMaxima(out, x, frac*maxV, refractory)
+}
+
+// detectMultiPass is the R detector as one pass per stage: the band-pass
+// cascade, the squared first difference, dsp.MovingAverageInto,
+// dsp.MinMax inside thresholdPeaks, then refinement. It is the bit-level
+// oracle for the fused Detect and returns the integrated signal too.
+func detectMultiPass(t *testing.T, ecg []float64, cfg DetectorConfig) ([]int, []float64, error) {
+	t.Helper()
+	if len(ecg) == 0 {
+		return nil, nil, dsp.ErrEmptySignal
+	}
+	cfg = cfg.fillDefaults()
+	band, err := dsp.BandPass(cfg.BandLow, cfg.BandHigh, cfg.SampleRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := int(cfg.WindowSec * cfg.SampleRate)
+	if win%2 == 0 {
+		win++
+	}
+	refractory := int(cfg.Refractory * cfg.SampleRate)
+	filtered := band.ApplyInto(nil, ecg)
+	energy := make([]float64, len(ecg)-1)
+	for i := range energy {
+		v := filtered[i+1] - filtered[i]
+		energy[i] = v * v
+	}
+	integrated, err := dsp.MovingAverageInto(nil, energy, win)
+	if err != nil {
+		return nil, nil, err
+	}
+	candidates := thresholdPeaks(nil, integrated, cfg.ThreshFrac, refractory)
+	out := make([]int, 0, len(candidates))
+	for _, c := range candidates {
+		out = append(out, argmaxAround(ecg, c, win))
+	}
+	return dedupeSorted(out, refractory), integrated, nil
+}
+
+// checkMatchesMultiPass runs det on ecg and fails unless its indices,
+// error and integrated signal equal detectMultiPass's bit for bit, any
+// NaN matching any NaN.
+func checkMatchesMultiPass(t *testing.T, det *RDetector, ecg []float64, cfg DetectorConfig) {
+	t.Helper()
+	got, gotErr := det.Detect(ecg)
+	want, integrated, wantErr := detectMultiPass(t, ecg, cfg)
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("len %d: Detect error %v, multi-pass %v", len(ecg), gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("len %d: Detect = %v, multi-pass %v", len(ecg), got, want)
+	}
+	if len(det.integrated) != len(integrated) {
+		t.Fatalf("len %d: integrated has %d samples, multi-pass %d", len(ecg), len(det.integrated), len(integrated))
+	}
+	for i, v := range integrated {
+		// Go leaves open which NaN an operation on two NaNs returns, and
+		// the compiler may swap a sum's operands, so NaNs match as a class.
+		if g := det.integrated[i]; math.Float64bits(g) != math.Float64bits(v) && !(g != g && v != v) {
+			t.Fatalf("len %d: integrated[%d] = %v (%#x), multi-pass %v (%#x)",
+				len(ecg), i, det.integrated[i], math.Float64bits(det.integrated[i]), v, math.Float64bits(v))
+		}
+	}
+}
+
+// FuzzRDetectorMatchesMultiPass holds the fused Detect bit-exact to the
+// multi-pass oracle: indices, error and the integrated signal, through
+// one reused detector. Each input cuts n samples (up to 2.5 station
+// windows) from a quantized ECG at off and overwrites samples with raw
+// float64 bit patterns, 10 bytes each (a little-endian u16 position, then
+// the bits), so NaN, ±Inf, −0 and subnormals land anywhere in a window
+// of any length. The seeds take every length from 0 to past two
+// integration windows, which runs each phase of the fused integrator at
+// each of its clipped bounds (the window that covers all included).
+func FuzzRDetectorMatchesMultiPass(f *testing.F) {
+	const maxLen = 2700
+	cfg := DetectorConfig{SampleRate: physio.DefaultSampleRate}
+	det, err := NewRDetector(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The ECG as the station sees it: through Q16.16, the wire format.
+	rec, err := physio.Generate(physio.DefaultSubject(), 2*maxLen/physio.DefaultSampleRate+1, physio.DefaultSampleRate, 6)
+	if err != nil {
+		f.Fatal(err)
+	}
+	base := make([]float64, len(rec.ECG))
+	for i, v := range rec.ECG {
+		base[i] = fixedpoint.FromFloat(v).Float()
+	}
+	patch := func(pos uint16, v float64) []byte {
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint16(nil, pos), math.Float64bits(v))
+	}
+	for n := 0; n <= 2*det.win+3; n++ {
+		f.Add(uint16(n), uint16(97*(n%3)), []byte(nil))
+	}
+	for _, n := range []int{1080, 1081, maxLen} {
+		f.Add(uint16(n), uint16(300), []byte(nil))
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.MaxFloat64, 1e300}
+	for k, v := range specials {
+		f.Add(uint16(1080), uint16(40*k), patch(uint16(100*k), v))
+		f.Add(uint16(k+1), uint16(0), patch(0, v))
+	}
+	f.Add(uint16(3), uint16(0), append(patch(0, 1), patch(1, -1)...))
+	f.Fuzz(func(t *testing.T, n, off uint16, raw []byte) {
+		ecg := slices.Clone(base[int(off)%maxLen:][:int(n)%(maxLen+1)])
+		for ; len(raw) >= 10 && len(ecg) > 0; raw = raw[10:] {
+			i := int(binary.LittleEndian.Uint16(raw)) % len(ecg)
+			ecg[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[2:]))
+		}
+		checkMatchesMultiPass(t, det, ecg, cfg)
+	})
 }
 
 // TestRDetectorMatchesOracle pins the reusable detector to the oracle on

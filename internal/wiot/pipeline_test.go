@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/wiot-security/sift/internal/dataset"
+	"github.com/wiot-security/sift/internal/dsp"
 	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/peaks"
 	"github.com/wiot-security/sift/internal/physio"
@@ -100,26 +101,146 @@ func TestStationRunsECGStageAtItsOwnWindow(t *testing.T) {
 	}
 }
 
+// checkFold fails unless each sensor's filling window carries the range
+// of its own samples and their sum, added in index order from +0: the
+// sum and maximum the station's systolic scan takes at the cut.
+func checkFold(t *testing.T, st *BaseStation) {
+	t.Helper()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i := range st.ch {
+		ch := &st.ch[i]
+		if len(ch.part) == 0 {
+			continue
+		}
+		lo, hi, _ := dsp.MinMax(ch.part)
+		var sum float64
+		for _, v := range ch.part {
+			sum += v
+		}
+		if ch.lo.Float() != lo || ch.hi.Float() != hi || ch.sum != sum {
+			t.Fatalf("sensor %d, %d samples filled: range [%v, %v] sum %v, samples give [%v, %v] sum %v",
+				i+1, len(ch.part), ch.lo.Float(), ch.hi.Float(), ch.sum, lo, hi, sum)
+		}
+	}
+}
+
+// lossyFeed streams both sensors through a lossy channel, ECG at twice
+// ABP's pace so that ECG's windows queue.
+func lossyFeed(loss, dup float64) func(*testing.T, *BaseStation, *Sensor, *Sensor) {
+	return func(t *testing.T, st *BaseStation, ecg, abp *Sensor) {
+		ch := MustLossy(loss, dup, 5)
+		for more := true; more; {
+			more = false
+			for _, s := range []*Sensor{ecg, ecg, abp} {
+				f, ok := s.Next()
+				if !ok {
+					continue
+				}
+				more = true
+				for _, g := range ch.Transmit(f) {
+					if err := st.HandleFrame(g); err != nil {
+						t.Fatal(err)
+					}
+					checkFold(t, st)
+				}
+			}
+		}
+		if stats := st.Stats(); (loss > 0) != (stats.Concealed > 0) || (dup > 0) != (stats.Stale > 0) {
+			t.Fatalf("channel did not exercise the case: stats %+v", stats)
+		}
+	}
+}
+
+// outageFeed loses frames 12–29 of both sensors on a lossy link: frame
+// 30 conceals them, so window 1 is wholly concealment and window 2
+// starts with 540 samples of it.
+func outageFeed(t *testing.T, st *BaseStation, ecg, abp *Sensor) {
+	for seq := 0; ; seq++ {
+		more := false
+		for _, s := range []*Sensor{ecg, abp} {
+			f, ok := s.Next()
+			if !ok {
+				continue
+			}
+			more = true
+			if seq >= 12 && seq < 30 {
+				continue
+			}
+			if err := st.HandleFrame(f); err != nil {
+				t.Fatal(err)
+			}
+			checkFold(t, st)
+		}
+		if !more {
+			break
+		}
+	}
+	if stats := st.Stats(); stats.Concealed != 2*18*90 || stats.Resyncs != 0 {
+		t.Fatalf("outage not concealed as 18 frames per sensor: stats %+v", stats)
+	}
+}
+
+// resyncFeed sends frames 0–19 of both sensors over a reliable link,
+// then ECG's sender declares 101 frames lost, past the concealment
+// bound, and both streams go on at seq 121 with frame 20's samples. The
+// resync drops both sensors' part-filled window 1, moves to window 10
+// and refills its first 90 samples with hold, so window 10 starts with
+// concealment.
+func resyncFeed(t *testing.T, st *BaseStation, ecg, abp *Sensor) {
+	for seq := uint32(0); ; seq++ {
+		more := false
+		for _, s := range []*Sensor{ecg, abp} {
+			f, ok := s.Next()
+			if !ok {
+				continue
+			}
+			more = true
+			if seq == 20 && s == ecg {
+				st.declareGap(SensorECG, 121)
+			}
+			if seq >= 20 {
+				f.Seq += 101
+			}
+			if adm, _, err := st.admit(f); adm != admitted || err != nil {
+				t.Fatalf("sensor %v seq %d: admission %d, err %v", f.Sensor, f.Seq, adm, err)
+			}
+			checkFold(t, st)
+		}
+		if !more {
+			break
+		}
+	}
+	if stats := st.Stats(); stats.Resyncs != 1 || stats.Concealed != 2*90 {
+		t.Fatalf("declared gap did not resync with 90 samples of hold per sensor: stats %+v", stats)
+	}
+}
+
 // TestStationWindowPeaksMatchDetectors: every classified window carries
 // exactly what the peak detectors find in its own samples, through loss
-// concealment and duplicates, and nothing when runtime peaks are off.
+// concealment, duplicates, windows of concealment alone and a resync,
+// and nothing when runtime peaks are off. The station's running sums
+// and ranges are checked after every frame.
 func TestStationWindowPeaksMatchDetectors(t *testing.T) {
 	rec := pipelineRecord(t)
 	const rate = physio.DefaultSampleRate
 	maxLag := int(dataset.MaxPairLagSec * rate)
 	for _, tc := range []struct {
 		name         string
-		loss, dup    float64
 		runtimePeaks bool
+		feed         func(*testing.T, *BaseStation, *Sensor, *Sensor)
+		indices      []int // the windows classified
+		concealment  []int // windows wholly concealment, which hold no peaks
 	}{
-		{"clean", 0, 0, true},
-		{"concealed", 0.1, 0, true},
-		{"duplicated", 0, 0.2, true},
-		{"peaks-off", 0.1, 0.2, false},
+		{"clean", true, lossyFeed(0, 0), []int{0, 1, 2, 3}, nil},
+		{"concealed", true, lossyFeed(0.1, 0), nil, nil},
+		{"duplicated", true, lossyFeed(0, 0.2), []int{0, 1, 2, 3}, nil},
+		{"peaks-off", false, lossyFeed(0.1, 0.2), nil, nil},
+		{"outage", true, outageFeed, []int{0, 1, 2, 3}, []int{1}},
+		{"resync", true, resyncFeed, []int{0, 10, 11}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, log, _ := pipelineStation(t, tc.runtimePeaks)
-			ch := MustLossy(tc.loss, tc.dup, 5)
 			ecg, err := NewSensor(SensorECG, rec, 90)
 			if err != nil {
 				t.Fatal(err)
@@ -128,31 +249,14 @@ func TestStationWindowPeaksMatchDetectors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// ECG runs at twice ABP's pace, so ECG's windows queue.
-			for more := true; more; {
-				more = false
-				for _, s := range []*Sensor{ecg, ecg, abp} {
-					f, ok := s.Next()
-					if !ok {
-						continue
-					}
-					more = true
-					for _, g := range ch.Transmit(f) {
-						if err := st.HandleFrame(g); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-			}
-			stats := st.Stats()
-			if (tc.loss > 0) != (stats.Concealed > 0) || (tc.dup > 0) != (stats.Stale > 0) {
-				t.Fatalf("channel did not exercise the case: stats %+v", stats)
-			}
+			tc.feed(t, st, ecg, abp)
 			windows := log.all()
 			if len(windows) < 3 {
 				t.Fatalf("%d windows classified, want at least 3", len(windows))
 			}
+			var indices []int
 			for _, w := range windows {
+				indices = append(indices, w.Index)
 				if !tc.runtimePeaks {
 					if w.RPeaks != nil || w.SysPeaks != nil || w.Pairs != nil {
 						t.Errorf("window %d carries peaks with runtime detection off", w.Index)
@@ -167,13 +271,20 @@ func TestStationWindowPeaksMatchDetectors(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(r) == 0 || len(s) == 0 {
+				if slices.Contains(tc.concealment, w.Index) {
+					if len(r) != 0 || len(s) != 0 {
+						t.Fatalf("window %d is wholly concealment, but detectors found %d R / %d systolic peaks", w.Index, len(r), len(s))
+					}
+				} else if len(r) == 0 || len(s) == 0 {
 					t.Fatalf("window %d: detectors found %d R / %d systolic peaks", w.Index, len(r), len(s))
 				}
 				if !slices.Equal(w.RPeaks, r) || !slices.Equal(w.SysPeaks, s) || !slices.Equal(w.Pairs, peaks.Pair(r, s, maxLag)) {
 					t.Errorf("window %d: peaks R %v sys %v pairs %v, want R %v sys %v pairs %v",
 						w.Index, w.RPeaks, w.SysPeaks, w.Pairs, r, s, peaks.Pair(r, s, maxLag))
 				}
+			}
+			if tc.indices != nil && !slices.Equal(indices, tc.indices) {
+				t.Errorf("classified windows %v, want %v", indices, tc.indices)
 			}
 		})
 	}

@@ -110,12 +110,13 @@ type BaseStation struct {
 }
 
 // channel is one sensor's stage of window assembly: the window its
-// samples are filling, with their running minimum and maximum, and its
-// complete windows, oldest first, that wait for the other sensor's
+// samples are filling, with their running minimum, maximum and sum, and
+// its complete windows, oldest first, that wait for the other sensor's
 // window of the same index.
 type channel struct {
 	part   []float64    // the filling window: nil until its first sample, then capacity wlen; handed to Classify as is once full
 	lo, hi fixedpoint.Q // min and max of part's samples; meaningless while part is empty
+	sum    float64      // part's samples added in index order from +0; meaningless while part is empty
 	queue  []cutWindow  // queue[head:] waits
 	head   int
 }
@@ -137,6 +138,15 @@ func (c *channel) widen(n int, lo, hi fixedpoint.Q) {
 		lo, hi = min(lo, c.lo), max(hi, c.hi)
 	}
 	c.lo, c.hi = lo, hi
+}
+
+// sumBefore returns the sum that samples written at part[n:] add to in
+// turn: +0 at the window's first sample (n = 0), else the sum so far.
+func (c *channel) sumBefore(n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return c.sum
 }
 
 // waiting returns how many complete windows the channel holds.
@@ -324,12 +334,16 @@ func (b *BaseStation) accept(f Frame, resync bool) error {
 		n := len(ch.part)
 		k := min(len(samples), b.wlen-n)
 		ch.part = ch.part[:n+k]
-		lo, hi := samples[0], samples[0]
+		dst := ch.part[n : n+k]
+		lo, hi, sum := samples[0], samples[0], ch.sumBefore(n)
 		for i, q := range samples[:k] {
-			ch.part[n+i] = q.Float()
+			v := q.Float()
+			dst[i] = v
+			sum += v
 			lo, hi = min(lo, q), max(hi, q)
 		}
 		ch.widen(n, lo, hi)
+		ch.sum = sum
 		samples = samples[k:]
 		b.cutIfFull(f.Sensor)
 	}
@@ -371,10 +385,12 @@ func (b *BaseStation) conceal(sensor SensorID, n int) {
 		b.open(ch)
 		k := min(n, b.wlen-len(ch.part))
 		ch.widen(len(ch.part), hold, hold)
-		v := hold.Float()
+		v, sum := hold.Float(), ch.sumBefore(len(ch.part))
 		for range k {
 			ch.part = append(ch.part, v)
+			sum += v
 		}
+		ch.sum = sum
 		n -= k
 		b.cutIfFull(sensor)
 	}
@@ -405,7 +421,7 @@ func (b *BaseStation) cutIfFull(sensor SensorID) {
 			if w.peaks, w.err = b.rdet.Detect(w.samples); w.err != nil {
 				w.err = fmt.Errorf("wiot: runtime R detection: %w", w.err)
 			}
-		} else if w.peaks, w.err = peaks.DetectSystolic(w.samples, b.cfg.SampleRate); w.err != nil {
+		} else if w.peaks, w.err = peaks.ScanSystolic(w.samples, b.cfg.SampleRate, ch.sum, w.hi); w.err != nil {
 			w.err = fmt.Errorf("wiot: runtime systolic detection: %w", w.err)
 		}
 	}
