@@ -82,26 +82,6 @@ func trainingMatrix(b *testing.B) ([][]float64, []svm.Label) {
 	return x, y
 }
 
-// BenchmarkAblation_TrainerSMOvsPegasos compares the two linear trainers
-// on identical data: same model class, different cost profile.
-func BenchmarkAblation_TrainerSMOvsPegasos(b *testing.B) {
-	x, y := trainingMatrix(b)
-	b.Run("SMO", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := svm.Train(x, y, svm.Config{Seed: 1, MaxIter: 60}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Pegasos", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := svm.TrainPegasos(x, y, svm.PegasosConfig{Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblation_KernelPredictCost compares per-window prediction cost
 // for the linear and RBF models — the device-side argument for the
 // paper's linear-kernel choice.

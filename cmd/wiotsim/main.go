@@ -125,7 +125,7 @@ func run() error {
 			pprof:      *pprofFlag,
 		}
 		if *stream {
-			return runStreamFleet(opt)
+			return runStreamFleet(opt, os.Stdout)
 		}
 		return runFleet(opt)
 	}

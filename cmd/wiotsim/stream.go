@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"github.com/wiot-security/sift/internal/campaign"
@@ -31,8 +30,9 @@ const streamProfiles = 64
 // should not move the peak, and -max-heap-mib turns that claim into a
 // hard failure. The digest line at the end is canonical: it must be
 // byte-identical for any -shards/-workers split of the same cohort.
-func runStreamFleet(opt fleetOptions) error {
-	src, err := streamSource(opt, os.Stdout)
+// The report goes to w.
+func runStreamFleet(opt fleetOptions, w io.Writer) error {
+	src, err := streamSource(opt, w)
 	if err != nil {
 		return err
 	}
@@ -55,15 +55,15 @@ func runStreamFleet(opt fleetOptions) error {
 	}
 	elapsed := time.Since(start).Round(time.Millisecond)
 
-	fmt.Printf("\nstations:\n%s", reg)
-	fmt.Printf("\n%s", res)
-	fmt.Printf("\nmerged metrics after %v:\n%s", elapsed, res.MergedMetrics())
+	fmt.Fprintf(w, "\nstations:\n%s", reg)
+	fmt.Fprintf(w, "\n%s", res)
+	fmt.Fprintf(w, "\nmerged metrics after %v:\n%s", elapsed, res.MergedMetrics())
 	// The digest is the shard-invariance fingerprint: identical inputs
 	// must print an identical line for every -shards/-workers split.
-	fmt.Printf("\ndigest: scenarios=%d completed=%d failed=%d skipped=%d windows=%d tp=%d fn=%d fp=%d tn=%d seqerr=%d\n",
+	fmt.Fprintf(w, "\ndigest: scenarios=%d completed=%d failed=%d skipped=%d windows=%d tp=%d fn=%d fp=%d tn=%d seqerr=%d\n",
 		res.Scenarios, res.Completed, res.Failed, res.Skipped,
 		res.Windows, res.TruePos, res.FalseNeg, res.FalsePos, res.TrueNeg, res.SeqErrors)
-	fmt.Printf("heap peak: %.1f MiB across %d wearers\n", float64(peak)/(1<<20), opt.subjects)
+	fmt.Fprintf(w, "heap peak: %.1f MiB across %d wearers\n", float64(peak)/(1<<20), opt.subjects)
 	if opt.maxHeapMiB > 0 && peak > uint64(opt.maxHeapMiB)<<20 {
 		return fmt.Errorf("heap peak %.1f MiB exceeds the -max-heap-mib %d bound: streamed aggregation is supposed to be cohort-size-invariant",
 			float64(peak)/(1<<20), opt.maxHeapMiB)

@@ -59,11 +59,10 @@ func run() error {
 	// Base station: TCP listener + the sink-side statistics store.
 	sink := wiot.NewStatsSink()
 	station, err := wiot.NewBaseStation(wiot.StationConfig{
-		SubjectID:            subjects[0].ID,
-		SampleRate:           physio.DefaultSampleRate,
-		Detector:             sift.HostDetector{D: det},
-		Sink:                 sink,
-		DetectPeaksAtRuntime: true,
+		SubjectID:  subjects[0].ID,
+		SampleRate: physio.DefaultSampleRate,
+		Detector:   sift.HostDetector{D: det},
+		Sink:       sink,
 	})
 	if err != nil {
 		return err

@@ -100,11 +100,10 @@ func TestEndToEndFirmwareOverTCP(t *testing.T) {
 	// 4. Base station over TCP, classifier = the flashed device.
 	sink := &wiot.MemorySink{}
 	station, err := wiot.NewBaseStation(wiot.StationConfig{
-		SubjectID:            trainRec.SubjectID,
-		SampleRate:           physio.DefaultSampleRate,
-		Detector:             deviceBackedDetector{fieldDet},
-		Sink:                 sink,
-		DetectPeaksAtRuntime: true,
+		SubjectID:  trainRec.SubjectID,
+		SampleRate: physio.DefaultSampleRate,
+		Detector:   deviceBackedDetector{fieldDet},
+		Sink:       sink,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,14 +39,6 @@ type Device struct {
 // Option configures a Device.
 type Option func(*Device)
 
-// WithSystemFootprint overrides the modeled OS footprint (bytes).
-func WithSystemFootprint(fram, sram int) Option {
-	return func(d *Device) {
-		d.systemFRAM = fram
-		d.systemSRAM = sram
-	}
-}
-
 // WithInterpreter pins this device to the bytecode interpreter, ignoring
 // any registered compiler. Benchmark baselines and differential oracles
 // use it so the process-wide JIT switch cannot change what they measure.
@@ -78,15 +70,6 @@ func NewDevice(opts ...Option) *Device {
 	}
 	return d
 }
-
-// ClockHz returns the MCU clock rate.
-func (d *Device) ClockHz() float64 { return d.clockHz }
-
-// SystemFRAM returns the modeled OS FRAM footprint in bytes.
-func (d *Device) SystemFRAM() int { return d.systemFRAM }
-
-// SystemSRAM returns the modeled OS SRAM footprint in bytes.
-func (d *Device) SystemSRAM() int { return d.systemSRAM }
 
 // Install flashes a program onto the device, verifying the combined image
 // still fits FRAM. Installing a program with an existing name replaces it

@@ -78,7 +78,8 @@ func TestDeviceRunUnknown(t *testing.T) {
 func TestDeviceSRAMBudget(t *testing.T) {
 	// A program whose stack footprint exceeds what's left beside the
 	// system's share must be rejected at run time.
-	d := NewDevice(WithSystemFootprint(DefaultSystemFRAM, SRAMBytes-40))
+	d := NewDevice()
+	d.systemSRAM = SRAMBytes - 40
 	b := NewBuilder()
 	for i := 0; i < 32; i++ {
 		b.PushI(1)

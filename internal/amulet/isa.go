@@ -259,19 +259,6 @@ func (op Op) StackEffect() (pops, pushes int) {
 	return 0, 0
 }
 
-// Opcodes returns every defined opcode in numeric order — the iteration
-// surface external tooling (verifier, fuzzers) uses instead of the
-// unexported opCount sentinel.
-func Opcodes() []Op {
-	ops := make([]Op, 0, int(opCount))
-	for op := Op(0); op < opCount; op++ {
-		if op.Valid() {
-			ops = append(ops, op)
-		}
-	}
-	return ops
-}
-
 // isFloatOp reports whether op belongs to the software-float group (which
 // drags the soft-float library into the FRAM footprint).
 func (op Op) isFloatOp() bool {

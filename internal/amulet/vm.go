@@ -91,9 +91,6 @@ func NewVM(prog *Program, data []int32) (*VM, error) {
 // Usage returns the resource telemetry accumulated so far.
 func (vm *VM) Usage() Usage { return vm.usage }
 
-// Data returns the VM's data segment (shared, not copied).
-func (vm *VM) Data() []int32 { return vm.data }
-
 func (vm *VM) push(v int32) error {
 	if vm.sp >= MaxStack {
 		return ErrStackOverflow

@@ -19,7 +19,6 @@ import (
 
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/peaks"
-	"github.com/wiot-security/sift/internal/physio"
 )
 
 // Attack transforms a genuine window into an attacked one. Implementations
@@ -47,27 +46,6 @@ type Substitution struct {
 	SampleRate float64
 
 	next int
-}
-
-// NewSubstitution builds a substitution attack from donor records.
-func NewSubstitution(donors []*physio.Record, wSec float64) (*Substitution, error) {
-	if len(donors) == 0 {
-		return nil, errors.New("attack: substitution needs at least one donor record")
-	}
-	var pool []dataset.Window
-	var rate float64
-	for _, d := range donors {
-		wins, err := dataset.FromRecord(d, wSec)
-		if err != nil {
-			return nil, fmt.Errorf("attack: window donor %s: %w", d.SubjectID, err)
-		}
-		pool = append(pool, wins...)
-		rate = d.SampleRate
-	}
-	if len(pool) == 0 {
-		return nil, errors.New("attack: donor records yielded no windows")
-	}
-	return &Substitution{Donors: pool, SampleRate: rate}, nil
 }
 
 // Name implements Attack.

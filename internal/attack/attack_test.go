@@ -56,25 +56,6 @@ func TestSubstitutionEmptyPool(t *testing.T) {
 	}
 }
 
-func TestNewSubstitution(t *testing.T) {
-	s := physio.DefaultSubject()
-	s.ID = "D"
-	rec, err := physio.Generate(s, 12, physio.DefaultSampleRate, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewSubstitution([]*physio.Record{rec}, dataset.WindowSec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Donors) != 4 {
-		t.Errorf("donor pool = %d windows, want 4", len(a.Donors))
-	}
-	if _, err := NewSubstitution(nil, dataset.WindowSec); err == nil {
-		t.Error("no donors should error")
-	}
-}
-
 func TestReplayUsesOwnHistory(t *testing.T) {
 	wins := windowsFor(t, "V", 24, 4)
 	history := wins[:4]
@@ -266,11 +247,10 @@ func TestAttacksOnStationWindowsDropStaleRanges(t *testing.T) {
 	}
 	capture := &windowCapture{}
 	st, err := wiot.NewBaseStation(wiot.StationConfig{
-		SubjectID:            "V",
-		SampleRate:           rec.SampleRate,
-		Detector:             capture,
-		Sink:                 &wiot.MemorySink{},
-		DetectPeaksAtRuntime: true,
+		SubjectID:  "V",
+		SampleRate: rec.SampleRate,
+		Detector:   capture,
+		Sink:       &wiot.MemorySink{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package dsp provides the signal-processing substrate for the SIFT
 // pipeline: normalization, moving statistics, simple IIR/FIR filters,
-// differentiation, and resampling over float64 sample streams.
+// differentiation and spectra over float64 sample streams.
 //
 // These are host-side (training and gold-standard) routines; the emulated
 // device consumes already-windowed, normalized snippets, as the Amulet app
@@ -10,7 +10,6 @@ package dsp
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -54,56 +53,10 @@ func Normalize(x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}
-
-// Variance returns the population variance of x.
-func Variance(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}
-
-// Std returns the population standard deviation of x.
-func Std(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
-// RMS returns the root-mean-square of x.
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
-// MovingAverage returns the centered moving average of x with the given
-// odd window size. Edges use the available (shorter) window. An even or
-// non-positive window is an error.
-func MovingAverage(x []float64, window int) ([]float64, error) {
-	return MovingAverageInto(nil, x, window)
-}
-
-// MovingAverageInto is MovingAverage writing into dst, which is grown
-// when its capacity is short, and returns dst[:len(x)]. It keeps one
+// MovingAverageInto writes the centered moving average of x with the
+// given odd window size into dst, which is grown when its capacity is
+// short, and returns dst[:len(x)]. Edges use the available (shorter)
+// window. An even or non-positive window is an error. It keeps one
 // running sum, so the cost is O(len(x)) whatever the window.
 func MovingAverageInto(dst, x []float64, window int) ([]float64, error) {
 	if window <= 0 || window%2 == 0 {
@@ -170,55 +123,14 @@ func Square(x []float64) []float64 {
 
 // DetrendMean subtracts the mean from x in a new slice.
 func DetrendMean(x []float64) []float64 {
-	m := Mean(x)
+	var m float64
+	for _, v := range x {
+		m += v
+	}
+	m /= float64(len(x))
 	out := make([]float64, len(x))
 	for i, v := range x {
 		out[i] = v - m
 	}
 	return out
-}
-
-// Clip bounds every element of x to [lo, hi] in a new slice.
-func Clip(x []float64, lo, hi float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		switch {
-		case v < lo:
-			out[i] = lo
-		case v > hi:
-			out[i] = hi
-		default:
-			out[i] = v
-		}
-	}
-	return out
-}
-
-// Trapezoid integrates y over unit-spaced samples with the trapezoidal
-// rule, the Original feature set's AUC method.
-func Trapezoid(y []float64) float64 {
-	if len(y) < 2 {
-		return 0
-	}
-	var area float64
-	for i := 1; i < len(y); i++ {
-		area += (y[i] + y[i-1]) / 2
-	}
-	return area
-}
-
-// SimplifiedAUC integrates y with the paper's simplified formula
-// (b-a)/(2N) * Σ (f(x_n) + f(x_{n+1})), with [a,b] spanning the N
-// unit-spaced intervals — algebraically the trapezoid rule with the
-// interval width folded into one multiply, avoiding per-step division.
-func SimplifiedAUC(y []float64) float64 {
-	n := len(y) - 1
-	if n < 1 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		s += y[i] + y[i+1]
-	}
-	return float64(n) / (2 * float64(n)) * s
 }

@@ -57,45 +57,20 @@ func TestNormalizeEmpty(t *testing.T) {
 	}
 }
 
-func TestMeanVarianceStd(t *testing.T) {
-	x := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(x); got != 5 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	if got := Variance(x); got != 4 {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := Std(x); got != 2 {
-		t.Errorf("Std = %v, want 2", got)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Error("empty stats should be 0")
-	}
-}
-
-func TestRMS(t *testing.T) {
-	if got := RMS([]float64{3, -3, 3, -3}); got != 3 {
-		t.Errorf("RMS = %v, want 3", got)
-	}
-	if RMS(nil) != 0 {
-		t.Error("RMS(nil) should be 0")
-	}
-}
-
 func TestMovingAverage(t *testing.T) {
-	out, err := MovingAverage([]float64{1, 2, 3, 4, 5}, 3)
+	out, err := MovingAverageInto(nil, []float64{1, 2, 3, 4, 5}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{1.5, 2, 3, 4, 4.5}
 	for i := range want {
 		if !almostEqual(out[i], want[i], 1e-12) {
-			t.Errorf("MovingAverage[%d] = %v, want %v", i, out[i], want[i])
+			t.Errorf("MovingAverageInto[%d] = %v, want %v", i, out[i], want[i])
 		}
 	}
 }
 
-// movingAverageNaive is the O(n·w) oracle for MovingAverage: every
+// movingAverageNaive is the O(n·w) oracle for MovingAverageInto: every
 // output re-sums its whole edge-clipped window from scratch.
 func movingAverageNaive(x []float64, window int) []float64 {
 	half := window / 2
@@ -152,7 +127,7 @@ func TestMovingAverageMatchesNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst = got
-		alloc, err := MovingAverage(x, window)
+		alloc, err := MovingAverageInto(nil, x, window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +175,7 @@ func TestMovingAverageMatchesNaive(t *testing.T) {
 
 func TestMovingAverageBadWindow(t *testing.T) {
 	for _, w := range []int{0, -1, 2, 4} {
-		if _, err := MovingAverage([]float64{1}, w); err == nil {
+		if _, err := MovingAverageInto(nil, []float64{1}, w); err == nil {
 			t.Errorf("window %d should error", w)
 		}
 	}
@@ -222,35 +197,51 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-func TestSquareClipDetrend(t *testing.T) {
+func TestSquareDetrend(t *testing.T) {
 	sq := Square([]float64{-2, 3})
 	if sq[0] != 4 || sq[1] != 9 {
 		t.Errorf("Square = %v", sq)
 	}
-	cl := Clip([]float64{-5, 0.5, 5}, 0, 1)
-	if cl[0] != 0 || cl[1] != 0.5 || cl[2] != 1 {
-		t.Errorf("Clip = %v", cl)
-	}
 	dt := DetrendMean([]float64{1, 2, 3})
-	if Mean(dt) != 0 {
-		t.Errorf("DetrendMean mean = %v, want 0", Mean(dt))
+	if dt[0] != -1 || dt[1] != 0 || dt[2] != 1 {
+		t.Errorf("DetrendMean = %v, want [-1 0 1]", dt)
 	}
 }
 
-func TestTrapezoid(t *testing.T) {
-	// y = x over [0,3]: area 4.5.
-	if got := Trapezoid([]float64{0, 1, 2, 3}); got != 4.5 {
-		t.Errorf("Trapezoid = %v, want 4.5", got)
-	}
-	if Trapezoid([]float64{1}) != 0 {
-		t.Error("Trapezoid of one sample should be 0")
+// TestDetrendMeanSumsInIndexOrder pins the order DetrendMean adds in:
+// from +0 in index order. On this input every other order (reverse,
+// pairwise) rounds the sum to 0; index order leaves 1, a mean of 0.25.
+func TestDetrendMeanSumsInIndexOrder(t *testing.T) {
+	dt := DetrendMean([]float64{1e16, 1, -1e16, 1})
+	if dt[1] != 0.75 || dt[3] != 0.75 {
+		t.Errorf("DetrendMean = %v, want 0.75 at [1] and [3] (mean 0.25)", dt)
 	}
 }
 
-func TestSimplifiedAUCEqualsTrapezoid(t *testing.T) {
-	y := []float64{0, 2, 1, 3, 2, 5}
-	if got, want := SimplifiedAUC(y), Trapezoid(y); !almostEqual(got, want, 1e-12) {
-		t.Errorf("SimplifiedAUC = %v, Trapezoid = %v; should agree on unit spacing", got, want)
+func TestDetrendMeanEmpty(t *testing.T) {
+	if dt := DetrendMean(nil); len(dt) != 0 {
+		t.Errorf("DetrendMean(nil) = %v, want empty", dt)
+	}
+}
+
+func TestQuickDetrendMeanCentres(t *testing.T) {
+	f := func(raw []int32) bool {
+		x := make([]float64, len(raw))
+		for i, r := range raw {
+			x[i] = float64(r) / 1000 // |x| < 2.2e6
+		}
+		dt := DetrendMean(x)
+		var sum float64
+		for i, v := range dt {
+			if i > 0 && x[i] > x[i-1] && !(v > dt[i-1]) {
+				return false // subtracting one mean keeps the order
+			}
+			sum += v
+		}
+		return math.Abs(sum) <= 1e-6*float64(len(x))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -281,20 +272,6 @@ func TestQuickNormalizeBounds(t *testing.T) {
 	}
 }
 
-func TestQuickVarianceNonNegative(t *testing.T) {
-	f := func(x []float64) bool {
-		for _, v := range x {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {
-				return true
-			}
-		}
-		return Variance(x) >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLowPassAttenuatesHighFreq(t *testing.T) {
 	const fs = 360.0
 	lp, err := LowPass(10, fs)
@@ -312,12 +289,19 @@ func TestLowPassAttenuatesHighFreq(t *testing.T) {
 	}
 	hiOut := lp.Apply(hi)
 	loOut := lp.Apply(lo)
-	// Skip the transient.
-	if r := RMS(hiOut[500:]) / RMS(hi[500:]); r > 0.1 {
-		t.Errorf("100 Hz attenuation ratio = %v, want < 0.1", r)
+	// Skip the transient. Amplitude ratios of 0.1 and 0.9 are energy
+	// ratios of 0.01 and 0.81.
+	energy := func(x []float64) (e float64) {
+		for _, v := range x[500:] {
+			e += v * v
+		}
+		return e
 	}
-	if r := RMS(loOut[500:]) / RMS(lo[500:]); r < 0.9 {
-		t.Errorf("1 Hz pass ratio = %v, want > 0.9", r)
+	if r := energy(hiOut) / energy(hi); r > 0.01 {
+		t.Errorf("100 Hz energy ratio = %v, want < 0.01", r)
+	}
+	if r := energy(loOut) / energy(lo); r < 0.81 {
+		t.Errorf("1 Hz energy ratio = %v, want > 0.81", r)
 	}
 }
 
@@ -418,45 +402,6 @@ func TestCascadeApplyIntoMatchesStep(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestResample(t *testing.T) {
-	// Linear ramp resamples exactly under linear interpolation.
-	x := []float64{0, 1, 2, 3, 4}
-	out, err := Resample(x, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		want := float64(i) * 0.5
-		if !almostEqual(v, want, 1e-9) {
-			t.Errorf("Resample[%d] = %v, want %v", i, v, want)
-		}
-	}
-}
-
-func TestResampleEdgeCases(t *testing.T) {
-	if _, err := Resample(nil, 100, 100); !errors.Is(err, ErrEmptySignal) {
-		t.Error("empty resample should error")
-	}
-	if _, err := Resample([]float64{1}, 0, 100); err == nil {
-		t.Error("zero input rate should error")
-	}
-	out, err := Resample([]float64{7}, 100, 50)
-	if err != nil || len(out) != 1 || out[0] != 7 {
-		t.Errorf("single-sample resample = %v, %v", out, err)
-	}
-}
-
-func TestResampleDownThenLengthMatches(t *testing.T) {
-	x := make([]float64, 361) // 1 s at 360 Hz (inclusive endpoints)
-	out, err := Resample(x, 360, 250)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 251 {
-		t.Errorf("downsampled length = %d, want 251", len(out))
 	}
 }
 

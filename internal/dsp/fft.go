@@ -53,25 +53,6 @@ func FFT(x []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// IFFT computes the inverse transform of X (power-of-two length).
-func IFFT(x []complex128) ([]complex128, error) {
-	n := len(x)
-	conj := make([]complex128, n)
-	for i, v := range x {
-		conj[i] = cmplx.Conj(v)
-	}
-	fwd, err := FFT(conj)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]complex128, n)
-	scale := complex(1/float64(n), 0)
-	for i, v := range fwd {
-		out[i] = cmplx.Conj(v) * scale
-	}
-	return out, nil
-}
-
 // NextPow2 returns the smallest power of two >= n (minimum 1).
 func NextPow2(n int) int {
 	p := 1

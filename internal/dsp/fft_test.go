@@ -56,23 +56,6 @@ func TestFFTInvalidLength(t *testing.T) {
 	}
 }
 
-func TestIFFTRoundTrip(t *testing.T) {
-	x := []complex128{1, complex(2, -1), -3, complex(0, 4), 5, -1, 0, 2}
-	spec, err := FFT(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := IFFT(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if cmplx.Abs(back[i]-x[i]) > 1e-9 {
-			t.Errorf("sample %d: %v != %v", i, back[i], x[i])
-		}
-	}
-}
-
 func TestQuickFFTParseval(t *testing.T) {
 	f := func(raw []float64) bool {
 		clean := make([]float64, 0, len(raw))

@@ -140,31 +140,3 @@ func (c *Cascade) ApplyInto(dst, x []float64) []float64 {
 	}
 	return dst
 }
-
-// Resample converts x from rate fsIn to fsOut by linear interpolation.
-// The output spans the same duration as the input.
-func Resample(x []float64, fsIn, fsOut float64) ([]float64, error) {
-	if fsIn <= 0 || fsOut <= 0 {
-		return nil, fmt.Errorf("dsp: sample rates must be positive (in %.3g, out %.3g)", fsIn, fsOut)
-	}
-	if len(x) == 0 {
-		return nil, ErrEmptySignal
-	}
-	if len(x) == 1 {
-		return []float64{x[0]}, nil
-	}
-	dur := float64(len(x)-1) / fsIn
-	n := int(dur*fsOut) + 1
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		t := float64(i) / fsOut * fsIn
-		j := int(t)
-		if j >= len(x)-1 {
-			out[i] = x[len(x)-1]
-			continue
-		}
-		frac := t - float64(j)
-		out[i] = x[j]*(1-frac) + x[j+1]*frac
-	}
-	return out, nil
-}

@@ -175,11 +175,6 @@ func Clamp(q, lo, hi Q) Q {
 	return q
 }
 
-// Lerp linearly interpolates between a and b by t in [0, One].
-func Lerp(a, b, t Q) Q {
-	return Add(a, Mul(Sub(b, a), t))
-}
-
 // Sqrt returns the square root of q using integer Newton iteration on the
 // underlying 48-bit scaled value. Negative inputs return 0 (the MCU
 // software routine's convention).
@@ -253,10 +248,3 @@ func atanUnit(t Q) Q {
 	k := FromFloat(0.273)
 	return Add(Mul(quarterPi, t), Mul(Mul(k, t), Sub(One, t)))
 }
-
-// Hypot2 returns x² + y² (the squared distance used by the Simplified and
-// Reduced feature sets precisely to avoid Sqrt).
-func Hypot2(x, y Q) Q { return Add(Mul(x, x), Mul(y, y)) }
-
-// Hypot returns sqrt(x² + y²).
-func Hypot(x, y Q) Q { return Sqrt(Hypot2(x, y)) }

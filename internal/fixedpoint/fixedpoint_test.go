@@ -249,27 +249,26 @@ func TestAtan2Quadrants(t *testing.T) {
 	}
 }
 
-func TestHypot(t *testing.T) {
-	got := Hypot(FromFloat(3), FromFloat(4)).Float()
-	if math.Abs(got-5) > 1e-3 {
-		t.Errorf("Hypot(3,4) = %v, want 5", got)
-	}
-	got2 := Hypot2(FromFloat(3), FromFloat(4)).Float()
-	if math.Abs(got2-25) > 1e-3 {
-		t.Errorf("Hypot2(3,4) = %v, want 25", got2)
-	}
-}
-
-func TestClampLerp(t *testing.T) {
+func TestClamp(t *testing.T) {
 	if Clamp(FromInt(5), 0, One) != One {
 		t.Error("Clamp above hi should return hi")
 	}
 	if Clamp(FromInt(-5), 0, One) != 0 {
 		t.Error("Clamp below lo should return lo")
 	}
-	mid := Lerp(0, FromInt(10), FromFloat(0.5)).Float()
-	if math.Abs(mid-5) > 1e-3 {
-		t.Errorf("Lerp midpoint = %v, want 5", mid)
+}
+
+func TestQuickClampWithinBounds(t *testing.T) {
+	f := func(q, a, b int32) bool {
+		lo, hi := Q(min(a, b)), Q(max(a, b))
+		c := Clamp(Q(q), lo, hi)
+		if Q(q) >= lo && Q(q) <= hi {
+			return c == Q(q)
+		}
+		return c == lo || c == hi
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

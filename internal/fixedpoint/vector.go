@@ -1,8 +1,7 @@
 package fixedpoint
 
-// Vec is a slice of Q values with elementwise helpers. The device-side
-// detector operates on short vectors (feature points, column averages), so
-// these helpers stay allocation-light and saturating like the scalar ops.
+// Vec is a slice of Q values: the quantized model's weight and scaler
+// vectors.
 type Vec []Q
 
 // VecFromFloats converts a float64 slice to a Vec.
@@ -12,81 +11,4 @@ func VecFromFloats(fs []float64) Vec {
 		v[i] = FromFloat(f)
 	}
 	return v
-}
-
-// Floats converts v to a freshly allocated float64 slice.
-func (v Vec) Floats() []float64 {
-	fs := make([]float64, len(v))
-	for i, q := range v {
-		fs[i] = q.Float()
-	}
-	return fs
-}
-
-// Dot returns the saturating dot product of a and b over the common prefix
-// length.
-func Dot(a, b Vec) Q {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	var acc Q
-	for i := 0; i < n; i++ {
-		acc = Add(acc, Mul(a[i], b[i]))
-	}
-	return acc
-}
-
-// Sum returns the saturating sum of v.
-func Sum(v Vec) Q {
-	var acc Q
-	for _, q := range v {
-		acc = Add(acc, q)
-	}
-	return acc
-}
-
-// Mean returns the arithmetic mean of v, or 0 for an empty vector.
-func Mean(v Vec) Q {
-	if len(v) == 0 {
-		return 0
-	}
-	return Div(Sum(v), FromInt(len(v)))
-}
-
-// Variance returns the population variance of v (the Simplified feature
-// set uses variance instead of standard deviation to avoid Sqrt).
-func Variance(v Vec) Q {
-	if len(v) == 0 {
-		return 0
-	}
-	m := Mean(v)
-	var acc Q
-	for _, q := range v {
-		d := Sub(q, m)
-		acc = Add(acc, Mul(d, d))
-	}
-	return Div(acc, FromInt(len(v)))
-}
-
-// Scale returns a new vector with every element multiplied by k.
-func (v Vec) Scale(k Q) Vec {
-	out := make(Vec, len(v))
-	for i, q := range v {
-		out[i] = Mul(q, k)
-	}
-	return out
-}
-
-// AddVec returns the elementwise sum of a and b over the common prefix.
-func AddVec(a, b Vec) Vec {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make(Vec, n)
-	for i := 0; i < n; i++ {
-		out[i] = Add(a[i], b[i])
-	}
-	return out
 }

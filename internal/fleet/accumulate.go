@@ -82,9 +82,6 @@ func (a *Accumulator) Observe(o SlotOutcome) {
 	s.SeqErrors += o.SeqErrors
 }
 
-// Observed returns how many slots have been folded so far.
-func (a *Accumulator) Observed() int { return a.observed }
-
 // Result finalizes the aggregate: slots never observed count as
 // skipped, and the per-subject and error lists are sorted so the result
 // is independent of arrival order. The accumulator may keep observing

@@ -245,12 +245,4 @@ func TestProfileHooks(t *testing.T) {
 	if fi, err := os.Stat(cpu); err != nil || fi.Size() == 0 {
 		t.Errorf("CPU profile missing or empty: %v", err)
 	}
-
-	heap := filepath.Join(dir, "heap.pprof")
-	if err := WriteHeapProfile(heap); err != nil {
-		t.Fatalf("WriteHeapProfile: %v", err)
-	}
-	if fi, err := os.Stat(heap); err != nil || fi.Size() == 0 {
-		t.Errorf("heap profile missing or empty: %v", err)
-	}
 }

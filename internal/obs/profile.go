@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 )
@@ -51,24 +50,6 @@ func StopCPUProfile() error {
 	cpuProfile.f = nil
 	if err != nil {
 		return fmt.Errorf("obs: close CPU profile: %w", err)
-	}
-	return nil
-}
-
-// WriteHeapProfile forces a GC (so the profile reflects live objects,
-// not garbage awaiting collection) and writes the heap profile to path.
-func WriteHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: create heap profile: %w", err)
-	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("obs: write heap profile: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("obs: close heap profile: %w", err)
 	}
 	return nil
 }

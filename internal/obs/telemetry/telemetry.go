@@ -211,8 +211,6 @@ type Sample struct {
 // Series is a bounded ring of samples: it retains the most recent
 // capacity points and computes rollups over the retained window.
 type Series struct {
-	name string
-
 	mu    sync.Mutex
 	ring  []Sample
 	next  int
@@ -221,15 +219,12 @@ type Series struct {
 
 // NewSeries returns a series retaining up to capacity samples
 // (minimum 2).
-func NewSeries(name string, capacity int) *Series {
+func NewSeries(capacity int) *Series {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &Series{name: name, ring: make([]Sample, capacity)}
+	return &Series{ring: make([]Sample, capacity)}
 }
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
 
 // Record appends one sample, evicting the oldest when full.
 func (s *Series) Record(ts int64, v float64) {
@@ -354,7 +349,7 @@ func (s *Sampler) get(name string) *Series {
 	if sr, ok := s.series[name]; ok {
 		return sr
 	}
-	sr := NewSeries(name, s.capacity)
+	sr := NewSeries(s.capacity)
 	s.series[name] = sr
 	s.order = append(s.order, name)
 	return sr

@@ -79,7 +79,7 @@ func TestDeviceRaceClean(t *testing.T) {
 }
 
 func TestSeriesRingEvictsOldest(t *testing.T) {
-	s := NewSeries("x", 4)
+	s := NewSeries(4)
 	for i := 1; i <= 6; i++ {
 		s.Record(int64(i), float64(i))
 	}
@@ -105,7 +105,7 @@ func TestSeriesRingEvictsOldest(t *testing.T) {
 }
 
 func TestRollupQuantiles(t *testing.T) {
-	s := NewSeries("q", 128)
+	s := NewSeries(128)
 	for i := 1; i <= 100; i++ {
 		s.Record(int64(i), float64(i))
 	}
@@ -116,7 +116,7 @@ func TestRollupQuantiles(t *testing.T) {
 	if r.P99 < 99 || r.P99 > 100 {
 		t.Errorf("p99 = %g, want in [99, 100]", r.P99)
 	}
-	empty := NewSeries("e", 8).Rollup()
+	empty := NewSeries(8).Rollup()
 	if empty.Count != 0 || empty.Mean != 0 {
 		t.Errorf("empty rollup %+v, want zeros", empty)
 	}

@@ -228,7 +228,7 @@ func DetectSystolic(abp []float64, sampleRate float64) ([]int, error) {
 	if len(abp) == 0 {
 		return ScanSystolic(abp, sampleRate, 0, 0) // the rate's error, else the empty signal's
 	}
-	// The sum runs in dsp.Mean's order, so the mean is bit-identical to it.
+	// The sum adds in index order from +0, the order ScanSystolic asks for.
 	var sum float64
 	maxV := abp[0]
 	for _, v := range abp {

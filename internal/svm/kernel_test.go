@@ -87,88 +87,3 @@ func TestRBFKernelValues(t *testing.T) {
 		t.Errorf("K = %v, want %v", got, want)
 	}
 }
-
-func TestTrainPegasosSeparable(t *testing.T) {
-	x, y := separableSet(10, 60)
-	m, err := TrainPegasos(x, y, PegasosConfig{Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for i := range x {
-		if m.Predict(x[i]) == y[i] {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(x)); acc < 0.97 {
-		t.Errorf("Pegasos accuracy = %.3f, want >= 0.97", acc)
-	}
-}
-
-func TestTrainPegasosAgreesWithSMO(t *testing.T) {
-	x, y := separableSet(11, 80)
-	smo, err := Train(x, y, Config{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	peg, err := TrainPegasos(x, y, PegasosConfig{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, ty := separableSet(99, 40)
-	agree := 0
-	for i := range tx {
-		_ = ty
-		if smo.Predict(tx[i]) == peg.Predict(tx[i]) {
-			agree++
-		}
-	}
-	if frac := float64(agree) / float64(len(tx)); frac < 0.95 {
-		t.Errorf("SMO/Pegasos agreement = %.3f, want >= 0.95", frac)
-	}
-}
-
-func TestTrainPegasosErrors(t *testing.T) {
-	if _, err := TrainPegasos([][]float64{{1}}, []Label{Positive, Negative}, PegasosConfig{}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := TrainPegasos([][]float64{{1}, {2}}, []Label{Negative, Negative}, PegasosConfig{}); !errors.Is(err, ErrNoData) {
-		t.Errorf("single-class err = %v", err)
-	}
-	if _, err := TrainPegasos([][]float64{{1}, {2}}, []Label{Negative, Label(3)}, PegasosConfig{}); err == nil {
-		t.Error("bad label should error")
-	}
-}
-
-func TestPegasosModelQuantizes(t *testing.T) {
-	// A Pegasos-trained model must ride the same device export path.
-	x, y := separableSet(12, 40)
-	m, err := TrainPegasos(x, y, PegasosConfig{Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := m.Quantize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q.Weights) != len(m.Weights) {
-		t.Errorf("quantized dim %d != %d", len(q.Weights), len(m.Weights))
-	}
-}
-
-func TestPegasosDeterministic(t *testing.T) {
-	x, y := separableSet(13, 40)
-	a, err := TrainPegasos(x, y, PegasosConfig{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TrainPegasos(x, y, PegasosConfig{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range a.Weights {
-		if a.Weights[j] != b.Weights[j] {
-			t.Fatal("identical seeds diverged")
-		}
-	}
-}

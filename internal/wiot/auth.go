@@ -500,47 +500,3 @@ func readAuthReply(sc *frameScanner, want ctrlKind, sensor SensorID) (ctrlRecord
 		}
 	}
 }
-
-// DialAuthSensor dials a station and completes the v3 handshake,
-// returning a FrameSink whose frames are sealed under the established
-// session. It is the simplest honest v3 client, and the building block
-// the attack campaigns use for their "legitimately authenticated, then
-// hostile" arms; ReconnectSink is the production client.
-func DialAuthSensor(addr string, cfg AuthConfig) (FrameSink, func() error, error) {
-	cfg = cfg.withDefaults()
-	conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wiot: dial station: %w", err)
-	}
-	sess, err := Handshake(conn, cfg)
-	if err != nil {
-		_ = conn.Close()
-		return nil, nil, err
-	}
-	return &authConnSink{conn: conn, sess: sess, writeTimeout: DefaultWriteTimeout}, conn.Close, nil
-}
-
-// authConnSink writes sealed v3 records to the socket.
-type authConnSink struct {
-	mu           sync.Mutex
-	conn         net.Conn
-	sess         *Session
-	writeTimeout time.Duration
-}
-
-// HandleFrame implements FrameSink.
-func (c *authConnSink) HandleFrame(f Frame) error {
-	payload, err := c.sess.SealFrame(&f)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := writeDeadlined(c.conn, payload, c.writeTimeout); err != nil {
-		if isTimeout(err) {
-			return fmt.Errorf("wiot: write frame after %v: %w", c.writeTimeout, ErrWriteTimeout)
-		}
-		return err
-	}
-	return nil
-}

@@ -137,18 +137,35 @@ func TestAuthCtrlRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// dialAuth onboards a raw connection the way the wire attack arms do:
+// a dial, then Handshake. The connection closes with the test.
+func dialAuth(t *testing.T, addr string, cfg AuthConfig) (net.Conn, *Session, error) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	sess, err := Handshake(conn, cfg)
+	return conn, sess, err
+}
+
 // TestAuthHandshakeAndFrameDelivery: the honest path — a sensor with the
 // right key onboards, streams MAC'd frames, and every one is accepted.
 func TestAuthHandshakeAndFrameDelivery(t *testing.T) {
 	st, _, addr := authHarness(t, &flagEveryOther{})
-	sink, closeFn, err := DialAuthSensor(addr, ecgAuth())
+	conn, sess, err := dialAuth(t, addr, ecgAuth())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeFn()
 	const frames = 12
 	for seq := uint32(0); seq < frames; seq++ {
-		if err := sink.HandleFrame(FrameFromFloats(SensorECG, seq, make([]float64, 90))); err != nil {
+		f := FrameFromFloats(SensorECG, seq, make([]float64, 90))
+		payload, err := sess.SealFrame(&f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +189,7 @@ func TestAuthImpersonationRejected(t *testing.T) {
 
 	wrong := ecgAuth()
 	wrong.Key = bytes.Repeat([]byte{0x5A}, 32)
-	if _, _, err := DialAuthSensor(addr, wrong); !errors.Is(err, ErrAuthRejected) {
+	if _, _, err := dialAuth(t, addr, wrong); !errors.Is(err, ErrAuthRejected) {
 		t.Fatalf("wrong key: err = %v, want ErrAuthRejected", err)
 	}
 
@@ -195,7 +212,7 @@ func TestAuthImpersonationRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if _, _, err := DialAuthSensor(lis.Addr().String(), ecgAuth()); !errors.Is(err, ErrAuthRejected) {
+	if _, _, err := dialAuth(t, lis.Addr().String(), ecgAuth()); !errors.Is(err, ErrAuthRejected) {
 		t.Fatalf("unknown sensor: err = %v, want ErrAuthRejected", err)
 	}
 

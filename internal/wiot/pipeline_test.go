@@ -12,17 +12,15 @@ import (
 	"github.com/wiot-security/sift/internal/physio"
 )
 
-// pipelineStation builds a station over a windowLog, with runtime peaks
-// on or off.
-func pipelineStation(t *testing.T, runtimePeaks bool) (*BaseStation, *windowLog, *MemorySink) {
+// pipelineStation builds a station over a windowLog.
+func pipelineStation(t *testing.T) (*BaseStation, *windowLog, *MemorySink) {
 	t.Helper()
 	log, sink := &windowLog{}, &MemorySink{}
 	st, err := NewBaseStation(StationConfig{
-		SubjectID:            "S01",
-		SampleRate:           physio.DefaultSampleRate,
-		Detector:             log,
-		Sink:                 sink,
-		DetectPeaksAtRuntime: runtimePeaks,
+		SubjectID:  "S01",
+		SampleRate: physio.DefaultSampleRate,
+		Detector:   log,
+		Sink:       sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +44,7 @@ func pipelineRecord(t *testing.T) *physio.Record {
 // detector and the sink have seen nothing. ABP's frames then complete
 // the window, which reaches Classify with those same peaks.
 func TestStationRunsECGStageAtItsOwnWindow(t *testing.T) {
-	st, log, sink := pipelineStation(t, true)
+	st, log, sink := pipelineStation(t)
 	rec := pipelineRecord(t)
 	sensors := make(map[SensorID]*Sensor)
 	for _, id := range []SensorID{SensorECG, SensorABP} {
@@ -218,29 +216,26 @@ func resyncFeed(t *testing.T, st *BaseStation, ecg, abp *Sensor) {
 
 // TestStationWindowPeaksMatchDetectors: every classified window carries
 // exactly what the peak detectors find in its own samples, through loss
-// concealment, duplicates, windows of concealment alone and a resync,
-// and nothing when runtime peaks are off. The station's running sums
-// and ranges are checked after every frame.
+// concealment, duplicates, windows of concealment alone and a resync.
+// The station's running sums and ranges are checked after every frame.
 func TestStationWindowPeaksMatchDetectors(t *testing.T) {
 	rec := pipelineRecord(t)
 	const rate = physio.DefaultSampleRate
 	maxLag := int(dataset.MaxPairLagSec * rate)
 	for _, tc := range []struct {
-		name         string
-		runtimePeaks bool
-		feed         func(*testing.T, *BaseStation, *Sensor, *Sensor)
-		indices      []int // the windows classified
-		concealment  []int // windows wholly concealment, which hold no peaks
+		name        string
+		feed        func(*testing.T, *BaseStation, *Sensor, *Sensor)
+		indices     []int // the windows classified
+		concealment []int // windows wholly concealment, which hold no peaks
 	}{
-		{"clean", true, lossyFeed(0, 0), []int{0, 1, 2, 3}, nil},
-		{"concealed", true, lossyFeed(0.1, 0), nil, nil},
-		{"duplicated", true, lossyFeed(0, 0.2), []int{0, 1, 2, 3}, nil},
-		{"peaks-off", false, lossyFeed(0.1, 0.2), nil, nil},
-		{"outage", true, outageFeed, []int{0, 1, 2, 3}, []int{1}},
-		{"resync", true, resyncFeed, []int{0, 10, 11}, nil},
+		{"clean", lossyFeed(0, 0), []int{0, 1, 2, 3}, nil},
+		{"concealed", lossyFeed(0.1, 0), nil, nil},
+		{"duplicated", lossyFeed(0, 0.2), []int{0, 1, 2, 3}, nil},
+		{"outage", outageFeed, []int{0, 1, 2, 3}, []int{1}},
+		{"resync", resyncFeed, []int{0, 10, 11}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st, log, _ := pipelineStation(t, tc.runtimePeaks)
+			st, log, _ := pipelineStation(t)
 			ecg, err := NewSensor(SensorECG, rec, 90)
 			if err != nil {
 				t.Fatal(err)
@@ -257,12 +252,6 @@ func TestStationWindowPeaksMatchDetectors(t *testing.T) {
 			var indices []int
 			for _, w := range windows {
 				indices = append(indices, w.Index)
-				if !tc.runtimePeaks {
-					if w.RPeaks != nil || w.SysPeaks != nil || w.Pairs != nil {
-						t.Errorf("window %d carries peaks with runtime detection off", w.Index)
-					}
-					continue
-				}
 				r, err := peaks.DetectR(w.ECG, peaks.DetectorConfig{SampleRate: rate})
 				if err != nil {
 					t.Fatal(err)
@@ -363,7 +352,7 @@ func TestStationWindowRangesMatchSamples(t *testing.T) {
 	}
 
 	t.Run("lossy", func(t *testing.T) {
-		st, log, _ := pipelineStation(t, false)
+		st, log, _ := pipelineStation(t)
 		for seq := uint32(0); seq < 200; seq++ {
 			for _, id := range []SensorID{SensorECG, SensorABP} {
 				if rng.Intn(6) == 0 {
@@ -393,7 +382,7 @@ func TestStationWindowRangesMatchSamples(t *testing.T) {
 	})
 
 	t.Run("resync before the partner's first sample", func(t *testing.T) {
-		st, log, _ := pipelineStation(t, false)
+		st, log, _ := pipelineStation(t)
 		for seq := uint32(0); seq < 5; seq++ {
 			if a, _, err := st.admit(frame(SensorECG, seq, 90, -9, -1)); a != admitted || err != nil {
 				t.Fatalf("ECG frame %d: admission %d, err %v", seq, a, err)

@@ -35,21 +35,6 @@ var (
 	errStopping = errors.New("wiot: sink stopping")
 )
 
-// DropPolicy decides what happens when a frame arrives while the
-// in-flight buffer is full.
-type DropPolicy int
-
-const (
-	// DropBlock makes HandleFrame wait (up to EnqueueTimeout) for the
-	// buffer to drain; the producer absorbs the backpressure. Default.
-	DropBlock DropPolicy = iota
-	// DropOldest evicts the oldest unacknowledged frame to admit the new
-	// one, declaring the gap to the station so it stops waiting.
-	DropOldest
-	// DropNewest rejects the incoming frame with ErrBufferFull.
-	DropNewest
-)
-
 // ReconnectConfig tunes a ReconnectSink. Only Addr is required.
 type ReconnectConfig struct {
 	Addr         string
@@ -66,10 +51,10 @@ type ReconnectConfig struct {
 	// terminally; 0 = retry forever.
 	MaxAttempts int
 
-	// Buffer caps in-flight (unacknowledged) frames; Drop picks the
-	// policy at capacity; EnqueueTimeout bounds DropBlock's wait.
+	// Buffer caps in-flight (unacknowledged) frames. At capacity
+	// HandleFrame waits up to EnqueueTimeout for an ack to free a slot,
+	// so the producer absorbs the backpressure.
 	Buffer         int
-	Drop           DropPolicy
 	EnqueueTimeout time.Duration
 
 	// CloseTimeout bounds how long Close waits for the station to
@@ -139,15 +124,15 @@ type ReconnectStats struct {
 	Connects      int64 // successful dials
 	DialRetries   int64 // failed dials backed off from
 	Retransmits   int64 // frames written more than once
-	FramesDropped int64 // frames evicted or rejected at capacity
+	FramesDropped int64 // frames refused after EnqueueTimeout at capacity
 	WriteTimeouts int64 // writes cut short by the deadline
-	GapsDeclared  int64 // gap announcements sent after drops
+	GapsDeclared  int64 // gap announcements sent for nacked frames the sink no longer holds
 	Handshakes    int64 // v3 sessions established (one per authenticated connect)
 }
 
 // sinkEntry is one buffered frame, pre-encoded so retransmits cost no
 // CPU on the hot path. Its payload goes back to the sink's free list
-// once an ack covers the frame or it is evicted.
+// once an ack covers the frame.
 type sinkEntry struct {
 	sensor  SensorID
 	seq     uint32
@@ -174,15 +159,7 @@ type ReconnectSink struct {
 	hasAck  map[SensorID]bool
 	nextSeq map[SensorID]uint32
 	gapPend map[SensorID]bool
-	// holes tracks frames dropped before they were ever buffered
-	// (DropNewest, DropBlock timeout): the value is the exclusive serial
-	// bound the station's sequence cursor must reach. The gap is declared as
-	// soon as no buffered frame below the hole remains (eagerly at drop
-	// time when possible, re-armed from onAck otherwise) — converging on
-	// acks alone, without waiting for the station to discover the miss
-	// via a nack round-trip.
-	holes map[SensorID]uint32
-	sess  *Session // live v3 session, nil when unauthenticated
+	sess    *Session // live v3 session, nil when unauthenticated
 
 	conn        net.Conn
 	connGen     uint64
@@ -224,7 +201,6 @@ func newReconnectSink(cfg ReconnectConfig) *ReconnectSink {
 		hasAck:  make(map[SensorID]bool),
 		nextSeq: make(map[SensorID]uint32),
 		gapPend: make(map[SensorID]bool),
-		holes:   make(map[SensorID]uint32),
 		abortCh: make(chan struct{}),
 	}
 	r.cond = sync.NewCond(&r.mu)
@@ -247,7 +223,10 @@ func computeBackoff(base, max time.Duration, attempt int, rng *rand.Rand) time.D
 
 // HandleFrame implements FrameSink: the frame is encoded once, into a
 // payload buffer an ack released when there is one, and buffered for
-// (re)transmission. At capacity the configured DropPolicy applies.
+// (re)transmission. At capacity it waits up to EnqueueTimeout for an
+// ack to free a slot, then refuses the frame with ErrBufferFull and
+// keeps no record of it: a caller that streams on leaves a hole the
+// station nacks, and the nack declares the gap (onNack).
 func (r *ReconnectSink) HandleFrame(f Frame) error {
 	if err := f.check(); err != nil {
 		return err
@@ -261,50 +240,27 @@ func (r *ReconnectSink) HandleFrame(f Frame) error {
 		return r.failedErr
 	}
 	if len(r.queue) >= r.cfg.Buffer {
-		switch r.cfg.Drop {
-		case DropBlock:
-			deadline := time.Now().Add(r.cfg.EnqueueTimeout)
-			timer := time.AfterFunc(r.cfg.EnqueueTimeout, func() {
-				r.mu.Lock()
-				r.cond.Broadcast()
-				r.mu.Unlock()
-			})
-			defer timer.Stop()
-			for len(r.queue) >= r.cfg.Buffer {
-				if r.closing {
-					return ErrSinkClosed
-				}
-				if r.failedErr != nil {
-					return r.failedErr
-				}
-				if !time.Now().Before(deadline) {
-					r.recordHoleLocked(f.Sensor, f.Seq)
-					r.framesDropped.Add(1)
-					obsSinkFramesDropped.Add(1)
-					trace.Instant("wiot.sink.drop")
-					return fmt.Errorf("enqueue after %v: %w", r.cfg.EnqueueTimeout, ErrBufferFull)
-				}
-				r.cond.Wait()
-			}
-		case DropOldest:
-			evicted := r.queue[0].sensor
-			r.releaseLocked(1)
-			r.declareGapLocked(evicted)
-			r.framesDropped.Add(1)
-			obsSinkFramesDropped.Add(1)
-			trace.Instant("wiot.sink.drop")
-		default: // DropNewest
-			// The rejected frame was never buffered, so the station would
-			// otherwise wait at its sequence until a nack round-trip
-			// discovered the loss. Record the hole so the gap is declared
-			// proactively (immediately if nothing older is still buffered,
-			// else as soon as the older frames drain).
-			r.recordHoleLocked(f.Sensor, f.Seq)
-			r.framesDropped.Add(1)
-			obsSinkFramesDropped.Add(1)
-			trace.Instant("wiot.sink.drop")
+		deadline := time.Now().Add(r.cfg.EnqueueTimeout)
+		timer := time.AfterFunc(r.cfg.EnqueueTimeout, func() {
+			r.mu.Lock()
 			r.cond.Broadcast()
-			return ErrBufferFull
+			r.mu.Unlock()
+		})
+		defer timer.Stop()
+		for len(r.queue) >= r.cfg.Buffer {
+			if r.closing {
+				return ErrSinkClosed
+			}
+			if r.failedErr != nil {
+				return r.failedErr
+			}
+			if !time.Now().Before(deadline) {
+				r.framesDropped.Add(1)
+				obsSinkFramesDropped.Add(1)
+				trace.Instant("wiot.sink.drop")
+				return fmt.Errorf("enqueue after %v: %w", r.cfg.EnqueueTimeout, ErrBufferFull)
+			}
+			r.cond.Wait()
 		}
 	}
 	var buf []byte
@@ -572,17 +528,10 @@ func (r *ReconnectSink) appendGapLocked(buf []byte) []byte {
 		}
 	}
 	delete(r.gapPend, sensor)
-	target := r.gapTargetLocked(sensor)
-	if h, ok := r.holes[sensor]; ok && !seqBefore(target, h) {
-		// This announcement carries the hole's bound (or past it): once
-		// sent, the station stops waiting below it, so the hole is
-		// resolved and onAck stops re-arming the gap.
-		delete(r.holes, sensor)
-	}
 	r.gapsDeclared.Add(1)
 	obsSinkGapsDeclared.Add(1)
 	trace.Instant("wiot.sink.gap")
-	return appendCtrl(buf, ctrlRecord{Kind: ctrlGap, Sensor: sensor, Seq: target})
+	return appendCtrl(buf, ctrlRecord{Kind: ctrlGap, Sensor: sensor, Seq: r.gapTargetLocked(sensor)})
 }
 
 // gapTargetLocked returns the lowest sequence the sink can still
@@ -672,18 +621,6 @@ func (r *ReconnectSink) onAck(sensor SensorID, seq uint32) {
 		}
 	}
 	r.releaseLocked(k)
-	if h, ok := r.holes[sensor]; ok {
-		switch {
-		case r.hasAck[sensor] && !seqBefore(r.acked[sensor], h-1):
-			// The station advanced past the hole on its own (a later gap
-			// or retransmit covered it); nothing left to announce.
-			delete(r.holes, sensor)
-		case !r.holeBlockedLocked(sensor):
-			// The frames buffered below the hole have drained — the gap
-			// can now go out without skipping deliverable frames.
-			r.declareGapLocked(sensor)
-		}
-	}
 	r.cond.Broadcast()
 }
 
@@ -723,42 +660,6 @@ func (r *ReconnectSink) declareGapLocked(sensor SensorID) {
 			break
 		}
 	}
-}
-
-// recordHoleLocked notes that the sensor's frame seq was dropped without
-// ever being buffered. The hole's bound (seq+1) is the sequence the
-// station must eventually skip to; the gap is declared immediately when
-// nothing below it is still buffered, otherwise onAck re-arms it once
-// the older frames drain. Callers hold mu.
-func (r *ReconnectSink) recordHoleLocked(sensor SensorID, seq uint32) {
-	bound := seq + 1
-	if h, ok := r.holes[sensor]; ok {
-		bound = seqMax(h, bound)
-	}
-	r.holes[sensor] = bound
-	if seqAfter(bound, r.nextSeq[sensor]) {
-		r.nextSeq[sensor] = bound
-	}
-	if !r.holeBlockedLocked(sensor) {
-		r.declareGapLocked(sensor)
-	}
-}
-
-// holeBlockedLocked reports whether a buffered frame below the sensor's
-// hole still awaits delivery — declaring the gap while one exists would
-// make the station skip frames the sink can still deliver. Callers hold
-// mu.
-func (r *ReconnectSink) holeBlockedLocked(sensor SensorID) bool {
-	h, ok := r.holes[sensor]
-	if !ok {
-		return false
-	}
-	for _, e := range r.queue {
-		if e.sensor == sensor && seqBefore(e.seq, h) {
-			return true
-		}
-	}
-	return false
 }
 
 // fail marks the sink terminally failed (dial attempts exhausted):

@@ -7,6 +7,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"github.com/wiot-security/sift/internal/dataset"
 )
 
 // TestComputeBackoffDeterministic: same seed, same schedule — and every
@@ -161,69 +163,179 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// TestReconnectSinkDropPolicies pins the three full-buffer behaviors.
-func TestReconnectSinkDropPolicies(t *testing.T) {
-	addr := deadAddr(t)
-	mk := func(policy DropPolicy) *ReconnectSink {
-		t.Helper()
-		s, err := NewReconnectSink(ReconnectConfig{
-			Addr:           addr,
-			Seed:           5,
-			Buffer:         4,
-			Drop:           policy,
-			EnqueueTimeout: 20 * time.Millisecond,
-			BackoffBase:    time.Millisecond,
-			CloseTimeout:   50 * time.Millisecond,
-		})
-		if err != nil {
+// rampFrame returns the sensor's frame seq of 90 samples counting up
+// from seq*90, so a window's samples show which frames filled it, and in
+// which order.
+func rampFrame(sensor SensorID, seq uint32) Frame {
+	samples := make([]float64, 90)
+	for i := range samples {
+		samples[i] = float64(int(seq)*90 + i)
+	}
+	return FrameFromFloats(sensor, seq, samples)
+}
+
+// fullBuffer is a Buffer: 4 ECG sink whose station is not yet serving:
+// the listener's backlog accepts the dial, so frames sit in the socket
+// until serve starts the station.
+type fullBuffer struct {
+	lis  net.Listener
+	sink *ReconnectSink
+	log  windowLog
+}
+
+// newFullBuffer fills the sink with ECG frames 0..3.
+func newFullBuffer(t *testing.T, enqueueTimeout time.Duration) *fullBuffer {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := NewReconnectSink(ReconnectConfig{
+		Addr:           lis.Addr().String(),
+		Seed:           5,
+		Buffer:         4,
+		EnqueueTimeout: enqueueTimeout,
+		BackoffBase:    time.Millisecond,
+		BackoffMax:     10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		sink.abort()
+		_ = sink.Close()
+	})
+	for seq := uint32(0); seq < 4; seq++ {
+		if err := sink.HandleFrame(rampFrame(SensorECG, seq)); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() {
-			s.abort()
-			_ = s.Close()
-		})
-		return s
 	}
-	fill := func(s *ReconnectSink) {
-		t.Helper()
-		for seq := uint32(0); seq < 4; seq++ {
-			if err := s.HandleFrame(FrameFromFloats(SensorECG, seq, nil)); err != nil {
-				t.Fatal(err)
-			}
+	return &fullBuffer{lis: lis, sink: sink}
+}
+
+func (h *fullBuffer) serve(t *testing.T) *TCPStation {
+	t.Helper()
+	st, err := ServeTCP(t.Context(), h.lis, newTestStation(t, &h.log, &MemorySink{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	return st
+}
+
+// finishWindow streams ECG frames from..11 and a whole window of ABP,
+// closes both sinks, and returns the one window the station classified.
+func (h *fullBuffer) finishWindow(t *testing.T, from uint32) dataset.Window {
+	t.Helper()
+	for seq := from; seq < 12; seq++ {
+		if err := h.sink.HandleFrame(rampFrame(SensorECG, seq)); err != nil {
+			t.Fatalf("frame %d: %v", seq, err)
 		}
 	}
-	extra := FrameFromFloats(SensorECG, 4, nil)
+	abp, err := NewReconnectSink(ReconnectConfig{Addr: h.lis.Addr().String(), Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint32(0); seq < 12; seq++ {
+		if err := abp.HandleFrame(rampFrame(SensorABP, seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.sink.Close(); err != nil {
+		t.Fatalf("ECG Close = %v", err)
+	}
+	if err := abp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h.log.mu.Lock()
+	defer h.log.mu.Unlock()
+	if len(h.log.windows) != 1 {
+		t.Fatalf("windows classified = %d, want 1", len(h.log.windows))
+	}
+	return h.log.windows[0]
+}
 
-	blocking := mk(DropBlock)
-	fill(blocking)
-	if err := blocking.HandleFrame(extra); !errors.Is(err, ErrBufferFull) {
-		t.Errorf("DropBlock timeout = %v, want ErrBufferFull", err)
-	}
+// TestReconnectSinkFullBuffer pins the sink's one full-buffer rule: a
+// HandleFrame at capacity waits up to EnqueueTimeout for an ack to free
+// a slot, then refuses the frame with ErrBufferFull and keeps no record
+// of it. A caller that streams on leaves a hole the station nacks, and
+// the nack declares the gap.
+func TestReconnectSinkFullBuffer(t *testing.T) {
+	t.Run("an ack unblocks a waiting frame", func(t *testing.T) {
+		h := newFullBuffer(t, 10*time.Second)
+		done := make(chan error, 1)
+		go func() { done <- h.sink.HandleFrame(rampFrame(SensorECG, 4)) }()
+		select {
+		case err := <-done:
+			t.Fatalf("HandleFrame on a full buffer returned %v before any ack", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		h.serve(t)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("HandleFrame after an ack freed a slot = %v, want nil", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("HandleFrame still blocked after the station started acking")
+		}
+		w := h.finishWindow(t, 5)
+		for i, v := range w.ECG {
+			if v != float64(i) {
+				t.Fatalf("ECG[%d] = %v, want %d: frames delivered out of order", i, v, i)
+			}
+		}
+		if d := h.sink.Stats().FramesDropped; d != 0 {
+			t.Errorf("frames dropped = %d, want 0", d)
+		}
+	})
 
-	oldest := mk(DropOldest)
-	fill(oldest)
-	if err := oldest.HandleFrame(extra); err != nil {
-		t.Errorf("DropOldest = %v, want eviction instead", err)
-	}
-	if d := oldest.Stats().FramesDropped; d != 1 {
-		t.Errorf("DropOldest dropped = %d, want 1", d)
-	}
-	oldest.mu.Lock()
-	gap := oldest.gapPend[SensorECG]
-	front := oldest.queue[0].seq
-	oldest.mu.Unlock()
-	if !gap {
-		t.Error("DropOldest should schedule a gap declaration")
-	}
-	if front != 1 {
-		t.Errorf("front of queue seq = %d, want 1 (seq 0 evicted)", front)
-	}
+	t.Run("a timed-out frame is refused and recorded nowhere", func(t *testing.T) {
+		h := newFullBuffer(t, 250*time.Millisecond)
+		if err := h.sink.HandleFrame(rampFrame(SensorECG, 4)); !errors.Is(err, ErrBufferFull) {
+			t.Fatalf("HandleFrame past EnqueueTimeout = %v, want ErrBufferFull", err)
+		}
+		stats := h.sink.Stats()
+		if stats.FramesDropped != 1 || stats.GapsDeclared != 0 {
+			t.Fatalf("after the refusal: dropped %d, gaps %d; want 1, 0", stats.FramesDropped, stats.GapsDeclared)
+		}
+		h.sink.mu.Lock()
+		pend, queued, next := len(h.sink.gapPend), len(h.sink.queue), h.sink.nextSeq[SensorECG]
+		h.sink.mu.Unlock()
+		if pend != 0 || queued != 4 || next != 4 {
+			t.Fatalf("refusal left %d gaps pending, %d queued, next seq %d; want 0, 4, 4", pend, queued, next)
+		}
+	})
 
-	newest := mk(DropNewest)
-	fill(newest)
-	if err := newest.HandleFrame(extra); !errors.Is(err, ErrBufferFull) {
-		t.Errorf("DropNewest = %v, want ErrBufferFull", err)
-	}
+	t.Run("a stream past a refused frame converges through the nack gap", func(t *testing.T) {
+		h := newFullBuffer(t, 250*time.Millisecond)
+		if err := h.sink.HandleFrame(rampFrame(SensorECG, 4)); !errors.Is(err, ErrBufferFull) {
+			t.Fatalf("HandleFrame past EnqueueTimeout = %v, want ErrBufferFull", err)
+		}
+		// Stream on past the hole: the station nacks seq 4 when seq 5
+		// arrives, the sink no longer holds it and declares the gap, and
+		// the station conceals the frame with hold-last samples.
+		st := h.serve(t)
+		w := h.finishWindow(t, 5)
+		for i, v := range w.ECG {
+			want := float64(i)
+			if i >= 4*90 && i < 5*90 {
+				want = 4*90 - 1
+			}
+			if v != want {
+				t.Fatalf("ECG[%d] = %v, want %v (frame 4 concealed, the rest in order)", i, v, want)
+			}
+		}
+		if g := h.sink.Stats().GapsDeclared; g < 1 {
+			t.Errorf("gaps declared = %d, want >= 1", g)
+		}
+		if n := st.Stats().Nacks; n < 1 {
+			t.Errorf("station nacks = %d, want >= 1", n)
+		}
+		if c := st.Station.Stats().Concealed; c != 90 {
+			t.Errorf("samples concealed = %d, want 90 (the refused frame)", c)
+		}
+	})
 }
 
 // TestReconnectSinkMaxAttempts: exhausted dials fail the sink

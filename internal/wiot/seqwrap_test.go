@@ -32,12 +32,6 @@ func TestSerialArithmetic(t *testing.T) {
 			}
 		}
 	}
-	if got := seqMax(0xFFFFFFFE, 2); got != 2 {
-		t.Errorf("seqMax(0xFFFFFFFE, 2) = %#x, want 2 (2 is serially later)", got)
-	}
-	if got := seqMax(5, 3); got != 5 {
-		t.Errorf("seqMax(5, 3) = %#x, want 5", got)
-	}
 }
 
 // TestSeqWrapStationCursor drives the station's two comparison sites
@@ -182,81 +176,6 @@ func TestSeqWrapSinkCursor(t *testing.T) {
 			t.Fatalf("cursor = %d after post-wrap nack, want 1 (rewound to the nacked frame)", cursor)
 		}
 	})
-}
-
-// TestDropNewestDeclaresGapEagerly: a frame rejected by DropNewest is
-// never buffered, so the sink itself must tell the station about the
-// hole — eagerly once nothing older is in flight — instead of leaving
-// the station to discover it via a nack round-trip.
-func TestDropNewestDeclaresGapEagerly(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink, err := NewReconnectSink(ReconnectConfig{
-		Addr:        lis.Addr().String(),
-		Seed:        9,
-		Buffer:      2,
-		Drop:        DropNewest,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill the buffer, then overflow it while the station is not yet
-	// serving (the listener's backlog accepts the dial, so the frames sit
-	// in the socket).
-	for seq := uint32(0); seq < 2; seq++ {
-		if err := sink.HandleFrame(FrameFromFloats(SensorECG, seq, make([]float64, 4))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.HandleFrame(FrameFromFloats(SensorECG, 2, make([]float64, 4))); err == nil {
-		t.Fatal("overflow frame must be rejected under DropNewest")
-	}
-	// The hole exists but frames 0 and 1 are still buffered below it, so
-	// the gap must NOT have been declared yet — announcing it now would
-	// make the station skip two deliverable frames.
-	sink.mu.Lock()
-	pend := len(sink.gapPend)
-	hole, holeOK := sink.holes[SensorECG]
-	sink.mu.Unlock()
-	if pend != 0 {
-		t.Fatal("gap declared while deliverable frames sit below the hole")
-	}
-	if !holeOK || hole != 3 {
-		t.Fatalf("hole bound = %#x (ok=%v), want 3", hole, holeOK)
-	}
-
-	// Bring the station up. Acks for 0 and 1 drain the queue, which
-	// un-blocks the hole and triggers the eager gap — no nack needed.
-	memSink := &MemorySink{}
-	st, err := ServeTCP(t.Context(), lis, newTestStation(t, &flagEveryOther{}, memSink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	waitUntil(t, 2*time.Second, func() bool {
-		return sink.Stats().GapsDeclared >= 1
-	}, "the gap to be declared from acks alone")
-	waitUntil(t, 2*time.Second, func() bool {
-		return cursorOf(st.Station, SensorECG) == 3
-	}, "the station to skip to the hole bound")
-
-	// Delivery resumes seamlessly past the hole.
-	if err := sink.HandleFrame(FrameFromFloats(SensorECG, 3, make([]float64, 4))); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Stats().Nacks; got != 0 {
-		t.Errorf("nacks = %d, want 0 (gap recovery must not need a nack round-trip)", got)
-	}
-	if got := st.Stats().Acks; got < 3 {
-		t.Errorf("acks = %d, want >= 3 (frames 0, 1, and 3 delivered)", got)
-	}
 }
 
 // TestSeqWrapEndToEnd streams two full windows whose sequence numbers

@@ -13,11 +13,3 @@ func seqAfter(a, b uint32) bool { return int32(a-b) > 0 }
 
 // seqBefore reports whether a is strictly earlier than b in serial order.
 func seqBefore(a, b uint32) bool { return int32(a-b) < 0 }
-
-// seqMax returns the serially later of a and b.
-func seqMax(a, b uint32) uint32 {
-	if seqAfter(a, b) {
-		return a
-	}
-	return b
-}

@@ -94,12 +94,11 @@ func (sc *Scenario) run(deliver func(*BaseStation) error) (ScenarioResult, error
 	}
 	sink := &MemorySink{}
 	station, err := NewBaseStation(StationConfig{
-		SubjectID:            sc.Record.SubjectID,
-		SampleRate:           sc.Record.SampleRate,
-		WindowSec:            sc.WindowSec,
-		Detector:             sc.Detector,
-		Sink:                 sink,
-		DetectPeaksAtRuntime: true,
+		SubjectID:  sc.Record.SubjectID,
+		SampleRate: sc.Record.SampleRate,
+		WindowSec:  sc.WindowSec,
+		Detector:   sc.Detector,
+		Sink:       sink,
 	})
 	if err != nil {
 		return ScenarioResult{}, err

@@ -81,11 +81,6 @@ type StationConfig struct {
 	WindowSec  float64 // detector window (default 3 s)
 	Detector   Detector
 	Sink       Sink
-	// DetectPeaksAtRuntime switches on the station-side peak detectors
-	// (the paper pre-stored peak indexes; the runtime path is the "simple
-	// extension" it describes). When false, windows carry no peaks and
-	// only matrix features discriminate.
-	DetectPeaksAtRuntime bool
 }
 
 // BaseStation assembles synchronized ECG/ABP windows from sensor frames
@@ -100,7 +95,7 @@ type StationConfig struct {
 type BaseStation struct {
 	cfg  StationConfig
 	wlen int
-	rdet *peaks.RDetector // runtime R detector; nil when off
+	rdet *peaks.RDetector // runtime R detector
 
 	mu    sync.Mutex
 	ch    [2]channel   // per sensor, indexed by SensorID-1
@@ -208,13 +203,9 @@ func NewBaseStation(cfg StationConfig) (*BaseStation, error) {
 	if wlen <= 0 {
 		return nil, fmt.Errorf("wiot: degenerate window of %d samples", wlen)
 	}
-	var rdet *peaks.RDetector
-	if cfg.DetectPeaksAtRuntime {
-		d, err := peaks.NewRDetector(peaks.DetectorConfig{SampleRate: cfg.SampleRate})
-		if err != nil {
-			return nil, fmt.Errorf("wiot: runtime R detector: %w", err)
-		}
-		rdet = d
+	rdet, err := peaks.NewRDetector(peaks.DetectorConfig{SampleRate: cfg.SampleRate})
+	if err != nil {
+		return nil, fmt.Errorf("wiot: runtime R detector: %w", err)
 	}
 	return &BaseStation{cfg: cfg, wlen: wlen, rdet: rdet}, nil
 }
@@ -406,7 +397,7 @@ func (b *BaseStation) open(ch *channel) {
 }
 
 // cutIfFull queues the sensor's partial window once it holds a window,
-// with the sensor's own peaks when the station detects them, and starts
+// with the peaks the sensor's detector finds in it, and starts
 // the next. The filled array is the one Classify receives: nothing is
 // copied. Caller holds mu.
 func (b *BaseStation) cutIfFull(sensor SensorID) {
@@ -416,14 +407,12 @@ func (b *BaseStation) cutIfFull(sensor SensorID) {
 	}
 	w := cutWindow{samples: ch.part, lo: ch.lo.Float(), hi: ch.hi.Float()}
 	ch.part = nil
-	if b.cfg.DetectPeaksAtRuntime {
-		if sensor == SensorECG {
-			if w.peaks, w.err = b.rdet.Detect(w.samples); w.err != nil {
-				w.err = fmt.Errorf("wiot: runtime R detection: %w", w.err)
-			}
-		} else if w.peaks, w.err = peaks.ScanSystolic(w.samples, b.cfg.SampleRate, ch.sum, w.hi); w.err != nil {
-			w.err = fmt.Errorf("wiot: runtime systolic detection: %w", w.err)
+	if sensor == SensorECG {
+		if w.peaks, w.err = b.rdet.Detect(w.samples); w.err != nil {
+			w.err = fmt.Errorf("wiot: runtime R detection: %w", w.err)
 		}
+	} else if w.peaks, w.err = peaks.ScanSystolic(w.samples, b.cfg.SampleRate, ch.sum, w.hi); w.err != nil {
+		w.err = fmt.Errorf("wiot: runtime systolic detection: %w", w.err)
 	}
 	ch.push(w)
 }
@@ -448,10 +437,8 @@ func (b *BaseStation) drainWindows() error {
 		}
 		w.ECGRange = dataset.RangeOf(w.ECG, ew.lo, ew.hi)
 		w.ABPRange = dataset.RangeOf(w.ABP, aw.lo, aw.hi)
-		if b.cfg.DetectPeaksAtRuntime {
-			w.RPeaks, w.SysPeaks = ew.peaks, aw.peaks
-			w.Pairs = peaks.Pair(w.RPeaks, w.SysPeaks, int(dataset.MaxPairLagSec*b.cfg.SampleRate))
-		}
+		w.RPeaks, w.SysPeaks = ew.peaks, aw.peaks
+		w.Pairs = peaks.Pair(w.RPeaks, w.SysPeaks, int(dataset.MaxPairLagSec*b.cfg.SampleRate))
 
 		altered, err := b.cfg.Detector.Classify(w)
 		if err != nil {

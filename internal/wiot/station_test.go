@@ -134,11 +134,10 @@ func TestTCPStationSurvivesSeqGap(t *testing.T) {
 // allocates nothing, with or without a one-frame gap to conceal.
 func TestHandleFrameSteadyStateAllocs(t *testing.T) {
 	st, err := NewBaseStation(StationConfig{
-		SubjectID:            "S01",
-		SampleRate:           physio.DefaultSampleRate,
-		Detector:             &flagEveryOther{},
-		Sink:                 &MemorySink{},
-		DetectPeaksAtRuntime: true,
+		SubjectID:  "S01",
+		SampleRate: physio.DefaultSampleRate,
+		Detector:   &flagEveryOther{},
+		Sink:       &MemorySink{},
 	})
 	if err != nil {
 		t.Fatal(err)
