@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -40,7 +41,8 @@ var quickSVM = svm.Config{Seed: 42, MaxIter: 150}
 // TestGoldenLedger pins the repo's deterministic outputs to absolute
 // values: each catalog campaign's verdict digest and manifest bytes,
 // the 1,000-wearer streamed smoke's digest line, the -quick Table
-// II/III text, and the trained SVM model bytes of each -quick wearer
+// II/III text, each version's Table III cycles per window and
+// battery-days, and the trained SVM model bytes of each -quick wearer
 // and detector version. The invariance tests elsewhere compare two
 // paths of one build; this one catches a change that moves every path
 // alike.
@@ -112,6 +114,10 @@ func TestGoldenLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(t, "siftlab.table3_sha256", sha256Hex([]byte(t3.Format())))
+			for _, row := range t3.Rows {
+				check(t, billKey(row.Version, "cycles_per_window"), strconv.FormatFloat(row.CyclesPerWindow, 'f', -1, 64))
+				check(t, billKey(row.Version, "battery_days"), strconv.FormatFloat(row.Report.LifetimeDays, 'f', -1, 64))
+			}
 		})
 	})
 	t.Run("svm", func(t *testing.T) {
@@ -170,6 +176,10 @@ func ledgerKeys(t *testing.T) map[string]bool {
 	keys["stream.digest"] = true
 	keys["siftlab.table2_sha256"] = true
 	keys["siftlab.table3_sha256"] = true
+	for _, v := range features.Versions {
+		keys[billKey(v, "cycles_per_window")] = true
+		keys[billKey(v, "battery_days")] = true
+	}
 	cfg := experiments.QuickConfig()
 	subjects, err := physio.Cohort(cfg.Subjects, cfg.Seed)
 	if err != nil {
@@ -184,6 +194,11 @@ func ledgerKeys(t *testing.T) map[string]bool {
 }
 
 func versionKey(v features.Version) string { return strings.ToLower(v.String()) }
+
+// billKey names one figure of version v's -quick Table III device bill.
+func billKey(v features.Version, figure string) string {
+	return "siftlab.table3." + versionKey(v) + "." + figure
+}
 
 func modelKey(v features.Version, subjectID string) string {
 	return "svm." + versionKey(v) + "." + subjectID + ".model_sha256"

@@ -1,7 +1,9 @@
 package attack
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/wiot-security/sift/internal/dataset"
@@ -227,10 +229,21 @@ func TestGallery(t *testing.T) {
 	}
 }
 
-// windowCapture is a station detector that keeps every window it gets.
+// windowCapture is a station detector that keeps a copy of every
+// window it gets (the station lends its arrays only for the call), with
+// the carried ranges, checked while the window is lent, bound to the
+// copied arrays.
 type windowCapture struct{ windows []dataset.Window }
 
 func (c *windowCapture) Classify(w dataset.Window) (bool, error) {
+	ecgLo, ecgHi, okECG := w.ECGRange.Of(w.ECG)
+	abpLo, abpHi, okABP := w.ABPRange.Of(w.ABP)
+	if !okECG || !okABP {
+		return false, fmt.Errorf("station window %d carries no range bound to its samples", w.Index)
+	}
+	w.ECG, w.ABP = slices.Clone(w.ECG), slices.Clone(w.ABP)
+	w.RPeaks, w.SysPeaks, w.Pairs = slices.Clone(w.RPeaks), slices.Clone(w.SysPeaks), slices.Clone(w.Pairs)
+	w.ECGRange, w.ABPRange = dataset.RangeOf(w.ECG, ecgLo, ecgHi), dataset.RangeOf(w.ABP, abpLo, abpHi)
 	c.windows = append(c.windows, w)
 	return false, nil
 }

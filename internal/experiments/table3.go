@@ -15,8 +15,9 @@ import (
 
 // Table3Row is one row block of the paper's Table III.
 type Table3Row struct {
-	Version features.Version
-	Report  arp.Report
+	Version         features.Version
+	CyclesPerWindow float64 // measured device cycles per classified window, the Report's energy input
+	Report          arp.Report
 }
 
 // Table3Result is the full Table III reproduction.
@@ -58,7 +59,7 @@ func Table3(env *Env, telemetry map[features.Version]DeviceTelemetry) (*Table3Re
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, Table3Row{Version: v, Report: rep})
+		res.Rows = append(res.Rows, Table3Row{Version: v, CyclesPerWindow: tel.CyclesPerWindow, Report: rep})
 	}
 	return res, nil
 }

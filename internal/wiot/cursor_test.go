@@ -3,6 +3,7 @@ package wiot
 import (
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -52,20 +53,31 @@ func appendFrame(t *testing.T, buf []byte, sensor SensorID, seq uint32, v float6
 	return append(buf, rec...)
 }
 
-// windowLog is a Detector that keeps every window it classifies. Like
-// flagEveryOther it refuses a window whose carried ranges are wrong.
+// windowLog is a Detector that keeps a copy of every window it
+// classifies (the station lends its arrays only for the call), its
+// ranges bound to the copied arrays, and the ECG array each was lent
+// on. Like flagEveryOther it refuses a window whose carried ranges are
+// wrong, checked while it is lent.
 type windowLog struct {
 	mu      sync.Mutex
 	windows []dataset.Window
+	lentECG []*float64 // &w.ECG[0] of each window as lent
 }
 
 func (d *windowLog) Classify(w dataset.Window) (bool, error) {
 	if err := checkRanges(w); err != nil {
 		return false, err
 	}
+	lent := &w.ECG[0]
+	ecgLo, ecgHi, _ := w.ECGRange.Of(w.ECG)
+	abpLo, abpHi, _ := w.ABPRange.Of(w.ABP)
+	w.ECG, w.ABP = slices.Clone(w.ECG), slices.Clone(w.ABP)
+	w.RPeaks, w.SysPeaks, w.Pairs = slices.Clone(w.RPeaks), slices.Clone(w.SysPeaks), slices.Clone(w.Pairs)
+	w.ECGRange, w.ABPRange = dataset.RangeOf(w.ECG, ecgLo, ecgHi), dataset.RangeOf(w.ABP, abpLo, abpHi)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.windows = append(d.windows, w)
+	d.lentECG = append(d.lentECG, lent)
 	return w.Index%2 == 1, nil
 }
 

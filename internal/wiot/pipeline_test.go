@@ -94,7 +94,7 @@ func TestStationRunsECGStageAtItsOwnWindow(t *testing.T) {
 	if len(got) != 1 || len(sink.Alerts()) != 1 {
 		t.Fatalf("after ABP completes the window: %d classified, %d alerts; want 1, 1", len(got), len(sink.Alerts()))
 	}
-	if !slices.Equal(got[0].RPeaks, want) || &got[0].ECG[0] != &queued.samples[0] {
+	if !slices.Equal(got[0].RPeaks, want) || log.lentECG[0] != &queued.samples[0] {
 		t.Errorf("classified window has R peaks %v, want the queued %v on the queued samples", got[0].RPeaks, want)
 	}
 }

@@ -133,20 +133,31 @@ func (sc *Scenario) stream(ctx context.Context, ecg, abp FrameSink) error {
 			return nil
 		}
 		if okE {
-			for _, d := range sc.Channel.Transmit(sc.Attack.Intercept(ef)) {
-				if err := ecg.HandleFrame(d); err != nil {
-					return fmt.Errorf("wiot: ECG frame: %w", err)
-				}
+			if err := sc.transmit(ecg, sc.Attack.Intercept(ef)); err != nil {
+				return fmt.Errorf("wiot: ECG frame: %w", err)
 			}
 		}
 		if okA {
-			for _, d := range sc.Channel.Transmit(af) {
-				if err := abp.HandleFrame(d); err != nil {
-					return fmt.Errorf("wiot: ABP frame: %w", err)
-				}
+			if err := sc.transmit(abp, af); err != nil {
+				return fmt.Errorf("wiot: ABP frame: %w", err)
 			}
 		}
 	}
+}
+
+// transmit passes f over the scenario's channel into sink. A Reliable
+// channel delivers f itself, which is what its Transmit returns, but
+// without the one-frame slice that Transmit allocates per frame.
+func (sc *Scenario) transmit(sink FrameSink, f Frame) error {
+	if _, ok := sc.Channel.(Reliable); ok {
+		return sink.HandleFrame(f)
+	}
+	for _, d := range sc.Channel.Transmit(f) {
+		if err := sink.HandleFrame(d); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // scoreScenario grades a completed run's alerts against the attack

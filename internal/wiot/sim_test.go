@@ -298,26 +298,29 @@ func (c *frameCounter) HandleFrame(Frame) error {
 }
 
 // TestStreamAllocatesNothingPerFrame: the one stream pump both scenario
-// runners share costs no allocation per frame: each sensor quantises
-// every frame into its one buffer.
+// runners share costs no allocation per frame, over a channel that
+// reuses its result and over Reliable, the default: each sensor
+// quantises every frame into its one buffer.
 func TestStreamAllocatesNothingPerFrame(t *testing.T) {
 	rec, err := physio.Generate(physio.DefaultSubject(), 12, physio.DefaultSampleRate, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := Scenario{Record: rec, ChunkSize: DefaultChunkSize, Attack: PassThrough{}, Channel: &reuseChannel{}}
-	frames := 2 * ((len(rec.ECG) + DefaultChunkSize - 1) / DefaultChunkSize)
-	var sink frameCounter
-	allocs := testing.AllocsPerRun(3, func() {
-		if err := sc.stream(context.Background(), &sink, &sink); err != nil {
-			t.Fatal(err)
+	for _, ch := range []ChannelEffect{&reuseChannel{}, Reliable{}} {
+		sc := Scenario{Record: rec, ChunkSize: DefaultChunkSize, Attack: PassThrough{}, Channel: ch}
+		frames := 2 * ((len(rec.ECG) + DefaultChunkSize - 1) / DefaultChunkSize)
+		var sink frameCounter
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := sc.stream(context.Background(), &sink, &sink); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if sink.n != 4*frames {
+			t.Fatalf("%T: sinks saw %d frames over 4 runs, want %d", ch, sink.n, 4*frames)
 		}
-	})
-	if sink.n != 4*frames {
-		t.Fatalf("sinks saw %d frames over 4 runs, want %d", sink.n, 4*frames)
-	}
-	// Two per sensor: the sensor and its sample buffer.
-	if allocs > 4 {
-		t.Errorf("streaming %d frames allocates %.0f times, want <= 4", frames, allocs)
+		// Two per sensor: the sensor and its sample buffer.
+		if allocs > 4 {
+			t.Errorf("%T: streaming %d frames allocates %.0f times, want <= 4", ch, frames, allocs)
+		}
 	}
 }

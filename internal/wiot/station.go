@@ -3,6 +3,7 @@ package wiot
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/wiot-security/sift/internal/dataset"
@@ -30,6 +31,16 @@ const concealWindows = 8
 // Detector is the base station's pluggable classification back end; both
 // the host-reference detector and the emulated-device detector satisfy it
 // through small adapters.
+//
+// Windows are lent, as frames are (see Frame): the window handed to
+// Classify is valid only while the call runs. The station takes its
+// arrays back when Classify returns and fills them with later windows
+// (keeping at most freeCap), so a detector copies whatever it keeps of
+// ECG, ABP, RPeaks, SysPeaks and Pairs, and never writes to them.
+// Ranges are the trap: ECGRange and ABPRange bind to their array's
+// address, so an uncopied window still reads its range as valid once
+// the array holds another window's samples. A detector that keeps a
+// range binds it to its copy (dataset.RangeOf).
 type Detector interface {
 	// Classify returns whether the window's ECG was altered.
 	Classify(w dataset.Window) (bool, error)
@@ -100,8 +111,49 @@ type BaseStation struct {
 	mu    sync.Mutex
 	ch    [2]channel   // per sensor, indexed by SensorID-1
 	cur   [2]seqCursor // per sensor, indexed by SensorID-1
+	free  windowArrays // arrays Classify is done with, for the next windows
 	index int          // the next window's index: index·wlen is its first sample's position
 	stats StationStats
+}
+
+// freeCap bounds a station's free list of window arrays. Steady
+// streaming needs two (one window per sensor in flight); the cap keeps
+// a long-lived station from pinning the arrays of a burst lead, whose
+// queued windows all come back at once when the partner catches up.
+const freeCap = 4
+
+// windowArrays is a station's free list of window arrays, at most
+// freeCap of them, the most recently returned first.
+type windowArrays struct {
+	a [freeCap][]float64
+	n int
+}
+
+// get returns a free array emptied to length 0, or nil when none is.
+func (f *windowArrays) get() []float64 {
+	if f.n == 0 {
+		return nil
+	}
+	f.n--
+	s := f.a[f.n]
+	f.a[f.n] = nil
+	return s[:0]
+}
+
+// put takes back a window's array once nothing reads it any more,
+// keeping it while the list has room. The wiotpoison build fills it
+// with NaN first, so a detector that kept it without copying reads NaN.
+func (f *windowArrays) put(s []float64) {
+	if poisonReturnedWindows {
+		s = s[:cap(s)]
+		for i := range s {
+			s[i] = math.NaN()
+		}
+	}
+	if f.n < freeCap {
+		f.a[f.n] = s
+		f.n++
+	}
 }
 
 // channel is one sensor's stage of window assembly: the window its
@@ -109,7 +161,7 @@ type BaseStation struct {
 // its complete windows, oldest first, that wait for the other sensor's
 // window of the same index.
 type channel struct {
-	part   []float64    // the filling window: nil until its first sample, then capacity wlen; handed to Classify as is once full
+	part   []float64    // the filling window: nil until its first sample, then capacity wlen; lent to Classify as is once full
 	lo, hi fixedpoint.Q // min and max of part's samples; meaningless while part is empty
 	sum    float64      // part's samples added in index order from +0; meaningless while part is empty
 	queue  []cutWindow  // queue[head:] waits
@@ -167,8 +219,12 @@ func (c *channel) pop() cutWindow {
 	return w
 }
 
-// reset drops every waiting window and the partial one.
-func (c *channel) reset() {
+// reset drops every waiting window, returning its array to free, and
+// empties the partial one.
+func (c *channel) reset(free *windowArrays) {
+	for _, w := range c.queue[c.head:] {
+		free.put(w.samples)
+	}
 	clear(c.queue)
 	c.queue, c.head, c.part = c.queue[:0], 0, c.part[:0]
 }
@@ -363,7 +419,7 @@ func (b *BaseStation) resync(f Frame, gap int) {
 		} else {
 			c.next = f.Seq
 		}
-		b.ch[i].reset()
+		b.ch[i].reset(&b.free)
 		b.conceal(id, pos%b.wlen)
 	}
 }
@@ -388,17 +444,19 @@ func (b *BaseStation) conceal(sensor SensorID, n int) {
 }
 
 // open gives the channel an array for its filling window when it has
-// none: a window's array is made when its first sample arrives. Caller
-// holds mu.
+// none, when the window's first sample arrives: a free one if there is
+// one, else a new one. Caller holds mu.
 func (b *BaseStation) open(ch *channel) {
 	if ch.part == nil {
-		ch.part = make([]float64, 0, b.wlen)
+		if ch.part = b.free.get(); ch.part == nil {
+			ch.part = make([]float64, 0, b.wlen)
+		}
 	}
 }
 
 // cutIfFull queues the sensor's partial window once it holds a window,
 // with the peaks the sensor's detector finds in it, and starts
-// the next. The filled array is the one Classify receives: nothing is
+// the next. The filled array is the one Classify is lent: nothing is
 // copied. Caller holds mu.
 func (b *BaseStation) cutIfFull(sensor SensorID) {
 	ch := &b.ch[sensor-1]
@@ -417,39 +475,52 @@ func (b *BaseStation) cutIfFull(sensor SensorID) {
 	ch.push(w)
 }
 
-// drainWindows classifies every window both sensors have queued, then
-// records the lead the sensor still waiting holds. Caller holds mu.
+// drainWindows classifies every window both sensors have queued,
+// taking back both arrays of each, then records the lead the sensor
+// still waiting holds. Caller holds mu.
 func (b *BaseStation) drainWindows() error {
 	e, a := &b.ch[SensorECG-1], &b.ch[SensorABP-1]
 	for e.waiting() > 0 && a.waiting() > 0 {
 		ew, aw := e.pop(), a.pop()
-		if ew.err != nil {
-			return ew.err
-		}
-		if aw.err != nil {
-			return aw.err
-		}
-		w := dataset.Window{
-			SubjectID: b.cfg.SubjectID,
-			Index:     b.index,
-			ECG:       ew.samples,
-			ABP:       aw.samples,
-		}
-		w.ECGRange = dataset.RangeOf(w.ECG, ew.lo, ew.hi)
-		w.ABPRange = dataset.RangeOf(w.ABP, aw.lo, aw.hi)
-		w.RPeaks, w.SysPeaks = ew.peaks, aw.peaks
-		w.Pairs = peaks.Pair(w.RPeaks, w.SysPeaks, int(dataset.MaxPairLagSec*b.cfg.SampleRate))
-
-		altered, err := b.cfg.Detector.Classify(w)
+		err := b.classify(ew, aw)
+		b.free.put(ew.samples)
+		b.free.put(aw.samples)
 		if err != nil {
-			return fmt.Errorf("wiot: classify window %d: %w", w.Index, err)
+			return err
 		}
-		b.cfg.Sink.Deliver(Alert{WindowIndex: b.index, Altered: altered, SubjectID: b.cfg.SubjectID})
-		b.index++
-		b.stats.Windows++
 	}
 	if lead := max(e.waiting(), a.waiting()); lead > b.stats.PeakLead {
 		b.stats.PeakLead = lead
 	}
+	return nil
+}
+
+// classify lends the window ew and aw make up to the detector and
+// delivers its verdict. Caller holds mu.
+func (b *BaseStation) classify(ew, aw cutWindow) error {
+	if ew.err != nil {
+		return ew.err
+	}
+	if aw.err != nil {
+		return aw.err
+	}
+	w := dataset.Window{
+		SubjectID: b.cfg.SubjectID,
+		Index:     b.index,
+		ECG:       ew.samples,
+		ABP:       aw.samples,
+	}
+	w.ECGRange = dataset.RangeOf(w.ECG, ew.lo, ew.hi)
+	w.ABPRange = dataset.RangeOf(w.ABP, aw.lo, aw.hi)
+	w.RPeaks, w.SysPeaks = ew.peaks, aw.peaks
+	w.Pairs = peaks.Pair(w.RPeaks, w.SysPeaks, int(dataset.MaxPairLagSec*b.cfg.SampleRate))
+
+	altered, err := b.cfg.Detector.Classify(w)
+	if err != nil {
+		return fmt.Errorf("wiot: classify window %d: %w", w.Index, err)
+	}
+	b.cfg.Sink.Deliver(Alert{WindowIndex: b.index, Altered: altered, SubjectID: b.cfg.SubjectID})
+	b.index++
+	b.stats.Windows++
 	return nil
 }

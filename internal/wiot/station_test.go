@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/physio"
 )
@@ -172,4 +173,128 @@ func TestHandleFrameSteadyStateAllocs(t *testing.T) {
 	if st.Stats().Windows != 2 || st.Stats().Concealed != 11*2*frame {
 		t.Errorf("pins crossed a window or missed the gaps: %d windows, stats %+v", st.Stats().Windows, st.Stats())
 	}
+}
+
+// lentArrays is a Detector that records the address of every window
+// array it is lent. Holding the address keeps the array reachable, so
+// no array made later can take it over. Like flagEveryOther it refuses
+// a window whose carried ranges are wrong.
+type lentArrays map[*float64]bool
+
+func (a lentArrays) Classify(w dataset.Window) (bool, error) {
+	if err := checkRanges(w); err != nil {
+		return false, err
+	}
+	a[&w.ECG[0]], a[&w.ABP[0]] = true, true
+	return false, nil
+}
+
+// TestStationRecyclesWindowArrays: the station takes back the arrays of
+// every window it classifies and every queued window a resync drops, and
+// lends them again. After a warm-up, whole windows streamed through
+// HandleFrame are lent only arrays lent before, also after one sensor
+// led by several windows; after a resync, only arrays the station held
+// before it. The free list never holds more than freeCap.
+func TestStationRecyclesWindowArrays(t *testing.T) {
+	frame := func(id SensorID, seq uint32) Frame {
+		samples := make([]float64, 90)
+		for i := range samples {
+			samples[i] = float64(seq%7) + float64(i)/90
+		}
+		return FrameFromFloats(id, seq, samples)
+	}
+	checkFree := func(t *testing.T, st *BaseStation) {
+		t.Helper()
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if st.free.n > freeCap {
+			t.Fatalf("free list holds %d arrays, cap %d", st.free.n, freeCap)
+		}
+	}
+	send := func(t *testing.T, st *BaseStation, id SensorID, from, to uint32) {
+		t.Helper()
+		for seq := from; seq < to; seq++ {
+			if err := st.HandleFrame(frame(id, seq)); err != nil {
+				t.Fatal(err)
+			}
+			checkFree(t, st)
+		}
+	}
+	const perWindow = 12 // 90-sample frames in a 1080-sample window
+	stream := func(t *testing.T, st *BaseStation, from, windows uint32) uint32 {
+		t.Helper()
+		for seq := from; seq < from+windows*perWindow; seq++ {
+			send(t, st, SensorECG, seq, seq+1)
+			send(t, st, SensorABP, seq, seq+1)
+		}
+		return from + windows*perWindow
+	}
+
+	t.Run("steady and after a lead", func(t *testing.T) {
+		lent := lentArrays{}
+		st := newTestStation(t, lent, &MemorySink{})
+		seq := stream(t, st, 0, 3)
+		warm := len(lent)
+		seq = stream(t, st, seq, 20)
+		if len(lent) != warm || st.Stats().Windows != 23 {
+			t.Fatalf("20 windows after the warm-up were lent %d new arrays over %d windows, want 0", len(lent)-warm, st.Stats().Windows)
+		}
+		// ECG leads by six windows; ABP's catching up returns all of
+		// them at once, more than the free list keeps.
+		send(t, st, SensorECG, seq, seq+6*perWindow)
+		send(t, st, SensorABP, seq, seq+6*perWindow)
+		if n := st.free.n; n != freeCap || st.Stats().PeakLead < 6 {
+			t.Fatalf("after a six-window lead: free list holds %d, peak lead %d; want %d, at least 6", n, st.Stats().PeakLead, freeCap)
+		}
+		seq += 6 * perWindow
+		warm = len(lent)
+		stream(t, st, seq, 10)
+		if len(lent) != warm {
+			t.Errorf("10 windows after the lead were lent %d new arrays, want 0", len(lent)-warm)
+		}
+	})
+
+	t.Run("resync drops a lead", func(t *testing.T) {
+		lent := lentArrays{}
+		st := newTestStation(t, lent, &MemorySink{})
+		for seq := uint32(0); seq < 2*perWindow+perWindow/2; seq++ {
+			if a, _, err := st.admit(frame(SensorECG, seq)); a != admitted || err != nil {
+				t.Fatalf("ECG frame %d: admission %d, err %v", seq, a, err)
+			}
+		}
+		// The resync drops the two queued windows; the partial one's
+		// array stays with ECG.
+		st.mu.Lock()
+		ecg := &st.ch[SensorECG-1]
+		held := map[*float64]bool{&ecg.part[0]: true}
+		var dropped []*float64
+		for _, w := range ecg.queue {
+			dropped = append(dropped, &w.samples[0])
+			held[&w.samples[0]] = true
+		}
+		st.mu.Unlock()
+		if len(dropped) != 2 {
+			t.Fatalf("ECG queued %d windows, want 2", len(dropped))
+		}
+		st.declareGap(SensorECG, 200)
+		for seq := uint32(200); seq < 200+3*perWindow; seq++ {
+			for _, id := range []SensorID{SensorECG, SensorABP} {
+				if a, _, err := st.admit(frame(id, seq)); a != admitted || err != nil {
+					t.Fatalf("%v frame %d: admission %d, err %v", id, seq, a, err)
+				}
+				checkFree(t, st)
+			}
+		}
+		if got := st.Stats(); got.Resyncs != 1 || got.Windows < 2 {
+			t.Fatalf("stats %+v: want one resync, then windows", got)
+		}
+		for p := range lent {
+			if !held[p] {
+				t.Fatal("a window after the resync was lent a new array, not one the resync dropped")
+			}
+		}
+		if !lent[dropped[0]] && !lent[dropped[1]] {
+			t.Error("no array of a dropped window was lent again")
+		}
+	})
 }
