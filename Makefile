@@ -166,20 +166,17 @@ lint:
 		$(GO) vet ./...; \
 	fi
 
-# The repo's own analyzers (opcomplete, detrand, spanend, qmisuse, plus
-# the campaign set: campreach, campseed, campsched, campbudget,
-# campdigest) — needs nothing beyond the go toolchain, so it always runs.
+# The repo's own analyzers (opcomplete, detrand, spanend, qmisuse) —
+# needs nothing beyond the go toolchain, so it always runs.
 lint-custom:
 	$(GO) run ./cmd/wiotlint ./...
 
-# The declarative campaign gate: the five camp* analyzers over every
-# package (machine-readable output), runtime validation of the catalog,
-# and the parity/digest-invariance tests that pin declaration lowering
+# The declarative campaign gate: campaign.Validate over the registered
+# catalog, and the parity/digest-invariance tests that pin declaration lowering
 # byte-identical to the legacy imperative paths (plus the run-manifest
 # round-trip and shard-invariance suite), and the check that wiotsim
 # -stream builds its cohort with the same recipe.
 campaigns:
-	$(GO) run ./cmd/wiotlint -campaigns -json ./...
 	$(GO) run ./cmd/wiotsim build -lint
 	$(GO) test ./internal/campaign/ -run 'DeclarativeMatchesImperative|ShardDigestInvariance|CatalogWellFormed|Manifest'
 	$(GO) test ./cmd/wiotsim/ -run 'StreamSourceMatchesCampaignRecipe'

@@ -1,21 +1,19 @@
 // Command wiotlint is the repo's custom multichecker: it runs the
-// internal/analysis analyzers (opcomplete, detrand, spanend, qmisuse,
-// and the campaign set campreach/campseed/campsched/campbudget/
-// campdigest) over the module and exits nonzero on any finding — the
-// correctness companion to golangci-lint's general-purpose set. It
-// needs only the go toolchain: imports resolve through `go list
-// -export` build-cache export data, so the tree must compile before it
-// can be linted.
+// internal/analysis analyzers (opcomplete, detrand, spanend, qmisuse)
+// over the module and exits nonzero on any finding — the correctness
+// companion to golangci-lint's general-purpose set. It needs only the
+// go toolchain: imports resolve through `go list -export` build-cache
+// export data, so the tree must compile before it can be linted.
+// Campaign declarations are checked by `wiotsim build -lint`, which
+// runs campaign.Validate over the registered catalog.
 //
 // Usage:
 //
-//	wiotlint [-run name,name] [-campaigns] [-json] [-list] [packages]
+//	wiotlint [-run name,name] [-list] [packages]
 //
 // Packages default to ./... . Findings print as
-// file:line:col: analyzer: message, or as a JSON array with -json.
-// A finding is suppressed by a //wiotlint:allow <analyzer> comment on
-// the same or preceding line. -campaigns restricts the run to the five
-// campaign-declaration analyzers (the CI campaign-lint gate).
+// file:line:col: analyzer: message. A finding is suppressed by a
+// //wiotlint:allow <analyzer> comment on the same or preceding line.
 //
 // Exit codes:
 //
@@ -25,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -39,30 +36,16 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonFinding is the -json wire shape of one diagnostic.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("wiotlint", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	runNames := fs.String("run", "", "comma-separated analyzer names to run (default all)")
-	campaigns := fs.Bool("campaigns", false, "run only the campaign-declaration analyzers")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	analyzers := analysis.All()
-	if *campaigns {
-		analyzers = analysis.CampaignAnalyzers()
-	}
 	if *list {
 		for _, a := range analyzers {
 			fmt.Fprintf(out, "%-12s %s\n", a.Name, a.Doc)
@@ -110,27 +93,8 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 	analysis.SortDiagnostics(diags)
 
-	if *asJSON {
-		findings := make([]jsonFinding, 0, len(diags))
-		for _, d := range diags {
-			findings = append(findings, jsonFinding{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(errOut, "wiotlint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(out, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(out, d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(errOut, "wiotlint: %d finding(s)\n", len(diags))

@@ -2,7 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -15,82 +15,79 @@ func lint(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errOut.String()
 }
 
-func TestListIncludesCampaignAnalyzers(t *testing.T) {
+func TestListNamesEveryAnalyzer(t *testing.T) {
 	code, out, _ := lint(t, "-list")
 	if code != 0 {
 		t.Fatalf("-list exit %d", code)
 	}
-	for _, name := range []string{"opcomplete", "detrand", "spanend", "qmisuse", "campreach", "campseed", "campsched", "campbudget", "campdigest"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output missing %s", name)
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		names = append(names, strings.Fields(line)[0])
 	}
-}
-
-func TestCampaignsFlagRestrictsList(t *testing.T) {
-	code, out, _ := lint(t, "-campaigns", "-list")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	if strings.Contains(out, "opcomplete") || !strings.Contains(out, "campreach") {
-		t.Errorf("-campaigns -list should show only campaign analyzers:\n%s", out)
+	if got, want := strings.Join(names, " "), "opcomplete detrand spanend qmisuse"; got != want {
+		t.Errorf("-list names %q, want %q", got, want)
 	}
 }
 
 func TestCleanPackageExitsZero(t *testing.T) {
-	code, out, errOut := lint(t, "-campaigns", "github.com/wiot-security/sift/internal/campaign/catalog")
+	code, out, errOut := lint(t, "github.com/wiot-security/sift/internal/fixedpoint")
 	if code != 0 {
-		t.Fatalf("catalog should lint clean, exit %d\nstdout: %s\nstderr: %s", code, out, errOut)
+		t.Fatalf("fixedpoint should lint clean, exit %d\nstdout: %s\nstderr: %s", code, out, errOut)
+	}
+	if out != "" {
+		t.Errorf("clean run printed findings:\n%s", out)
 	}
 }
 
 func TestFindingsExitOne(t *testing.T) {
-	code, out, _ := lint(t, "-campaigns", "../../internal/analysis/testdata/src/campreach")
+	code, out, errOut := lint(t, "-run", "qmisuse", "../../internal/analysis/testdata/src/qarith")
 	if code != 1 {
 		t.Fatalf("fixture with findings should exit 1, got %d", code)
 	}
-	if !strings.Contains(out, "campreach:") {
+	if !strings.Contains(out, "qmisuse:") {
 		t.Errorf("findings output missing analyzer name:\n%s", out)
 	}
-}
-
-func TestJSONOutput(t *testing.T) {
-	code, out, _ := lint(t, "-campaigns", "-json", "../../internal/analysis/testdata/src/campreach")
-	if code != 1 {
-		t.Fatalf("exit %d", code)
-	}
-	var findings []jsonFinding
-	if err := json.Unmarshal([]byte(out), &findings); err != nil {
-		t.Fatalf("stdout is not a JSON finding array: %v\n%s", err, out)
-	}
-	if len(findings) == 0 {
-		t.Fatal("no findings decoded")
-	}
-	for _, f := range findings {
-		if f.File == "" || f.Line == 0 || f.Analyzer != "campreach" || f.Message == "" {
-			t.Errorf("malformed finding: %+v", f)
-		}
-	}
-}
-
-func TestJSONCleanIsEmptyArray(t *testing.T) {
-	code, out, _ := lint(t, "-campaigns", "-json", "github.com/wiot-security/sift/internal/campaign/catalog")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	if strings.TrimSpace(out) != "[]" {
-		t.Errorf("clean -json run should print an empty array, got %q", out)
+	if !strings.Contains(errOut, "finding(s)") {
+		t.Errorf("stderr missing the finding count:\n%s", errOut)
 	}
 }
 
 func TestUsageErrorsExitTwo(t *testing.T) {
-	if code, _, _ := lint(t, "-run", "nosuchanalyzer"); code != 2 {
-		t.Errorf("unknown analyzer should exit 2, got %d", code)
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"unknown analyzer", []string{"-run", "nosuchanalyzer"}},
+		{"bad pattern", []string{"./does/not/exist"}},
+		{"bad flag", []string{"-definitely-not-a-flag"}},
+		{"removed campaigns flag", []string{"-campaigns"}},
+		{"removed json flag", []string{"-json"}},
 	}
-	if code, _, _ := lint(t, "./does/not/exist"); code != 2 {
-		t.Errorf("bad pattern should exit 2, got %d", code)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if code, _, _ := lint(t, tc.args...); code != 2 {
+				t.Errorf("wiotlint %s: exit %d, want 2", strings.Join(tc.args, " "), code)
+			}
+		})
 	}
-	if code, _, _ := lint(t, "-definitely-not-a-flag"); code != 2 {
-		t.Errorf("bad flag should exit 2, got %d", code)
+}
+
+// TestLinksOnlyTheAnalyzers pins the linter's footprint: within this
+// module it imports internal/analysis and nothing else, so linting never
+// builds the simulator.
+func TestLinksOnlyTheAnalyzers(t *testing.T) {
+	const module = "github.com/wiot-security/sift/"
+	out, err := exec.Command("go", "list", "-deps", "-f", "{{.ImportPath}}", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	var own []string
+	for _, path := range strings.Fields(string(out)) {
+		if strings.HasPrefix(path, module) {
+			own = append(own, strings.TrimPrefix(path, module))
+		}
+	}
+	if got, want := strings.Join(own, " "), "internal/analysis cmd/wiotlint"; got != want {
+		t.Errorf("wiotlint links module packages %q, want %q", got, want)
 	}
 }

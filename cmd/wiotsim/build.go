@@ -35,7 +35,7 @@ func buildMain(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("wiotsim build", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	list := fs.Bool("list", false, "list registered campaigns and exit")
-	lint := fs.Bool("lint", false, "validate declarations (runtime mirror of the campaign analyzers) instead of running")
+	lint := fs.Bool("lint", false, "validate declarations (campaign.Validate) instead of running")
 	canon := fs.Bool("canon", false, "print each campaign's canonical form and declaration digest instead of running")
 	manifest := fs.String("manifest", "", "write the run's manifest (deterministic JSON run report) to this file; needs exactly one campaign")
 	if err := fs.Parse(args); err != nil {

@@ -365,16 +365,17 @@ func validateFlags(fleetN, workers int, loss, dup, trainSec, liveSec, attackAt f
 		return fmt.Errorf("-trace %s: trace capture needs a fleet run (-fleet N)", tracePath)
 	case workers <= 0:
 		return fmt.Errorf("-workers %d: worker pool size must be positive", workers)
-	case loss < 0 || loss > 1:
+	// Each range check is written so that NaN fails it.
+	case !(loss >= 0 && loss <= 1):
 		return fmt.Errorf("-loss %g: probability must be in [0, 1]", loss)
-	case dup < 0 || dup > 1:
+	case !(dup >= 0 && dup <= 1):
 		return fmt.Errorf("-dup %g: probability must be in [0, 1]", dup)
-	case trainSec <= 0:
-		return fmt.Errorf("-train %g: training span must be positive seconds", trainSec)
-	case liveSec <= 0:
-		return fmt.Errorf("-live %g: live span must be positive seconds", liveSec)
-	case attackAt < 0:
-		return fmt.Errorf("-attack-at %g: attack start cannot be negative", attackAt)
+	case !(trainSec > 0 && trainSec <= physio.MaxSpanSec):
+		return fmt.Errorf("-train %g: training span must be positive seconds, at most %d (one day)", trainSec, physio.MaxSpanSec)
+	case !(liveSec > 0 && liveSec <= physio.MaxSpanSec):
+		return fmt.Errorf("-live %g: live span must be positive seconds, at most %d (one day)", liveSec, physio.MaxSpanSec)
+	case !(attackAt >= 0):
+		return fmt.Errorf("-attack-at %g: attack start must be zero or more seconds", attackAt)
 	case attackAt >= liveSec:
 		return fmt.Errorf("-attack-at %g: attack start must fall inside the %g s live span, or the MITM never fires", attackAt, liveSec)
 	}

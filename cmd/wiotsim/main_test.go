@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -33,6 +34,9 @@ func TestValidateFlags(t *testing.T) {
 	if err := ok(12, 1, 0, 1, 1, 1, 0); err != nil {
 		t.Errorf("boundary values rejected: %v", err)
 	}
+	if err := ok(12, 1, 0, 1, physio.MaxSpanSec, physio.MaxSpanSec, 0); err != nil {
+		t.Errorf("one-day spans rejected: %v", err)
+	}
 	if err := validateFlags(1000, 2, 0.02, 0.01, 60, 6, 3, "", "", false, false, 4, true, 256); err != nil {
 		t.Errorf("sharded stream flags rejected: %v", err)
 	}
@@ -48,6 +52,19 @@ func TestValidateFlags(t *testing.T) {
 		{"-train", ok(4, 4, 0.02, 0.01, 0, 120, 60)},
 		{"-live", ok(4, 4, 0.02, 0.01, 300, -5, 60)},
 		{"-attack-at", ok(4, 4, 0.02, 0.01, 300, 120, -1)},
+		{"-loss NaN", ok(3, 4, math.NaN(), 0.01, 300, 120, 60)},
+		{"-dup NaN", ok(3, 4, 0.02, math.NaN(), 300, 120, 60)},
+		{"-train NaN", ok(4, 4, 0.02, 0.01, math.NaN(), 120, 60)},
+		{"-train +Inf", ok(4, 4, 0.02, 0.01, math.Inf(1), 120, 60)},
+		{"-live NaN", ok(0, 4, 0.02, 0.01, 300, math.NaN(), 60)},
+		{"-live +Inf", ok(0, 4, 0.02, 0.01, 300, math.Inf(1), 60)},
+		{"-live -Inf", ok(0, 4, 0.02, 0.01, 300, math.Inf(-1), 60)},
+		{"-train huge", ok(4, 4, 0.02, 0.01, 1e300, 20, 10)},
+		{"-live huge", ok(0, 4, 0.02, 0.01, 300, 1e300, 60)},
+		{"-train past-a-day", ok(4, 4, 0.02, 0.01, physio.MaxSpanSec+1, 120, 60)},
+		{"-attack-at NaN", ok(0, 4, 0.02, 0.01, 300, 120, math.NaN())},
+		{"-attack-at +Inf", ok(0, 4, 0.02, 0.01, 300, 120, math.Inf(1))},
+		{"-attack-at -Inf", ok(0, 4, 0.02, 0.01, 300, 120, math.Inf(-1))},
 		{"-serve", validateFlags(0, 4, 0.02, 0.01, 300, 120, 60, ":9090", "", false, false, 0, false, 0)},
 		{"-trace", validateFlags(0, 4, 0.02, 0.01, 300, 120, 60, "", "out.json", false, false, 0, false, 0)},
 		{"-chaos", validateFlags(0, 4, 0.02, 0.01, 300, 120, 60, "", "", true, false, 0, false, 0)},

@@ -7,7 +7,7 @@
 // imports through `go list -export` build-cache export data, and
 // file-comment suppression (`//wiotlint:allow <analyzer>`).
 //
-// The analyzers harden the invariants earlier PRs introduced:
+// The analyzers guard invariants the compiler cannot see:
 //
 //   - opcomplete: switches and keyed literals marked
 //     //wiotlint:exhaustive cover every exported constant of the
@@ -19,23 +19,10 @@
 //   - qmisuse: no raw * or / on two fixedpoint.Q values (the Q16.16
 //     scale squares or cancels; fixedpoint.Mul/Div exist for this).
 //
-// On top of those, five campaign analyzers judge the declarative
-// campaign layer (internal/campaign): package-level Campaign struct
-// literals are folded through a constant-propagation evaluator
-// (structeval.go, campdecl.go) and checked before anything runs:
-//
-//   - campreach: attack windows must be reachable — inside the live
-//     span and not fully masked by a declared partition schedule;
-//   - campseed: seeds must be explicit and arm-unique, or runs stop
-//     being reproducible and arms stop being independent;
-//   - campsched: fault schedules must not invert, overlap, or exceed
-//     the run duration;
-//   - campbudget: declared cycle/SRAM budgets must be satisfiable by
-//     vmlint's static bounds for the declared detector version;
-//   - campdigest: declared campaigns must opt into the CI
-//     digest-invariance gate.
-//
-// cmd/wiotlint drives all of them over the module.
+// cmd/wiotlint drives all of them over the module. Campaign
+// declarations are not linted here: campaign.Validate is their one rule
+// book, run by Synthesize before any work and over the whole registered
+// catalog by `wiotsim build -lint`.
 package analysis
 
 import (
@@ -109,10 +96,6 @@ type Package struct {
 	// suppress maps filename -> line -> analyzer names allowed there.
 	suppress map[string]map[int][]string
 	diags    []Diagnostic
-
-	// campDecls caches the package's recovered campaign declarations so
-	// the five campaign analyzers share one extraction per package.
-	campDecls *[]*declCampaign
 }
 
 var allowRe = regexp.MustCompile(`^//wiotlint:allow\s+([A-Za-z0-9_,\s]+)`)
@@ -206,14 +189,5 @@ func SortDiagnostics(ds []Diagnostic) {
 
 // All returns the repo's analyzers in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		OpComplete, DetRand, SpanEnd, QMisuse,
-		CampReach, CampSeed, CampSched, CampBudget, CampDigest,
-	}
-}
-
-// CampaignAnalyzers returns just the campaign-declaration analyzers, in
-// the order wiotlint -campaigns runs them.
-func CampaignAnalyzers() []*Analyzer {
-	return []*Analyzer{CampReach, CampSeed, CampSched, CampBudget, CampDigest}
+	return []*Analyzer{OpComplete, DetRand, SpanEnd, QMisuse}
 }

@@ -44,26 +44,6 @@ func TestSpanEnd(t *testing.T) {
 	analysistest.Run(t, fixture("spans"), analysis.SpanEnd)
 }
 
-func TestCampReach(t *testing.T) {
-	analysistest.Run(t, fixture("campreach"), analysis.CampReach)
-}
-
-func TestCampSeed(t *testing.T) {
-	analysistest.Run(t, fixture("campseed"), analysis.CampSeed)
-}
-
-func TestCampSched(t *testing.T) {
-	analysistest.Run(t, fixture("campsched"), analysis.CampSched)
-}
-
-func TestCampBudget(t *testing.T) {
-	analysistest.Run(t, fixture("campbudget"), analysis.CampBudget)
-}
-
-func TestCampDigest(t *testing.T) {
-	analysistest.Run(t, fixture("campdigest"), analysis.CampDigest)
-}
-
 func TestQMisuse(t *testing.T) {
 	analysistest.Run(t, fixture("qarith"), analysis.QMisuse)
 }
@@ -74,8 +54,7 @@ func TestQMisuse(t *testing.T) {
 func TestAllOverFixtures(t *testing.T) {
 	for _, name := range []string{
 		"opcomplete", "physio", "chaos", "shard", "spans", "qarith",
-		"jit", "campaign", "campreach", "campseed", "campsched", "campbudget", "campdigest",
-		"federate",
+		"jit", "campaign", "federate",
 	} {
 		t.Run(name, func(t *testing.T) {
 			analysistest.Run(t, fixture(name), analysis.All()...)

@@ -22,9 +22,8 @@ type Bounds struct {
 var boundsCache sync.Map // features.Version -> Bounds
 
 // StaticBounds builds the detector program for v and returns vmlint's
-// static resource bounds, memoized per version. Both the campbudget
-// analyzer and Campaign.Validate consult it, so the static and runtime
-// checks can never drift apart.
+// static resource bounds, memoized per version. Campaign.Validate's
+// (campbudget) rules compare declared budgets against it.
 func StaticBounds(v features.Version) (Bounds, error) {
 	if b, ok := boundsCache.Load(v); ok {
 		return b.(Bounds), nil

@@ -12,21 +12,23 @@
 //     imperative code it replaced produce byte-identical verdicts;
 //   - Canonical/Digest give every declaration a stable fingerprint the
 //     CI digest-invariance check pins;
-//   - internal/analysis lints the declarations statically (campreach,
-//     campseed, campsched, campbudget, campdigest), so an unreachable
-//     attack window or an unsatisfiable budget is a lint failure, not a
-//     surprise in hour three of a million-wearer run.
+//   - Validate is the one rule book: Synthesize runs it before any
+//     work and `wiotsim build -lint` runs it over the registered
+//     catalog, so an unreachable attack window or an unsatisfiable
+//     budget is a lint failure, not a surprise in hour three of a
+//     million-wearer run.
 //
-// Declarations are deliberately restricted to constant-foldable struct
-// literals: no function calls, no wall-clock, no environment. That is
-// what makes them cheap to prove things about.
+// Declarations are plain values: no function fields, no wall-clock, no
+// environment. A campaign's outcome is a function of its fields alone.
 package campaign
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/wiot-security/sift/internal/features"
+	"github.com/wiot-security/sift/internal/physio"
 )
 
 // Kind selects which runner a campaign synthesizes into.
@@ -154,8 +156,8 @@ func (f FaultKind) String() string {
 }
 
 // DigestMode declares whether CI's digest-invariance gate covers the
-// campaign. The zero value is off, so opting in is an explicit act the
-// campdigest analyzer can demand.
+// campaign. The zero value is off, so opting in is an explicit act;
+// TestCatalogWellFormed requires it of every catalog campaign.
 type DigestMode int
 
 const (
@@ -262,9 +264,9 @@ type FaultWindow struct {
 }
 
 // Budget declares the per-window resource envelope the campaign claims
-// its detector fits. The campbudget analyzer cross-checks these against
-// vmlint's static bounds for the declared version, so an unsatisfiable
-// claim dies in lint.
+// its detector fits. Validate cross-checks these against vmlint's static
+// bounds for the declared version, so an unsatisfiable claim dies in
+// lint.
 type Budget struct {
 	// MaxCyclesPerWindow is the declared worst-case VM cycles per
 	// classified window (0 = unconstrained).
@@ -275,7 +277,7 @@ type Budget struct {
 }
 
 // Campaign is one declared evaluation: the unit the build CLI lists,
-// the lint pass checks, and Synthesize lowers into a run.
+// Validate checks, and Synthesize lowers into a run.
 type Campaign struct {
 	// Name identifies the campaign in the registry, CLI, and findings.
 	Name string
@@ -300,15 +302,53 @@ func effectiveTo(toSec, liveSec float64) float64 {
 	return toSec
 }
 
-// Validate is the runtime mirror of the campaign-lint analyzers: every
-// condition campreach/campseed/campsched/campbudget/campdigest can prove
-// statically is rechecked here on the concrete value, so campaigns built
-// at runtime (e.g. from CLI flags) meet the same bar as declared ones.
-// It returns all violations joined, nil when clean.
+// Validate is the campaign rule book. Synthesize runs it before any
+// work and `wiotsim build -lint` runs it over the registered catalog, so
+// declared campaigns and campaigns built at runtime (e.g. from CLI
+// flags) meet the same bar. It returns all violations joined, nil when
+// clean.
+//
+// A message's trailing tag names its rule group:
+//
+//   - (campseed): Cohort.BaseSeed is set, noise arms carry an explicit
+//     Seed, and no two arms share one, so runs reproduce and arms stay
+//     independent;
+//   - (campreach): every attack window can fire: it starts inside the
+//     live span, is not empty, and is not fully inside a partition;
+//   - (campsched): fault windows do not start before zero, invert,
+//     exceed the live span, or overlap a window of the same kind;
+//   - (campbudget): a declared cycle or SRAM budget is not below the
+//     detector version's static bounds (StaticBounds).
+//
+// Untagged messages cover the rest: names, cohort sizes, finite
+// positive spans no longer than physio.MaxSpanSec, finite numbers in
+// every window and probability, the detector version, and kind/topology
+// coherence. The digest opt-in is
+// not a Validate rule; TestCatalogWellFormed requires it of the catalog.
 func (c Campaign) Validate() error {
 	var errs []error
 	report := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
+	}
+	// NaN fails every ordered comparison below, and an infinite span or
+	// window sizes no record, so non-finite numbers are rejected first.
+	finite := func(field string, x float64) {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			report("campaign %q: %s %g is not finite", c.Name, field, x)
+		}
+	}
+	finite("Cohort.TrainSec", c.Cohort.TrainSec)
+	finite("Cohort.LiveSec", c.Cohort.LiveSec)
+	finite("Topology.Loss", c.Topology.Loss)
+	finite("Topology.Dup", c.Topology.Dup)
+	for i, a := range c.Attacks {
+		finite(fmt.Sprintf("Attacks[%d].FromSec", i), a.FromSec)
+		finite(fmt.Sprintf("Attacks[%d].ToSec", i), a.ToSec)
+		finite(fmt.Sprintf("Attacks[%d].Magnitude", i), a.Magnitude)
+	}
+	for i, f := range c.Faults {
+		finite(fmt.Sprintf("Faults[%d].FromSec", i), f.FromSec)
+		finite(fmt.Sprintf("Faults[%d].ToSec", i), f.ToSec)
 	}
 
 	if c.Name == "" {
@@ -322,10 +362,14 @@ func (c Campaign) Validate() error {
 	}
 	if c.Cohort.LiveSec <= 0 {
 		report("campaign %q: Cohort.LiveSec %g must be positive", c.Name, c.Cohort.LiveSec)
+	} else if c.Cohort.LiveSec > physio.MaxSpanSec {
+		report("campaign %q: Cohort.LiveSec %g exceeds the %d s recording cap", c.Name, c.Cohort.LiveSec, physio.MaxSpanSec)
 	}
 	if c.Kind != KindAdaptive {
 		if c.Cohort.TrainSec <= 0 {
 			report("campaign %q: Cohort.TrainSec %g must be positive", c.Name, c.Cohort.TrainSec)
+		} else if c.Cohort.TrainSec > physio.MaxSpanSec {
+			report("campaign %q: Cohort.TrainSec %g exceeds the %d s recording cap", c.Name, c.Cohort.TrainSec, physio.MaxSpanSec)
 		}
 		if _, err := ParseVersion(c.Detector.Version); err != nil {
 			report("campaign %q: %v", c.Name, err)

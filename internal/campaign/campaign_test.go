@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,9 @@ func TestValidateFindings(t *testing.T) {
 		{"fault past end", func(c *Campaign) {
 			c.Faults = []FaultWindow{{Kind: FaultPartition, FromSec: 2, ToSec: 20}}
 		}, "exceeds"},
+		{"negative fault", func(c *Campaign) {
+			c.Faults = []FaultWindow{{Kind: FaultPartition, FromSec: -1, ToSec: 4}}
+		}, "negative time -1 (campsched)"},
 		{"overlapping faults", func(c *Campaign) {
 			c.Faults = []FaultWindow{
 				{Kind: FaultPartition, FromSec: 1, ToSec: 4},
@@ -96,6 +100,21 @@ func TestValidateFindings(t *testing.T) {
 			c.Topology = Topology{Kind: TopoTCP, Auth: true}
 			c.Faults = []FaultWindow{{Kind: FaultPartition, FromSec: 1, ToSec: 3}}
 		}, "no fault windows"},
+		{"NaN train span", func(c *Campaign) { c.Cohort.TrainSec = math.NaN() }, "Cohort.TrainSec NaN is not finite"},
+		{"infinite live span", func(c *Campaign) { c.Cohort.LiveSec = math.Inf(1) }, "Cohort.LiveSec +Inf is not finite"},
+		{"huge train span", func(c *Campaign) { c.Cohort.TrainSec = 1e300 }, "Cohort.TrainSec 1e+300 exceeds the 86400 s recording cap"},
+		{"huge live span", func(c *Campaign) { c.Cohort.LiveSec = 1e300 }, "Cohort.LiveSec 1e+300 exceeds the 86400 s recording cap"},
+		{"NaN attack start", func(c *Campaign) { c.Attacks[0].FromSec = math.NaN() }, "Attacks[0].FromSec NaN is not finite"},
+		{"infinite attack end", func(c *Campaign) { c.Attacks[0].ToSec = math.Inf(1) }, "Attacks[0].ToSec +Inf is not finite"},
+		{"NaN attack magnitude", func(c *Campaign) { c.Attacks[0].Magnitude = math.NaN() }, "Attacks[0].Magnitude NaN is not finite"},
+		{"NaN fault start", func(c *Campaign) {
+			c.Faults = []FaultWindow{{Kind: FaultPartition, FromSec: math.NaN(), ToSec: 4}}
+		}, "Faults[0].FromSec NaN is not finite"},
+		{"negative infinite fault end", func(c *Campaign) {
+			c.Faults = []FaultWindow{{Kind: FaultPartition, FromSec: 1, ToSec: math.Inf(-1)}}
+		}, "Faults[0].ToSec -Inf is not finite"},
+		{"NaN loss", func(c *Campaign) { c.Topology.Loss = math.NaN() }, "Topology.Loss NaN is not finite"},
+		{"NaN dup", func(c *Campaign) { c.Topology.Dup = math.NaN() }, "Topology.Dup NaN is not finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

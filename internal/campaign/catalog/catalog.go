@@ -1,9 +1,7 @@
 // Package catalog is the repo's standard campaign declarations: plain
 // Go struct literals, registered with the campaign registry so
-// `wiotsim build` can list, lint, and synthesize them, and restricted to
-// constant-foldable fields so the internal/analysis campaign analyzers
-// (campreach, campseed, campsched, campbudget, campdigest) can prove
-// things about them at lint time.
+// `wiotsim build` can list, lint (campaign.Validate), and synthesize
+// them.
 //
 // These declarations replaced the imperative construction code that
 // used to live in examples/attackgallery and examples/adaptivesecurity;

@@ -257,10 +257,20 @@ feed:
 type observedChannel struct {
 	inner wiot.ChannelEffect
 	m     *Metrics
+	one   [1]wiot.Frame // Transmit's result when inner is Reliable
 }
 
+// Transmit implements wiot.ChannelEffect. A Reliable inner channel
+// delivers f itself, so f goes out in the channel's own buffer rather
+// than the one-frame slice Reliable.Transmit allocates per frame.
 func (c *observedChannel) Transmit(f wiot.Frame) []wiot.Frame {
-	out := c.inner.Transmit(f)
+	var out []wiot.Frame
+	if _, ok := c.inner.(wiot.Reliable); ok {
+		c.one[0] = f
+		out = c.one[:]
+	} else {
+		out = c.inner.Transmit(f)
+	}
 	switch len(out) {
 	case 0:
 		c.m.FrameLost()

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/wiot-security/sift/internal/wiot"
 )
 
 func TestMetricsSnapshotCounts(t *testing.T) {
@@ -136,5 +138,27 @@ func TestSnapshotString(t *testing.T) {
 	// An empty snapshot renders without histogram rows.
 	if empty := (&Metrics{}).Snapshot().String(); strings.Contains(empty, "<=") {
 		t.Errorf("empty snapshot should have no buckets: %q", empty)
+	}
+}
+
+// TestObservedReliableChannelAllocs: with metrics on, a Reliable channel
+// is wrapped in observedChannel, which must keep Reliable's
+// allocation-free delivery and still count every frame.
+func TestObservedReliableChannelAllocs(t *testing.T) {
+	m := &Metrics{}
+	ch := &observedChannel{inner: wiot.Reliable{}, m: m}
+	f := wiot.FrameFromFloats(wiot.SensorECG, 5, []float64{1, 2})
+	const calls = 1000
+	allocs := testing.AllocsPerRun(calls, func() {
+		out := ch.Transmit(f)
+		if len(out) != 1 || out[0].Seq != f.Seq || &out[0].Samples[0] != &f.Samples[0] {
+			t.Fatalf("delivered %+v, want the sent frame", out)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.2f allocations per Transmit, want 0", allocs)
+	}
+	if s := m.Snapshot(); s.FramesDelivered != calls+1 || s.FramesLost != 0 || s.FramesDuplicated != 0 {
+		t.Errorf("metrics delivered/lost/dup = %d/%d/%d, want %d/0/0", s.FramesDelivered, s.FramesLost, s.FramesDuplicated, calls+1)
 	}
 }

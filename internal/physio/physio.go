@@ -28,6 +28,13 @@ import (
 // described in Insight #1.
 const DefaultSampleRate = 360.0
 
+// MaxSpanSec is the longest recording Generate synthesizes: one day.
+// At DefaultSampleRate that is 31.1 M samples per channel, about 500 MB
+// for ECG and ABP together; Generate caps the sample count at that
+// figure, since a longer span would exhaust memory or overflow the
+// sample count before any signal is made.
+const MaxSpanSec = 24 * 60 * 60
+
 // Wave is one Gaussian component of the ECG morphology (one of P, Q, R, S,
 // T), positioned at phase Theta (radians, R peak at 0) with amplitude
 // Amp (mV) and width B (radians).
@@ -170,8 +177,11 @@ func Generate(s Subject, durationSec, fs float64, seed int64) (*Record, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if durationSec <= 0 || fs <= 0 {
-		return nil, fmt.Errorf("physio: duration %.3g s and rate %.3g Hz must be positive", durationSec, fs)
+	// Written so that NaN fails; a huge or infinite product would size
+	// the sample arrays out of range.
+	if !(durationSec > 0 && durationSec <= MaxSpanSec && fs > 0 && durationSec*fs <= MaxSpanSec*DefaultSampleRate) {
+		return nil, fmt.Errorf("physio: duration %.3g s and rate %.3g Hz must be positive, with at most %d s and %d samples",
+			durationSec, fs, MaxSpanSec, int(MaxSpanSec*DefaultSampleRate))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	n := int(durationSec * fs)

@@ -65,10 +65,42 @@ func TestGenerateInvalidArgs(t *testing.T) {
 	if _, err := Generate(s, 10, 0, 1); err == nil {
 		t.Error("zero sample rate should error")
 	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Generate(s, x, DefaultSampleRate, 1); err == nil {
+			t.Errorf("duration %g should error", x)
+		}
+		if _, err := Generate(s, 10, x, 1); err == nil {
+			t.Errorf("sample rate %g should error", x)
+		}
+	}
 	bad := s
 	bad.Systolic = 50 // below diastolic
 	if _, err := Generate(bad, 10, DefaultSampleRate, 1); err == nil {
 		t.Error("invalid subject should error")
+	}
+}
+
+// TestGenerateSpanCap checks that a finite span too long to synthesize
+// is an error rather than a makeslice panic. Only rejections are tested:
+// a span at the cap would allocate about 500 MB.
+func TestGenerateSpanCap(t *testing.T) {
+	s := DefaultSubject()
+	cases := []struct {
+		name        string
+		durationSec float64
+		fs          float64
+	}{
+		{"huge duration", 1e300, DefaultSampleRate},
+		{"one second past a day", MaxSpanSec + 1, DefaultSampleRate},
+		{"huge rate", 10, 1e300},
+		{"a day at twice the rate", MaxSpanSec, 2 * DefaultSampleRate},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Generate(s, tc.durationSec, tc.fs, 1); err == nil {
+				t.Errorf("Generate(%g s, %g Hz) accepted a span past the cap", tc.durationSec, tc.fs)
+			}
+		})
 	}
 }
 

@@ -57,7 +57,7 @@ var (
 
 // NewLossy builds a lossy channel, validating the probabilities up front.
 func NewLossy(lossProb, dupProb float64, seed int64) (*Lossy, error) {
-	if lossProb < 0 || lossProb > 1 || dupProb < 0 || dupProb > 1 {
+	if !(lossProb >= 0 && lossProb <= 1 && dupProb >= 0 && dupProb <= 1) { // NaN fails too
 		return nil, fmt.Errorf("wiot: channel probabilities (%.3g, %.3g) outside [0,1]", lossProb, dupProb)
 	}
 	return &Lossy{

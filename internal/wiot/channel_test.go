@@ -1,6 +1,7 @@
 package wiot
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -22,6 +23,14 @@ func TestLossyValidation(t *testing.T) {
 	}
 	if _, err := NewLossy(0, 1.1, 1); err == nil {
 		t.Error("probability > 1 should error")
+	}
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewLossy(p, 0, 1); err == nil {
+			t.Errorf("loss probability %g should error", p)
+		}
+		if _, err := NewLossy(0, p, 1); err == nil {
+			t.Errorf("dup probability %g should error", p)
+		}
 	}
 	if _, err := NewLossy(0.1, 0.1, 1); err != nil {
 		t.Errorf("valid channel errored: %v", err)
