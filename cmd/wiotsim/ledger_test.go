@@ -41,9 +41,9 @@ var quickSVM = svm.Config{Seed: 42, MaxIter: 150}
 // TestGoldenLedger pins the repo's deterministic outputs to absolute
 // values: each catalog campaign's verdict digest and manifest bytes,
 // the 1,000-wearer streamed smoke's digest line, the -quick Table
-// II/III text, each version's Table III cycles per window and
-// battery-days, and the trained SVM model bytes of each -quick wearer
-// and detector version. The invariance tests elsewhere compare two
+// II/III, Fig 3, classifier-comparison and sweep text, each version's
+// Table III cycles per window and battery-days, and the trained SVM
+// model bytes of each -quick wearer and detector version. The invariance tests elsewhere compare two
 // paths of one build; this one catches a change that moves every path
 // alike.
 //
@@ -59,7 +59,7 @@ var quickSVM = svm.Config{Seed: 42, MaxIter: 150}
 // A -run filter on the subtests rewrites only the entries it reaches.
 func TestGoldenLedger(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every catalog campaign, a 1,000-wearer stream, two tables and 12 trainings")
+		t.Skip("runs every catalog campaign, a 1,000-wearer stream, the -quick tables, figure and sweeps, and 12 trainings")
 	}
 	got := ledgerEnv()
 	want, err := readLedger(ledgerPath)
@@ -119,6 +119,29 @@ func TestGoldenLedger(t *testing.T) {
 				check(t, billKey(row.Version, "battery_days"), strconv.FormatFloat(row.Report.LifetimeDays, 'f', -1, 64))
 			}
 		})
+		t.Run("fig3", func(t *testing.T) {
+			view, err := experiments.Fig3(mustEnv(t, quickEnv))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "siftlab.fig3_sha256", sha256Hex([]byte(view)))
+		})
+		t.Run("classifiers", func(t *testing.T) {
+			rows, err := experiments.ClassifierComparison(mustEnv(t, quickEnv), quickSVM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "siftlab.classifiers_sha256", sha256Hex([]byte(experiments.FormatClassifiers(rows))))
+		})
+		for _, sw := range ledgerSweeps {
+			t.Run(sw.name, func(t *testing.T) {
+				text, err := sw.run(mustEnv(t, quickEnv))
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, sweepKey(sw.name), sha256Hex([]byte(text)))
+			})
+		}
 	})
 	t.Run("svm", func(t *testing.T) {
 		for _, v := range features.Versions {
@@ -176,6 +199,11 @@ func ledgerKeys(t *testing.T) map[string]bool {
 	keys["stream.digest"] = true
 	keys["siftlab.table2_sha256"] = true
 	keys["siftlab.table3_sha256"] = true
+	keys["siftlab.fig3_sha256"] = true
+	keys["siftlab.classifiers_sha256"] = true
+	for _, sw := range ledgerSweeps {
+		keys[sweepKey(sw.name)] = true
+	}
 	for _, v := range features.Versions {
 		keys[billKey(v, "cycles_per_window")] = true
 		keys[billKey(v, "battery_days")] = true
@@ -199,6 +227,33 @@ func versionKey(v features.Version) string { return strings.ToLower(v.String()) 
 func billKey(v features.Version, figure string) string {
 	return "siftlab.table3." + versionKey(v) + "." + figure
 }
+
+// ledgerSweeps are siftlab's -quick sweep experiments, each run with
+// siftlab's parameters and rendered as siftlab prints it.
+var ledgerSweeps = []struct {
+	name string
+	run  func(env *experiments.Env) (string, error)
+}{
+	{"sweep-window", func(env *experiments.Env) (string, error) {
+		pts, err := experiments.SweepWindow(env, features.Simplified, []float64{1, 2, 3, 5, 8}, quickSVM)
+		return experiments.FormatSweep("Accuracy vs window length (Simplified)", "w (s)", pts), err
+	}},
+	{"sweep-grid", func(env *experiments.Env) (string, error) {
+		pts, err := experiments.SweepGrid(env, features.Simplified, []int{10, 25, 50, 75, 100}, quickSVM)
+		return experiments.FormatSweep("Accuracy vs portrait grid size (Simplified)", "n", pts), err
+	}},
+	{"sweep-train", func(env *experiments.Env) (string, error) {
+		// siftlab's spans that fit the -quick 120 s training record.
+		pts, err := experiments.SweepTraining(env, features.Simplified, []float64{60, 120}, quickSVM)
+		return experiments.FormatSweep("Accuracy vs training span (Simplified)", "Δ (s)", pts), err
+	}},
+	{"precision", func(env *experiments.Env) (string, error) {
+		pts, err := experiments.PrecisionSweep(env, features.Simplified, []int{4, 8, 12, 16, 20}, quickSVM)
+		return experiments.FormatSweep("Accuracy vs fixed-point fractional bits (Simplified)", "bits", pts), err
+	}},
+}
+
+func sweepKey(name string) string { return "siftlab." + strings.ReplaceAll(name, "-", "_") + "_sha256" }
 
 func modelKey(v features.Version, subjectID string) string {
 	return "svm." + versionKey(v) + "." + subjectID + ".model_sha256"
