@@ -91,7 +91,7 @@ func BenchmarkAblation_KernelPredictCost(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rbfModel, err := svm.TrainRBF(x, y, svm.RBFConfig{Seed: 2, MaxIter: 60})
+	rbfModel, err := svm.TrainRBF(x, y, svm.Config{Seed: 2, MaxIter: 60})
 	if err != nil {
 		b.Fatal(err)
 	}

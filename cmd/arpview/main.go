@@ -4,41 +4,60 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/wiot-security/sift/internal/amulet"
 	"github.com/wiot-security/sift/internal/amulet/program"
 	"github.com/wiot-security/sift/internal/arp"
 	"github.com/wiot-security/sift/internal/dataset"
+	"github.com/wiot-security/sift/internal/experiments"
 	"github.com/wiot-security/sift/internal/features"
-	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/physio"
 	"github.com/wiot-security/sift/internal/svm"
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "arpview:", err)
-		os.Exit(1)
 	}
+	os.Exit(exitCode(err))
 }
 
-func run() error {
-	versionName := flag.String("version", "Original", "detector version (Original|Simplified|Reduced)")
-	disasm := flag.Bool("disasm", false, "also print the detector firmware disassembly")
-	seed := flag.Int64("seed", 42, "signal seed for the measurement run")
-	flag.Parse()
-
-	var version features.Version
-	for _, v := range features.Versions {
-		if v.String() == *versionName {
-			version = v
-		}
+// exitCode maps run's error to the process status: 0 on success or -h,
+// 2 for a usage error, as the flag package exits, and 1 otherwise.
+func exitCode(err error) int {
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, new(usageError)):
+		return 2
 	}
-	if version == 0 {
-		return fmt.Errorf("unknown version %q", *versionName)
+	return 1
+}
+
+// usageError is a command line that cannot be parsed; main exits 2 for
+// it, as the flag package does.
+type usageError struct{ error }
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("arpview", flag.ContinueOnError)
+	versionName := fs.String("version", "Original", "detector version (Original|Simplified|Reduced)")
+	disasm := fs.Bool("disasm", false, "also print the detector firmware disassembly")
+	seed := fs.Int64("seed", 42, "signal seed for the measurement run")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
+	}
+	version, err := features.ParseVersion(*versionName)
+	if err != nil {
+		return err
 	}
 
 	// Measure cycles and SRAM on a few real windows, at several window
@@ -47,7 +66,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cyclesAt, err := measureCycleModel(version, rec)
+	cyclesAt, err := experiments.CycleModel(rec, version)
 	if err != nil {
 		return err
 	}
@@ -56,7 +75,7 @@ func run() error {
 		return err
 	}
 	dim := version.Dim()
-	dev, err := program.NewDeviceDetector(version, nil, unitModel(dim))
+	dev, err := program.NewDeviceDetector(version, nil, svm.UnitModel(dim))
 	if err != nil {
 		return err
 	}
@@ -75,74 +94,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(arp.RenderView(rep, arp.DefaultEnergyModel(), dev.AvgCyclesPerWindow(), cyclesAt))
-	fmt.Printf("\nfirmware: %d VM bytes (%d B modeled flash), %.0f cycles/window (%.1f ms at 16 MHz)\n",
+	fmt.Fprint(out, arp.RenderView(rep, arp.DefaultEnergyModel(), dev.AvgCyclesPerWindow(), cyclesAt))
+	fmt.Fprintf(out, "\nfirmware: %d VM bytes (%d B modeled flash), %.0f cycles/window (%.1f ms at 16 MHz)\n",
 		dev.Program().CodeSize(), dev.Program().FootprintBytes(),
 		dev.AvgCyclesPerWindow(), 1000*dev.AvgCyclesPerWindow()/amulet.ClockHz)
 
 	if *disasm {
-		fmt.Println("\ndisassembly:")
+		fmt.Fprintln(out, "\ndisassembly:")
 		for _, line := range dev.Program().Disassemble() {
-			fmt.Println("  " + line)
+			fmt.Fprintln(out, "  "+line)
 		}
 	}
 	return nil
-}
-
-// measureCycleModel fits cycles(w) = fixed + perSecond·w from runs at
-// several window lengths.
-func measureCycleModel(version features.Version, rec *physio.Record) (func(float64) float64, error) {
-	dim := version.Dim()
-	model := unitModel(dim)
-	var ws, cs []float64
-	for _, w := range []float64{1, 2, 3} {
-		wins, err := dataset.FromRecord(rec, w)
-		if err != nil {
-			return nil, err
-		}
-		if len(wins) > 4 {
-			wins = wins[:4]
-		}
-		dev, err := program.NewDeviceDetector(version, nil, model)
-		if err != nil {
-			return nil, err
-		}
-		for _, win := range wins {
-			if _, err := dev.Classify(win); err != nil {
-				return nil, err
-			}
-		}
-		ws = append(ws, w)
-		cs = append(cs, dev.AvgCyclesPerWindow())
-	}
-	n := float64(len(ws))
-	var sw, sc, sww, swc float64
-	for i := range ws {
-		sw += ws[i]
-		sc += cs[i]
-		sww += ws[i] * ws[i]
-		swc += ws[i] * cs[i]
-	}
-	slope := (n*swc - sw*sc) / (n*sww - sw*sw)
-	fixed := (sc - slope*sw) / n
-	return func(w float64) float64 {
-		c := fixed + slope*w
-		if c < 0 {
-			return 0
-		}
-		return c
-	}, nil
-}
-
-func unitModel(dim int) *svm.Quantized {
-	model := &svm.Quantized{
-		Weights: make(fixedpoint.Vec, dim),
-		Mean:    make(fixedpoint.Vec, dim),
-		InvStd:  make(fixedpoint.Vec, dim),
-	}
-	for i := 0; i < dim; i++ {
-		model.Weights[i] = fixedpoint.One
-		model.InvStd[i] = fixedpoint.One
-	}
-	return model
 }

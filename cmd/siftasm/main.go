@@ -59,16 +59,10 @@ func buildCmd(args []string) error {
 	if *pedometer {
 		p, err = program.BuildPedometer()
 	} else {
-		var version features.Version
-		for _, v := range features.Versions {
-			if v.String() == *versionName {
-				version = v
-			}
+		var v features.Version
+		if v, err = features.ParseVersion(*versionName); err == nil {
+			p, err = program.Build(v)
 		}
-		if version == 0 {
-			return fmt.Errorf("unknown version %q", *versionName)
-		}
-		p, err = program.Build(version)
 	}
 	if err != nil {
 		return err

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -25,24 +26,50 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	err := run(os.Args[1:])
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "siftlab:", err)
-		os.Exit(1)
 	}
+	os.Exit(exitCode(err))
 }
+
+// exitCode maps run's error to the process status: 0 on success or -h,
+// 2 for a usage error, as the flag package exits, and 1 otherwise.
+func exitCode(err error) int {
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, new(usageError)):
+		return 2
+	}
+	return 1
+}
+
+// usageError is a command line that cannot be parsed or names an
+// invalid value; main exits 2 for it, as the flag package does.
+type usageError struct{ error }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("siftlab", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "use the scaled-down protocol (4 subjects, 2 min training)")
 	seed := fs.Int64("seed", 42, "environment seed")
-	subjects := fs.Int("subjects", 0, "override cohort size")
+	subjects := fs.Int("subjects", 0, "override cohort size (0 keeps the protocol's)")
 	maxIter := fs.Int("svm-iter", 150, "SVM SMO iteration cap")
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
-		return fmt.Errorf("expected one experiment name, got %d args", fs.NArg())
+		return usageError{fmt.Errorf("expected one experiment name, got %d args", fs.NArg())}
+	}
+	if *subjects < 0 {
+		return usageError{fmt.Errorf("-subjects %d must not be negative", *subjects)}
+	}
+	if *maxIter < 0 {
+		return usageError{fmt.Errorf("-svm-iter %d must not be negative", *maxIter)}
 	}
 	name := strings.ToLower(fs.Arg(0))
 

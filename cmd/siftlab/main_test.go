@@ -53,3 +53,23 @@ func TestTrainSpans(t *testing.T) {
 		t.Errorf("degenerate spans = %v", got)
 	}
 }
+
+// A negative -svm-iter would train the zero model, which reports every
+// version at 100% FP, and a negative -subjects would fall back to the
+// protocol's cohort size unnoticed.
+func TestRunRejectsNegativeCounts(t *testing.T) {
+	for _, args := range [][]string{
+		{"-quick", "-svm-iter", "-1", "table2"},
+		{"-quick", "-subjects", "-2", "table2"},
+	} {
+		if err := run(args); exitCode(err) != 2 {
+			t.Errorf("%v: err = %v, exit %d, want exit 2", args, err, exitCode(err))
+		}
+	}
+	if err := run([]string{"-nonsense"}); exitCode(err) != 2 {
+		t.Errorf("unknown flag: err = %v, exit %d, want exit 2", err, exitCode(err))
+	}
+	if err := run([]string{"-quick", "no-such-experiment"}); exitCode(err) != 1 {
+		t.Errorf("unknown experiment: err = %v, exit %d, want exit 1", err, exitCode(err))
+	}
+}

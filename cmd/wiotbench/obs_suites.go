@@ -15,6 +15,7 @@ import (
 	"github.com/wiot-security/sift/internal/obs/federate"
 	"github.com/wiot-security/sift/internal/obs/telemetry"
 	"github.com/wiot-security/sift/internal/obs/trace"
+	"github.com/wiot-security/sift/internal/svm"
 )
 
 // obsBenchState saves and restores global obs state around a suite so
@@ -47,7 +48,7 @@ func traceOp() (func() error, error) {
 		return nil, err
 	}
 	v := features.Simplified
-	det, err := program.NewDeviceDetector(v, nil, benchModel(v.Dim()))
+	det, err := program.NewDeviceDetector(v, nil, svm.UnitModel(v.Dim()))
 	if err != nil {
 		return nil, err
 	}

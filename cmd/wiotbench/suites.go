@@ -12,7 +12,6 @@ import (
 	"github.com/wiot-security/sift/internal/campaign"
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
-	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/fleet"
 	"github.com/wiot-security/sift/internal/fleet/shard"
 	"github.com/wiot-security/sift/internal/physio"
@@ -35,11 +34,10 @@ type suite struct {
 // hot paths the obs layer instruments, in pipeline order.
 func allSuites() []suite {
 	var suites []suite
-	for _, v := range features.Versions {
-		suites = append(suites, vmSuite(v))
-	}
-	for _, v := range features.Versions {
-		suites = append(suites, jitSuite(v))
+	for _, compiled := range []bool{false, true} {
+		for _, v := range features.Versions {
+			suites = append(suites, deviceSuite(v, compiled))
+		}
 	}
 	for _, v := range features.Versions {
 		suites = append(suites, featuresSuite(v))
@@ -78,83 +76,43 @@ func benchWindow(seed int64) (dataset.Window, error) {
 	return wins[1], nil
 }
 
-// benchModel is a unit quantized model (weights 1, mean 0, invstd 1):
-// the margin equals the feature sum, and the cycle cost is identical to
-// a trained model's since the classifier's work is data-independent.
-func benchModel(dim int) *svm.Quantized {
-	q := &svm.Quantized{
-		Weights: make(fixedpoint.Vec, dim),
-		Mean:    make(fixedpoint.Vec, dim),
-		InvStd:  make(fixedpoint.Vec, dim),
+// deviceSuite measures full device-side classifications: marshal the
+// window into the data segment, run the detector bytecode on the
+// emulated Amulet, decode the verdict. Extra carries the cycle telemetry
+// Table III's energy model consumes.
+//
+// The vm/* suite pins the device to the interpreter, so it stays the
+// oracle baseline the jit/* twins are gated against. The jit/* suite
+// runs a default device, whose Install compiled the verified bytecode
+// with the template JIT; pairing the two in one report is what lets
+// -compare gate the compiled backend's speedup floor. After its timed
+// batches, Extra attributes the compiled run to its fused loops
+// (loopProfile); the timed batches run unprofiled.
+func deviceSuite(v features.Version, compiled bool) suite {
+	name, backend := "vm/"+v.String(), "interpreter"
+	if compiled {
+		name, backend = "jit/"+v.String(), "template JIT"
 	}
-	for i := 0; i < dim; i++ {
-		q.Weights[i] = fixedpoint.One
-		q.InvStd[i] = fixedpoint.One
-	}
-	return q
-}
-
-// vmSuite measures full device-side classifications: marshal the window
-// into the data segment, run the detector bytecode on the emulated
-// Amulet, decode the verdict. Extra carries the cycle telemetry Table
-// III's energy model consumes. The device is pinned to the interpreter
-// so vm/* stays the oracle baseline the jit/* twins are gated against.
-func vmSuite(v features.Version) suite {
-	name := "vm/" + v.String()
 	return suite{
 		name:     name,
-		describe: fmt.Sprintf("amulet VM (interpreter): %s detector bytecode, one window per op", v),
+		describe: fmt.Sprintf("amulet VM (%s): %s detector bytecode, one window per op", backend, v),
 		run: func(cfg runConfig, quick bool) (Result, error) {
-			w, err := benchWindow(1)
-			if err != nil {
-				return Result{}, err
-			}
-			det, err := program.NewDeviceDetector(v, amulet.NewDevice(amulet.WithInterpreter()), benchModel(v.Dim()))
-			if err != nil {
-				return Result{}, err
-			}
-			op := func() error {
-				_, err := det.Classify(w)
-				return err
-			}
-			res, err := measure(name, "windows/sec", cfg, 0, 1, op)
-			if err != nil {
-				return Result{}, err
-			}
-			res.Extra = map[string]float64{
-				"cyclesPerWindow": det.AvgCyclesPerWindow(),
-				"cyclesPerSec":    det.AvgCyclesPerWindow() * res.OpsPerSec,
-			}
-			return res, nil
-		},
-	}
-}
-
-// jitSuite measures the same device-side classification as vmSuite on a
-// default device, whose Install compiled the verified bytecode with the
-// template JIT. Pairing each jit/* suite with its interpreter-pinned
-// vm/* twin in one report is what lets -compare gate the compiled
-// backend's speedup floor. After the timed batches, Extra attributes the
-// compiled run to its fused loops (loopProfile); the timed batches run
-// unprofiled.
-func jitSuite(v features.Version) suite {
-	name := "jit/" + v.String()
-	return suite{
-		name:     name,
-		describe: fmt.Sprintf("amulet VM (template JIT): %s detector bytecode, one window per op", v),
-		run: func(cfg runConfig, quick bool) (Result, error) {
-			if !amulet.JITEnabled() {
+			if compiled && !amulet.JITEnabled() {
 				return Result{}, fmt.Errorf("%s: the JIT is disabled (-nojit); exclude jit/ suites with -suite", name)
 			}
 			w, err := benchWindow(1)
 			if err != nil {
 				return Result{}, err
 			}
-			det, err := program.NewDeviceDetector(v, nil, benchModel(v.Dim()))
+			var dev *amulet.Device
+			if !compiled {
+				dev = amulet.NewDevice(amulet.WithInterpreter())
+			}
+			det, err := program.NewDeviceDetector(v, dev, svm.UnitModel(v.Dim()))
 			if err != nil {
 				return Result{}, err
 			}
-			if !det.Device.HasCompiled(det.Program().Name) {
+			if compiled && !det.Device.HasCompiled(det.Program().Name) {
 				return Result{}, fmt.Errorf("%s: verified detector bytecode did not compile", name)
 			}
 			op := func() error {
@@ -168,6 +126,9 @@ func jitSuite(v features.Version) suite {
 			res.Extra = map[string]float64{
 				"cyclesPerWindow": det.AvgCyclesPerWindow(),
 				"cyclesPerSec":    det.AvgCyclesPerWindow() * res.OpsPerSec,
+			}
+			if !compiled {
+				return res, nil
 			}
 			runs := 400
 			if quick {
@@ -195,7 +156,7 @@ func jitSuite(v features.Version) suite {
 //   - "clockNs": that empty timed region, for judging how many dispatches
 //     a loop's figure can stand.
 func loopProfile(v features.Version, w dataset.Window, runs int, extra map[string]float64) error {
-	model := benchModel(v.Dim())
+	model := svm.UnitModel(v.Dim())
 	p, err := program.Build(v)
 	if err != nil {
 		return err

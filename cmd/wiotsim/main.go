@@ -101,7 +101,7 @@ func run() error {
 		os.Exit(2)
 	}
 
-	version, err := campaign.ParseVersion(*versionName)
+	version, err := features.ParseVersion(*versionName)
 	if err != nil {
 		return err
 	}

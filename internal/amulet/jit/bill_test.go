@@ -9,6 +9,7 @@ import (
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
 	"github.com/wiot-security/sift/internal/physio"
+	"github.com/wiot-security/sift/internal/svm"
 	"github.com/wiot-security/sift/internal/wiot"
 )
 
@@ -70,7 +71,7 @@ func TestDeviceBillPinned(t *testing.T) {
 	}
 	w := stationWindow(t)
 	for _, v := range features.Versions {
-		data, err := program.Input(v, w, testModel(v.Dim()))
+		data, err := program.Input(v, w, svm.UnitModel(v.Dim()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,25 +10,9 @@ import (
 	"github.com/wiot-security/sift/internal/amulet/program"
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
-	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/physio"
 	"github.com/wiot-security/sift/internal/svm"
 )
-
-// testModel is a unit quantized model (weights 1, mean 0, invstd 1), the
-// same fixture the wiotbench vm suites use.
-func testModel(dim int) *svm.Quantized {
-	q := &svm.Quantized{
-		Weights: make(fixedpoint.Vec, dim),
-		Mean:    make(fixedpoint.Vec, dim),
-		InvStd:  make(fixedpoint.Vec, dim),
-	}
-	for i := 0; i < dim; i++ {
-		q.Weights[i] = fixedpoint.One
-		q.InvStd[i] = fixedpoint.One
-	}
-	return q
-}
 
 // testWindow synthesizes one clean classification window.
 func testWindow(t testing.TB, seed int64) dataset.Window {
@@ -202,7 +186,7 @@ func TestBudgetSweepAcrossLoopKernels(t *testing.T) {
 	}
 	// A real marshalled window, so the sweep walks the whole pipeline
 	// instead of faulting early on garbage indirect addresses.
-	data, err := program.Input(features.Original, testWindow(t, 5), testModel(features.Original.Dim()))
+	data, err := program.Input(features.Original, testWindow(t, 5), svm.UnitModel(features.Original.Dim()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +277,7 @@ func TestDeviceUsesCompiledBackend(t *testing.T) {
 // backends and requires bit-identical outputs.
 func TestDetectorVerdictsMatch(t *testing.T) {
 	for _, v := range features.Versions {
-		model := testModel(v.Dim())
+		model := svm.UnitModel(v.Dim())
 		jitDet, err := program.NewDeviceDetector(v, nil, model)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)

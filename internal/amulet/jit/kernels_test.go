@@ -13,6 +13,7 @@ import (
 	"github.com/wiot-security/sift/internal/amulet/program"
 	"github.com/wiot-security/sift/internal/features"
 	"github.com/wiot-security/sift/internal/fixedpoint"
+	"github.com/wiot-security/sift/internal/svm"
 )
 
 // TestDetectorLoopKernels pins the template each counted loop of the
@@ -72,7 +73,7 @@ func TestRunProfiledAttributesLoops(t *testing.T) {
 	if !slices.Equal(names, cp.Kernels()) {
 		t.Fatalf("Loops templates %v, Kernels %v", names, cp.Kernels())
 	}
-	data, err := program.Input(v, testWindow(t, 3), testModel(v.Dim()))
+	data, err := program.Input(v, testWindow(t, 3), svm.UnitModel(v.Dim()))
 	if err != nil {
 		t.Fatal(err)
 	}

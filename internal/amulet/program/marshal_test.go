@@ -9,6 +9,7 @@ import (
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
 	"github.com/wiot-security/sift/internal/fixedpoint"
+	"github.com/wiot-security/sift/internal/svm"
 )
 
 // q16Edges are the samples where toQ16's branch-free conversion could part
@@ -41,7 +42,7 @@ func referenceSegment(t *testing.T, v features.Version, w dataset.Window) []int3
 	t.Helper()
 	zero := w
 	zero.ECG, zero.ABP = make([]float64, w.Len()), make([]float64, w.Len())
-	want, err := Input(v, zero, testModel(v.Dim()))
+	want, err := Input(v, zero, svm.UnitModel(v.Dim()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestMarshalEdgesMatchFromFloat(t *testing.T) {
 		t.Helper()
 		w := base
 		w.ECG, w.ABP = ecg, abp
-		got, err := Input(v, w, testModel(v.Dim()))
+		got, err := Input(v, w, svm.UnitModel(v.Dim()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestInputIntoClearsSegment(t *testing.T) {
 	full := testWindow(t, 5)
 	short := dataset.Window{ECG: full.ECG[:700], ABP: full.ABP[:700], RPeaks: []int{10}}
 	for _, v := range []features.Version{features.Original, features.Simplified, features.Reduced} {
-		q := testModel(v.Dim())
+		q := svm.UnitModel(v.Dim())
 		seg := make([]int32, DataWords)
 		for i := range seg {
 			seg[i] = int32(i*7919) - 1
@@ -158,7 +159,7 @@ func FuzzMarshalMatchesFromFloat(f *testing.F) {
 		// No peaks: marshal accepts the window at any length.
 		w := dataset.Window{ECG: decode(ecgBits), ABP: decode(abpBits)}
 		v := features.Original
-		got, err := Input(v, w, testModel(v.Dim()))
+		got, err := Input(v, w, svm.UnitModel(v.Dim()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"github.com/wiot-security/sift/internal/amulet"
 	"github.com/wiot-security/sift/internal/features"
 	"github.com/wiot-security/sift/internal/sensors"
+	"github.com/wiot-security/sift/internal/svm"
 )
 
 // walkMagnitude synthesizes a 3 s accelerometer magnitude window for an
@@ -89,7 +90,7 @@ func TestPedometerRejectsBadHeader(t *testing.T) {
 func TestPedometerCoexistsWithDetector(t *testing.T) {
 	// Both apps flashed on one device — the Amulet's multi-app model.
 	dev := amulet.NewDevice()
-	det, err := NewDeviceDetector(features.Reduced, dev, testModel(5))
+	det, err := NewDeviceDetector(features.Reduced, dev, svm.UnitModel(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,27 +7,10 @@ import (
 	"github.com/wiot-security/sift/internal/amulet"
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
-	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/physio"
 	"github.com/wiot-security/sift/internal/portrait"
 	"github.com/wiot-security/sift/internal/svm"
 )
-
-// testModel builds a trivial quantized model of the right dimensionality:
-// weights 1, mean 0, invstd 1, bias 0 — so the margin equals the feature
-// sum, which makes device/host comparisons easy to reason about.
-func testModel(dim int) *svm.Quantized {
-	q := &svm.Quantized{
-		Weights: make(fixedpoint.Vec, dim),
-		Mean:    make(fixedpoint.Vec, dim),
-		InvStd:  make(fixedpoint.Vec, dim),
-	}
-	for i := 0; i < dim; i++ {
-		q.Weights[i] = fixedpoint.One
-		q.InvStd[i] = fixedpoint.One
-	}
-	return q
-}
 
 func testWindow(t *testing.T, seed int64) dataset.Window {
 	t.Helper()
@@ -99,7 +82,7 @@ func TestDeviceFeaturesMatchHost(t *testing.T) {
 	for _, v := range features.Versions {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			d, err := NewDeviceDetector(v, nil, testModel(v.Dim()))
+			d, err := NewDeviceDetector(v, nil, svm.UnitModel(v.Dim()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +107,7 @@ func TestDeviceFeaturesMatchHost(t *testing.T) {
 func TestDeviceMarginMatchesFeatureSum(t *testing.T) {
 	w := testWindow(t, 4)
 	for _, v := range features.Versions {
-		d, err := NewDeviceDetector(v, nil, testModel(v.Dim()))
+		d, err := NewDeviceDetector(v, nil, svm.UnitModel(v.Dim()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +129,7 @@ func TestDeviceMarginMatchesFeatureSum(t *testing.T) {
 }
 
 func TestDeviceRejectsBadHeader(t *testing.T) {
-	d, err := NewDeviceDetector(features.Reduced, nil, testModel(5))
+	d, err := NewDeviceDetector(features.Reduced, nil, svm.UnitModel(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,26 +157,26 @@ func TestInputValidation(t *testing.T) {
 	if _, err := Input(features.Original, w, nil); err == nil {
 		t.Error("nil model should error")
 	}
-	if _, err := Input(features.Original, w, testModel(5)); err == nil {
+	if _, err := Input(features.Original, w, svm.UnitModel(5)); err == nil {
 		t.Error("dim mismatch should error")
 	}
 	empty := dataset.Window{}
-	if _, err := Input(features.Reduced, empty, testModel(5)); err == nil {
+	if _, err := Input(features.Reduced, empty, svm.UnitModel(5)); err == nil {
 		t.Error("empty window should error")
 	}
 	badPeak := w
 	badPeak.RPeaks = []int{w.Len() + 5}
-	if _, err := Input(features.Original, badPeak, testModel(8)); err == nil {
+	if _, err := Input(features.Original, badPeak, svm.UnitModel(8)); err == nil {
 		t.Error("out-of-range peak should error")
 	}
 	tooMany := w
 	tooMany.RPeaks = make([]int, MaxPeaks+1)
-	if _, err := Input(features.Original, tooMany, testModel(8)); err == nil {
+	if _, err := Input(features.Original, tooMany, svm.UnitModel(8)); err == nil {
 		t.Error("peak overflow should error")
 	}
 	short := w
 	short.ABP = short.ABP[:10]
-	if _, err := Input(features.Original, short, testModel(8)); err == nil {
+	if _, err := Input(features.Original, short, svm.UnitModel(8)); err == nil {
 		t.Error("ECG/ABP length mismatch should error")
 	}
 }
@@ -213,7 +196,7 @@ func TestNewDeviceDetectorValidation(t *testing.T) {
 	if _, err := NewDeviceDetector(features.Original, nil, nil); err == nil {
 		t.Error("nil model should error")
 	}
-	if _, err := NewDeviceDetector(features.Original, nil, testModel(5)); err == nil {
+	if _, err := NewDeviceDetector(features.Original, nil, svm.UnitModel(5)); err == nil {
 		t.Error("dim mismatch should error")
 	}
 }
@@ -222,7 +205,7 @@ func TestOriginalCostsMoreCyclesThanSimplified(t *testing.T) {
 	w := testWindow(t, 7)
 	cycles := map[features.Version]uint64{}
 	for _, v := range features.Versions {
-		d, err := NewDeviceDetector(v, nil, testModel(v.Dim()))
+		d, err := NewDeviceDetector(v, nil, svm.UnitModel(v.Dim()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +227,7 @@ func TestOriginalCostsMoreCyclesThanSimplified(t *testing.T) {
 func TestDeviceSRAMWithinBudget(t *testing.T) {
 	w := testWindow(t, 8)
 	for _, v := range features.Versions {
-		d, err := NewDeviceDetector(v, nil, testModel(v.Dim()))
+		d, err := NewDeviceDetector(v, nil, svm.UnitModel(v.Dim()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +246,7 @@ func TestDetectorFinishesWithinWindow(t *testing.T) {
 	// far less than 3 s of MCU time at 16 MHz.
 	w := testWindow(t, 9)
 	for _, v := range features.Versions {
-		d, err := NewDeviceDetector(v, nil, testModel(v.Dim()))
+		d, err := NewDeviceDetector(v, nil, svm.UnitModel(v.Dim()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +261,7 @@ func TestDetectorFinishesWithinWindow(t *testing.T) {
 }
 
 func TestAvgCyclesPerWindow(t *testing.T) {
-	d, err := NewDeviceDetector(features.Reduced, nil, testModel(5))
+	d, err := NewDeviceDetector(features.Reduced, nil, svm.UnitModel(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/wiot-security/sift/internal/amulet"
 	"github.com/wiot-security/sift/internal/features"
+	"github.com/wiot-security/sift/internal/svm"
 )
 
 // TestFirmwareDisassembleReassemble round-trips every real detector
@@ -43,7 +44,7 @@ func TestFirmwareImageFlashAndClassify(t *testing.T) {
 	for _, v := range features.Versions {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			direct, err := NewDeviceDetector(v, nil, testModel(v.Dim()))
+			direct, err := NewDeviceDetector(v, nil, svm.UnitModel(v.Dim()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +62,7 @@ func TestFirmwareImageFlashAndClassify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := Input(v, w, testModel(v.Dim()))
+			data, err := Input(v, w, svm.UnitModel(v.Dim()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,10 +7,11 @@ import (
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
 	"github.com/wiot-security/sift/internal/obs/telemetry"
+	"github.com/wiot-security/sift/internal/svm"
 )
 
 func TestClassifyStreamsTelemetryAndEnergy(t *testing.T) {
-	d, err := NewDeviceDetector(features.Simplified, nil, testModel(features.Simplified.Dim()))
+	d, err := NewDeviceDetector(features.Simplified, nil, svm.UnitModel(features.Simplified.Dim()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestClassifyStreamsTelemetryAndEnergy(t *testing.T) {
 }
 
 func TestClassifyWithoutHooksStaysCheap(t *testing.T) {
-	d, err := NewDeviceDetector(features.Reduced, nil, testModel(features.Reduced.Dim()))
+	d, err := NewDeviceDetector(features.Reduced, nil, svm.UnitModel(features.Reduced.Dim()))
 	if err != nil {
 		t.Fatal(err)
 	}

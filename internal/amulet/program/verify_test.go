@@ -6,6 +6,7 @@ import (
 
 	"github.com/wiot-security/sift/internal/amulet"
 	"github.com/wiot-security/sift/internal/features"
+	"github.com/wiot-security/sift/internal/svm"
 	"github.com/wiot-security/sift/internal/vmlint"
 )
 
@@ -65,7 +66,7 @@ func TestDetectorsVerifyWithSoundBounds(t *testing.T) {
 				t.Errorf("unexpected finding: %v", f)
 			}
 
-			model := testModel(v.Dim())
+			model := svm.UnitModel(v.Dim())
 			data, err := Input(v, w, model)
 			if err != nil {
 				t.Fatal(err)

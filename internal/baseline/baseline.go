@@ -342,7 +342,7 @@ func (s *SVM) Predict(x []float64) svm.Label { return sign(s.Score(x)) }
 // against storing every support vector on a 128 KB device and evaluating
 // an exponential per vector per window.
 type RBFSVM struct {
-	Config svm.RBFConfig
+	Config svm.Config
 
 	model *svm.KernelModel
 }
@@ -378,7 +378,7 @@ var _ Classifier = (*RBFSVM)(nil)
 func All(cfg svm.Config) []Classifier {
 	return []Classifier{
 		&SVM{Config: cfg},
-		&RBFSVM{Config: svm.RBFConfig{Seed: cfg.Seed, MaxIter: cfg.MaxIter}},
+		&RBFSVM{Config: cfg},
 		&KNN{K: 5},
 		&Logistic{},
 		&NearestCentroid{},

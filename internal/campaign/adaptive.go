@@ -6,7 +6,6 @@ import (
 	"github.com/wiot-security/sift/internal/arp"
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
-	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/physio"
 	"github.com/wiot-security/sift/internal/svm"
 )
@@ -63,7 +62,7 @@ func (c Campaign) runAdaptive() (*AdaptiveOutcome, error) {
 	out := &AdaptiveOutcome{}
 	profiles := make([]adaptive.VersionProfile, 0, len(features.Versions))
 	for _, v := range features.Versions {
-		dev, err := program.NewDeviceDetector(v, nil, unitModel(v.Dim()))
+		dev, err := program.NewDeviceDetector(v, nil, svm.UnitModel(v.Dim()))
 		if err != nil {
 			return nil, err
 		}
@@ -115,19 +114,4 @@ func (c Campaign) runAdaptive() (*AdaptiveOutcome, error) {
 		out.Windows = append(out.Windows, VersionWindows{Version: v.String(), Windows: engine.Windows[v]})
 	}
 	return out, nil
-}
-
-// unitModel builds the identity quantized model the cost measurement
-// classifies through (weights and inverse stddev all one).
-func unitModel(dim int) *svm.Quantized {
-	q := &svm.Quantized{
-		Weights: make(fixedpoint.Vec, dim),
-		Mean:    make(fixedpoint.Vec, dim),
-		InvStd:  make(fixedpoint.Vec, dim),
-	}
-	for i := 0; i < dim; i++ {
-		q.Weights[i] = fixedpoint.One
-		q.InvStd[i] = fixedpoint.One
-	}
-	return q
 }

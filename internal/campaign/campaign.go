@@ -214,7 +214,7 @@ type Detector struct {
 	// MaxIter bounds SVM training iterations. At 0, fleet and
 	// auth-adversary campaigns train with 150, while gallery campaigns
 	// pass the 0 through to svm, whose default is 10000. Adaptive
-	// campaigns ignore it.
+	// campaigns ignore it. A negative cap is invalid.
 	MaxIter int
 }
 
@@ -322,8 +322,8 @@ func effectiveTo(toSec, liveSec float64) float64 {
 //
 // Untagged messages cover the rest: names, cohort sizes, finite
 // positive spans no longer than physio.MaxSpanSec, finite numbers in
-// every window and probability, the detector version, and kind/topology
-// coherence. The digest opt-in is
+// every window and probability, the detector version and SVM iteration
+// cap, and kind/topology coherence. The digest opt-in is
 // not a Validate rule; TestCatalogWellFormed requires it of the catalog.
 func (c Campaign) Validate() error {
 	var errs []error
@@ -371,9 +371,12 @@ func (c Campaign) Validate() error {
 		} else if c.Cohort.TrainSec > physio.MaxSpanSec {
 			report("campaign %q: Cohort.TrainSec %g exceeds the %d s recording cap", c.Name, c.Cohort.TrainSec, physio.MaxSpanSec)
 		}
-		if _, err := ParseVersion(c.Detector.Version); err != nil {
+		if _, err := features.ParseVersion(c.Detector.Version); err != nil {
 			report("campaign %q: %v", c.Name, err)
 		}
+	}
+	if c.Detector.MaxIter < 0 {
+		report("campaign %q: Detector.MaxIter %d must not be negative", c.Name, c.Detector.MaxIter)
 	}
 
 	// campseed: reproducibility needs explicit seeds.
@@ -440,7 +443,7 @@ func (c Campaign) Validate() error {
 	// campbudget: declared budgets must be satisfiable by the declared
 	// detector version's statically proven bounds.
 	if c.Budget != (Budget{}) && c.Kind != KindAdaptive {
-		if v, err := ParseVersion(c.Detector.Version); err == nil {
+		if v, err := features.ParseVersion(c.Detector.Version); err == nil {
 			if b, err := StaticBounds(v); err == nil {
 				if c.Budget.MaxCyclesPerWindow > 0 && c.Budget.MaxCyclesPerWindow < b.Cycles {
 					report("campaign %q: declared cycle budget %d/window is below the static worst-case %d for %s: unsatisfiable (campbudget)",
@@ -504,14 +507,4 @@ func (c Campaign) Validate() error {
 	}
 
 	return errors.Join(errs...)
-}
-
-// ParseVersion resolves a declared detector version name.
-func ParseVersion(name string) (features.Version, error) {
-	for _, v := range features.Versions {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("campaign: unknown detector version %q (want Original, Simplified, or Reduced)", name)
 }

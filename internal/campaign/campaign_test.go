@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/wiot-security/sift/internal/features"
 )
 
 // validFleet returns a minimal well-formed fleet campaign tests mutate.
@@ -34,6 +36,7 @@ func TestValidateFindings(t *testing.T) {
 		{"no name", func(c *Campaign) { c.Name = "" }, "no Name"},
 		{"no seed", func(c *Campaign) { c.Cohort.BaseSeed = 0 }, "campseed"},
 		{"bad version", func(c *Campaign) { c.Detector.Version = "Turbo" }, "unknown detector version"},
+		{"negative SVM cap", func(c *Campaign) { c.Detector.MaxIter = -1 }, "Detector.MaxIter -1 must not be negative"},
 		{"unreachable attack", func(c *Campaign) { c.Attacks[0].FromSec = 12 }, "can never fire (campreach)"},
 		{"negative attack", func(c *Campaign) { c.Attacks[0].FromSec = -1 }, "negative time"},
 		{"empty attack window", func(c *Campaign) { c.Attacks[0].ToSec = 6; c.Attacks[0].FromSec = 6 }, "campreach"},
@@ -231,7 +234,7 @@ func TestDeclDigestSensitivity(t *testing.T) {
 
 func TestStaticBounds(t *testing.T) {
 	for _, name := range []string{"Original", "Simplified", "Reduced"} {
-		v, err := ParseVersion(name)
+		v, err := features.ParseVersion(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,23 +247,6 @@ func TestStaticBounds(t *testing.T) {
 		}
 		if b.SRAMBytes > 2048 {
 			t.Fatalf("StaticBounds(%s) breaks the 2 KB envelope: %d B", name, b.SRAMBytes)
-		}
-	}
-}
-
-func TestParseVersion(t *testing.T) {
-	for _, name := range []string{"Original", "Simplified", "Reduced"} {
-		v, err := ParseVersion(name)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		if v.String() != name {
-			t.Errorf("ParseVersion(%q) = %v", name, v)
-		}
-	}
-	for _, name := range []string{"nope", "", "original"} {
-		if _, err := ParseVersion(name); err == nil || !strings.Contains(err.Error(), "unknown detector version") {
-			t.Errorf("ParseVersion(%q) = %v, want an unknown-version error", name, err)
 		}
 	}
 }

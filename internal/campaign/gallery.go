@@ -5,6 +5,7 @@ import (
 
 	"github.com/wiot-security/sift/internal/attack"
 	"github.com/wiot-security/sift/internal/dataset"
+	"github.com/wiot-security/sift/internal/features"
 	"github.com/wiot-security/sift/internal/physio"
 	"github.com/wiot-security/sift/internal/sift"
 	"github.com/wiot-security/sift/internal/svm"
@@ -61,7 +62,7 @@ func galleryAttack(a AttackWindow, history, donors []dataset.Window, sampleRate 
 // examples/attackgallery imperative path exactly (train seeds 1/2/3,
 // live 100/101), so declared and legacy runs are byte-identical.
 func (c Campaign) runGallery() (*GalleryOutcome, error) {
-	version, err := ParseVersion(c.Detector.Version)
+	version, err := features.ParseVersion(c.Detector.Version)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/wiot-security/sift/internal/features"
 	"github.com/wiot-security/sift/internal/fleet"
 	"github.com/wiot-security/sift/internal/fleet/shard"
 	"github.com/wiot-security/sift/internal/physio"
@@ -151,7 +152,7 @@ func authProvision(baseSeed int64, on bool) *wiot.AuthProvision {
 // recipe's wearer i (TrainWearer, LiveArm) at the slot seed, which also
 // seeds its SVM.
 func (c Campaign) fleetSource(wrap DetectorWrapper) (fleet.Source, error) {
-	version, err := ParseVersion(c.Detector.Version)
+	version, err := features.ParseVersion(c.Detector.Version)
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,7 @@ func freshClassifier(proto baseline.Classifier, svmCfg svm.Config) baseline.Clas
 	case *baseline.SVM:
 		return &baseline.SVM{Config: svmCfg}
 	case *baseline.RBFSVM:
-		return &baseline.RBFSVM{Config: svmRBF(svmCfg)}
+		return &baseline.RBFSVM{Config: svmCfg}
 	case *baseline.KNN:
 		return &baseline.KNN{K: 5}
 	case *baseline.Logistic:
@@ -107,10 +107,6 @@ func freshClassifier(proto baseline.Classifier, svmCfg svm.Config) baseline.Clas
 	default:
 		return proto
 	}
-}
-
-func svmRBF(cfg svm.Config) svm.RBFConfig {
-	return svm.RBFConfig{Seed: cfg.Seed, MaxIter: cfg.MaxIter}
 }
 
 // FormatClassifiers renders the comparison.

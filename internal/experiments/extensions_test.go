@@ -97,7 +97,7 @@ func TestMotionStudyNeedsLongRecords(t *testing.T) {
 func TestCycleModelMonotoneAndPositive(t *testing.T) {
 	env := quickEnv(t)
 	for _, v := range []features.Version{features.Original, features.Reduced} {
-		f, err := CycleModel(env, v)
+		f, err := CycleModel(env.TestRecs[0], v)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}

@@ -54,22 +54,21 @@ func evalProtocol(env *Env, i int, v features.Version, wSec float64, gridN int, 
 	return det.Evaluate(testSet)
 }
 
-// SweepWindow measures detection quality as the window length w varies —
-// an ablation of the paper's fixed w = 3 s.
-func SweepWindow(env *Env, v features.Version, windows []float64, svmCfg svm.Config) ([]SweepPoint, error) {
+// sweep runs one sweep: at each parameter value it checks the value,
+// evaluates every subject, and summarizes their confusions into one
+// point.
+func sweep[P int | float64](env *Env, params []P, check func(p P) error,
+	eval func(p P, i int) (metrics.Confusion, error)) ([]SweepPoint, error) {
 	var out []SweepPoint
-	for _, w := range windows {
-		if w <= 0 {
-			return nil, fmt.Errorf("experiments: window %.3g s must be positive", w)
+	for _, p := range params {
+		if err := check(p); err != nil {
+			return nil, err
 		}
 		cms := make([]metrics.Confusion, len(env.Subjects))
 		err := env.forEachSubject(func(i int) error {
-			cm, err := evalProtocol(env, i, v, w, 50, svmCfg)
-			if err != nil {
-				return fmt.Errorf("experiments: sweep w=%.1f subject %d: %w", w, i, err)
-			}
+			cm, err := eval(p, i)
 			cms[i] = cm
-			return nil
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -78,85 +77,74 @@ func SweepWindow(env *Env, v features.Version, windows []float64, svmCfg svm.Con
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, SweepPoint{Param: w, Accuracy: s.AvgAcc, FP: s.AvgFP, FN: s.AvgFN})
+		out = append(out, SweepPoint{Param: float64(p), Accuracy: s.AvgAcc, FP: s.AvgFP, FN: s.AvgFN})
 	}
 	return out, nil
+}
+
+// SweepWindow measures detection quality as the window length w varies —
+// an ablation of the paper's fixed w = 3 s.
+func SweepWindow(env *Env, v features.Version, windows []float64, svmCfg svm.Config) ([]SweepPoint, error) {
+	return sweep(env, windows, func(w float64) error {
+		if w <= 0 {
+			return fmt.Errorf("experiments: window %.3g s must be positive", w)
+		}
+		return nil
+	}, func(w float64, i int) (metrics.Confusion, error) {
+		cm, err := evalProtocol(env, i, v, w, 50, svmCfg)
+		if err != nil {
+			return cm, fmt.Errorf("experiments: sweep w=%.1f subject %d: %w", w, i, err)
+		}
+		return cm, nil
+	})
 }
 
 // SweepGrid measures detection quality as the portrait grid size n varies
 // — an ablation of the paper's fixed n = 50.
 func SweepGrid(env *Env, v features.Version, grids []int, svmCfg svm.Config) ([]SweepPoint, error) {
-	var out []SweepPoint
-	for _, n := range grids {
+	return sweep(env, grids, func(n int) error {
 		if n <= 0 {
-			return nil, fmt.Errorf("experiments: grid %d must be positive", n)
+			return fmt.Errorf("experiments: grid %d must be positive", n)
 		}
-		cms := make([]metrics.Confusion, len(env.Subjects))
-		err := env.forEachSubject(func(i int) error {
-			cm, err := evalProtocol(env, i, v, dataset.WindowSec, n, svmCfg)
-			if err != nil {
-				return fmt.Errorf("experiments: sweep n=%d subject %d: %w", n, i, err)
-			}
-			cms[i] = cm
-			return nil
-		})
+		return nil
+	}, func(n, i int) (metrics.Confusion, error) {
+		cm, err := evalProtocol(env, i, v, dataset.WindowSec, n, svmCfg)
 		if err != nil {
-			return nil, err
+			return cm, fmt.Errorf("experiments: sweep n=%d subject %d: %w", n, i, err)
 		}
-		s, err := metrics.Summarize(cms)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{Param: float64(n), Accuracy: s.AvgAcc, FP: s.AvgFP, FN: s.AvgFN})
-	}
-	return out, nil
+		return cm, nil
+	})
 }
 
 // SweepTraining measures detection quality as the training span Δ varies —
 // an ablation of the paper's "20 minutes works best" choice.
 func SweepTraining(env *Env, v features.Version, spansSec []float64, svmCfg svm.Config) ([]SweepPoint, error) {
-	var out []SweepPoint
-	for _, span := range spansSec {
+	return sweep(env, spansSec, func(span float64) error {
 		if span < 2*dataset.WindowSec {
-			return nil, fmt.Errorf("experiments: training span %.0f s too short", span)
+			return fmt.Errorf("experiments: training span %.0f s too short", span)
 		}
-		cms := make([]metrics.Confusion, len(env.Subjects))
-		err := env.forEachSubject(func(i int) error {
-			full := env.TrainRecs[i]
-			n := int(span * full.SampleRate)
-			if n > len(full.ECG) {
-				n = len(full.ECG)
-			}
-			rec, err := full.Slice(0, n)
-			if err != nil {
-				return err
-			}
-			det, err := sift.TrainForSubject(rec, env.DonorsFor(i), sift.Config{Version: v, SVM: svmCfg})
-			if err != nil {
-				return fmt.Errorf("experiments: sweep Δ=%.0f subject %d: %w", span, i, err)
-			}
-			testSet, err := dataset.BuildTest(env.TestRecs[i], env.TestDonorsFor(i),
-				dataset.WindowSec, dataset.TestAlteredFrac, env.Config.Seed+4000+int64(i))
-			if err != nil {
-				return err
-			}
-			cm, err := det.Evaluate(testSet)
-			if err != nil {
-				return err
-			}
-			cms[i] = cm
-			return nil
-		})
+		return nil
+	}, func(span float64, i int) (metrics.Confusion, error) {
+		full := env.TrainRecs[i]
+		n := int(span * full.SampleRate)
+		if n > len(full.ECG) {
+			n = len(full.ECG)
+		}
+		rec, err := full.Slice(0, n)
 		if err != nil {
-			return nil, err
+			return metrics.Confusion{}, err
 		}
-		s, err := metrics.Summarize(cms)
+		det, err := sift.TrainForSubject(rec, env.DonorsFor(i), sift.Config{Version: v, SVM: svmCfg})
 		if err != nil {
-			return nil, err
+			return metrics.Confusion{}, fmt.Errorf("experiments: sweep Δ=%.0f subject %d: %w", span, i, err)
 		}
-		out = append(out, SweepPoint{Param: span, Accuracy: s.AvgAcc, FP: s.AvgFP, FN: s.AvgFN})
-	}
-	return out, nil
+		testSet, err := dataset.BuildTest(env.TestRecs[i], env.TestDonorsFor(i),
+			dataset.WindowSec, dataset.TestAlteredFrac, env.Config.Seed+4000+int64(i))
+		if err != nil {
+			return metrics.Confusion{}, err
+		}
+		return det.Evaluate(testSet)
+	})
 }
 
 // ROCResult is a per-version ROC study.
@@ -371,45 +359,33 @@ func FormatAdaptive(rows []AdaptiveRow) string {
 // before classification, isolating the accuracy cost of fixed-point
 // representations (the Q16.16 choice is k = 16).
 func PrecisionSweep(env *Env, v features.Version, fracBits []int, svmCfg svm.Config) ([]SweepPoint, error) {
-	var out []SweepPoint
-	for _, k := range fracBits {
+	return sweep(env, fracBits, func(k int) error {
 		if k < 1 || k > 30 {
-			return nil, fmt.Errorf("experiments: fractional bits %d outside [1,30]", k)
+			return fmt.Errorf("experiments: fractional bits %d outside [1,30]", k)
 		}
+		return nil
+	}, func(k, i int) (metrics.Confusion, error) {
 		scale := math.Pow(2, float64(k))
-		cms := make([]metrics.Confusion, len(env.Subjects))
-		err := env.forEachSubject(func(i int) error {
-			det, err := sift.TrainForSubject(env.TrainRecs[i], env.DonorsFor(i), sift.Config{Version: v, SVM: svmCfg})
-			if err != nil {
-				return err
-			}
-			testSet, err := dataset.BuildTest(env.TestRecs[i], env.TestDonorsFor(i),
-				dataset.WindowSec, dataset.TestAlteredFrac, env.Config.Seed+6000+int64(i))
-			if err != nil {
-				return err
-			}
-			var cm metrics.Confusion
-			for _, w := range testSet.Windows {
-				f, err := det.FeaturesOf(w)
-				if err != nil {
-					return err
-				}
-				for j := range f {
-					f[j] = math.Round(f[j]*scale) / scale
-				}
-				cm.Add(w.Altered, det.Model.Decision(f) >= 0)
-			}
-			cms[i] = cm
-			return nil
-		})
+		var cm metrics.Confusion
+		det, err := sift.TrainForSubject(env.TrainRecs[i], env.DonorsFor(i), sift.Config{Version: v, SVM: svmCfg})
 		if err != nil {
-			return nil, err
+			return cm, err
 		}
-		s, err := metrics.Summarize(cms)
+		testSet, err := dataset.BuildTest(env.TestRecs[i], env.TestDonorsFor(i),
+			dataset.WindowSec, dataset.TestAlteredFrac, env.Config.Seed+6000+int64(i))
 		if err != nil {
-			return nil, err
+			return cm, err
 		}
-		out = append(out, SweepPoint{Param: float64(k), Accuracy: s.AvgAcc, FP: s.AvgFP, FN: s.AvgFN})
-	}
-	return out, nil
+		for _, w := range testSet.Windows {
+			f, err := det.FeaturesOf(w)
+			if err != nil {
+				return cm, err
+			}
+			for j := range f {
+				f[j] = math.Round(f[j]*scale) / scale
+			}
+			cm.Add(w.Altered, det.Model.Decision(f) >= 0)
+		}
+		return cm, nil
+	})
 }

@@ -9,7 +9,7 @@ import (
 	"github.com/wiot-security/sift/internal/arp"
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
-	"github.com/wiot-security/sift/internal/fixedpoint"
+	"github.com/wiot-security/sift/internal/physio"
 	"github.com/wiot-security/sift/internal/svm"
 )
 
@@ -74,8 +74,7 @@ func measureVersion(env *Env, v features.Version) (DeviceTelemetry, error) {
 	if len(wins) > 5 {
 		wins = wins[:5]
 	}
-	q := identityModel(v.Dim())
-	dev, err := program.NewDeviceDetector(v, nil, q)
+	dev, err := program.NewDeviceDetector(v, nil, svm.UnitModel(v.Dim()))
 	if err != nil {
 		return DeviceTelemetry{}, err
 	}
@@ -95,21 +94,6 @@ func measureVersion(env *Env, v features.Version) (DeviceTelemetry, error) {
 	}, nil
 }
 
-// identityModel is a unit-weight placeholder model for resource
-// measurement (resource usage is model-independent).
-func identityModel(dim int) *svm.Quantized {
-	q := &svm.Quantized{
-		Weights: make(fixedpoint.Vec, dim),
-		Mean:    make(fixedpoint.Vec, dim),
-		InvStd:  make(fixedpoint.Vec, dim),
-	}
-	for i := 0; i < dim; i++ {
-		q.Weights[i] = fixedpoint.One
-		q.InvStd[i] = fixedpoint.One
-	}
-	return q
-}
-
 // Format renders the result in the paper's Table III layout.
 func (r *Table3Result) Format() string {
 	var sb strings.Builder
@@ -125,15 +109,15 @@ func (r *Table3Result) Format() string {
 	return sb.String()
 }
 
-// CycleModel measures the detector's cycles-per-window at several window
-// lengths and fits cycles(w) = fixed + perSecond·w, so ARP-view's window
-// slider reflects the real split between the per-window fixed overhead
-// (matrix zeroing, grid statistics) and the per-sample work.
-func CycleModel(env *Env, v features.Version) (func(wSec float64) float64, error) {
-	q := identityModel(v.Dim())
+// CycleModel measures the detector's cycles-per-window on rec at several
+// window lengths and fits cycles(w) = fixed + perSecond·w, so ARP-view's
+// window slider reflects the real split between the per-window fixed
+// overhead (matrix zeroing, grid statistics) and the per-sample work.
+func CycleModel(rec *physio.Record, v features.Version) (func(wSec float64) float64, error) {
+	q := svm.UnitModel(v.Dim())
 	var ws, cs []float64
 	for _, w := range []float64{1, 2, 3} {
-		wins, err := dataset.FromRecord(env.TestRecs[0], w)
+		wins, err := dataset.FromRecord(rec, w)
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +176,7 @@ func Fig3(env *Env) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cyclesAt, err := CycleModel(env, features.Original)
+	cyclesAt, err := CycleModel(env.TestRecs[0], features.Original)
 	if err != nil {
 		return "", err
 	}

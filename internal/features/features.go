@@ -68,6 +68,16 @@ func (v Version) String() string {
 	}
 }
 
+// ParseVersion resolves a version's paper name, as String prints it.
+func ParseVersion(name string) (Version, error) {
+	for _, v := range Versions {
+		if v.String() == name {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("features: unknown detector version %q (want Original, Simplified, or Reduced)", name)
+}
+
 // Dim returns the feature dimensionality of the version.
 func (v Version) Dim() int {
 	switch v {

@@ -2,6 +2,7 @@ package features
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/wiot-security/sift/internal/peaks"
@@ -67,6 +68,23 @@ func TestExtractDimensions(t *testing.T) {
 			if math.IsNaN(val) || math.IsInf(val, 0) {
 				t.Errorf("%s feature %d is %v", v, i, val)
 			}
+		}
+	}
+}
+
+func TestParseVersion(t *testing.T) {
+	for _, name := range []string{"Original", "Simplified", "Reduced"} {
+		v, err := ParseVersion(name)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if v.String() != name {
+			t.Errorf("ParseVersion(%q) = %v", name, v)
+		}
+	}
+	for _, name := range []string{"nope", "", "original"} {
+		if _, err := ParseVersion(name); err == nil || !strings.Contains(err.Error(), "unknown detector version") {
+			t.Errorf("ParseVersion(%q) = %v, want an unknown-version error", name, err)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/wiot-security/sift/internal/amulet/program"
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
-	"github.com/wiot-security/sift/internal/fixedpoint"
 	"github.com/wiot-security/sift/internal/physio"
 	"github.com/wiot-security/sift/internal/svm"
 	"github.com/wiot-security/sift/internal/wiot"
@@ -44,15 +43,7 @@ func vmSource(t *testing.T, nSubjects int, durSec float64) Source {
 		t.Fatal(err)
 	}
 	dim := features.Reduced.Dim()
-	model := &svm.Quantized{
-		Weights: make(fixedpoint.Vec, dim),
-		Mean:    make(fixedpoint.Vec, dim),
-		InvStd:  make(fixedpoint.Vec, dim),
-	}
-	for i := 0; i < dim; i++ {
-		model.Weights[i] = fixedpoint.One
-		model.InvStd[i] = fixedpoint.One
-	}
+	model := svm.UnitModel(dim)
 	return func(index int, seed int64) (wiot.Scenario, error) {
 		rec, err := physio.Generate(subjects[index%nSubjects], durSec, physio.DefaultSampleRate, seed)
 		if err != nil {

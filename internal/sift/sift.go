@@ -37,10 +37,6 @@ type Config struct {
 	Version features.Version // feature extractor variant (default Original)
 	GridN   int              // portrait grid size (default 50, per the paper)
 	SVM     svm.Config       // SVM trainer settings
-
-	// DisablePeakSanity turns off the PeaksDataCheck zero-R-peak rule
-	// (enabled by default; see Detector.PeakSanity).
-	DisablePeakSanity bool
 }
 
 func (c Config) fillDefaults() Config {
@@ -173,7 +169,7 @@ func Train(subjectID string, set *dataset.LabeledSet, cfg Config) (*Detector, er
 		SubjectID:  subjectID,
 		Version:    cfg.Version,
 		GridN:      cfg.GridN,
-		PeakSanity: !cfg.DisablePeakSanity,
+		PeakSanity: true,
 	}
 
 	x := make([][]float64, 0, len(set.Windows))

@@ -64,8 +64,8 @@ func TestTrainForSubjectAllVersions(t *testing.T) {
 			if d.SubjectID != fx.subjectTrain.SubjectID {
 				t.Errorf("SubjectID = %q", d.SubjectID)
 			}
-			if d.Version != v || d.GridN != 50 {
-				t.Errorf("config = %v/%d", d.Version, d.GridN)
+			if d.Version != v || d.GridN != 50 || !d.PeakSanity {
+				t.Errorf("config = %v/%d, PeakSanity %v", d.Version, d.GridN, d.PeakSanity)
 			}
 			if d.Model == nil {
 				t.Fatal("no model trained")

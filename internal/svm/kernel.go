@@ -1,10 +1,6 @@
 package svm
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
+import "math"
 
 // KernelModel is a nonlinear SVM in dual form: decision(x) =
 // Σ αᵢyᵢ·K(svᵢ, x) + b. It exists for the kernel-ablation study — the
@@ -54,145 +50,18 @@ func rbf(a, b []float64, gamma float64) float64 {
 	return math.Exp(-gamma * d)
 }
 
-// RBFConfig parameterizes RBF-kernel training.
-type RBFConfig struct {
-	Gamma float64 // kernel width (default 1/dim)
-	C     float64 // soft margin (default 1)
-	Tol   float64
-	// MaxPasses / MaxIter mirror Config.
-	MaxPasses int
-	MaxIter   int
-	Seed      int64
-}
-
-func (c RBFConfig) fillDefaults(dim int) RBFConfig {
-	if c.Gamma <= 0 {
-		c.Gamma = 1 / float64(dim)
-	}
-	if c.C == 0 {
-		c.C = 1
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-3
-	}
-	if c.MaxPasses == 0 {
-		c.MaxPasses = 5
-	}
-	if c.MaxIter == 0 {
-		c.MaxIter = 10000
-	}
-	return c
-}
-
-// TrainRBF fits an RBF-kernel SVM with the same simplified-SMO loop the
-// linear trainer uses.
-func TrainRBF(x [][]float64, y []Label, cfg RBFConfig) (*KernelModel, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("svm: %d samples but %d labels", len(x), len(y))
-	}
-	var pos, neg int
-	for _, l := range y {
-		switch l {
-		case Positive:
-			pos++
-		case Negative:
-			neg++
-		default:
-			return nil, fmt.Errorf("svm: label must be ±1, got %d", int(l))
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return nil, ErrNoData
-	}
-	scaler, err := FitStandardizer(x)
+// TrainRBF fits an RBF-kernel SVM with the linear trainer's SMO solver,
+// at kernel width γ = 1/dim.
+func TrainRBF(x [][]float64, y []Label, cfg Config) (*KernelModel, error) {
+	scaler, z, err := prepare(x, y, cfg)
 	if err != nil {
 		return nil, err
 	}
-	z := scaler.ApplyAll(x)
-	m := len(z)
-	cfg = cfg.fillDefaults(len(z[0]))
+	gamma := 1 / float64(len(z[0]))
+	alpha, b, _ := smo(gramMatrix(z, func(a, b []float64) float64 { return rbf(a, b, gamma) }), y, cfg)
 
-	gram := make([][]float64, m)
-	for i := range gram {
-		gram[i] = make([]float64, m)
-		for j := 0; j <= i; j++ {
-			gram[i][j] = rbf(z[i], z[j], cfg.Gamma)
-			gram[j][i] = gram[i][j]
-		}
-	}
-
-	alpha := make([]float64, m)
-	b := 0.0
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := func(i int) float64 {
-		var s float64
-		for k := 0; k < m; k++ {
-			if alpha[k] != 0 {
-				s += alpha[k] * float64(y[k]) * gram[k][i]
-			}
-		}
-		return s + b
-	}
-
-	passes, iter := 0, 0
-	for passes < cfg.MaxPasses && iter < cfg.MaxIter {
-		iter++
-		changed := 0
-		for i := 0; i < m; i++ {
-			ei := f(i) - float64(y[i])
-			yi := float64(y[i])
-			if !((yi*ei < -cfg.Tol && alpha[i] < cfg.C) || (yi*ei > cfg.Tol && alpha[i] > 0)) {
-				continue
-			}
-			j := rng.Intn(m - 1)
-			if j >= i {
-				j++
-			}
-			ej := f(j) - float64(y[j])
-			yj := float64(y[j])
-			ai, aj := alpha[i], alpha[j]
-			var lo, hi float64
-			if y[i] != y[j] {
-				lo = math.Max(0, aj-ai)
-				hi = math.Min(cfg.C, cfg.C+aj-ai)
-			} else {
-				lo = math.Max(0, ai+aj-cfg.C)
-				hi = math.Min(cfg.C, ai+aj)
-			}
-			if lo == hi {
-				continue
-			}
-			eta := 2*gram[i][j] - gram[i][i] - gram[j][j]
-			if eta >= 0 {
-				continue
-			}
-			ajNew := math.Min(hi, math.Max(lo, aj-yj*(ei-ej)/eta))
-			if math.Abs(ajNew-aj) < 1e-5 {
-				continue
-			}
-			aiNew := ai + yi*yj*(aj-ajNew)
-			b1 := b - ei - yi*(aiNew-ai)*gram[i][i] - yj*(ajNew-aj)*gram[i][j]
-			b2 := b - ej - yi*(aiNew-ai)*gram[i][j] - yj*(ajNew-aj)*gram[j][j]
-			switch {
-			case aiNew > 0 && aiNew < cfg.C:
-				b = b1
-			case ajNew > 0 && ajNew < cfg.C:
-				b = b2
-			default:
-				b = (b1 + b2) / 2
-			}
-			alpha[i], alpha[j] = aiNew, ajNew
-			changed++
-		}
-		if changed == 0 {
-			passes++
-		} else {
-			passes = 0
-		}
-	}
-
-	model := &KernelModel{Gamma: cfg.Gamma, Bias: b, Scaler: scaler}
-	for i := 0; i < m; i++ {
+	model := &KernelModel{Gamma: gamma, Bias: b, Scaler: scaler}
+	for i := range z {
 		if alpha[i] > 0 {
 			model.SupportVecs = append(model.SupportVecs, z[i])
 			model.Coeffs = append(model.Coeffs, alpha[i]*float64(y[i]))

@@ -28,7 +28,7 @@ func ringSet(seed int64, n int) (x [][]float64, y []Label) {
 
 func TestTrainRBFSolvesRing(t *testing.T) {
 	x, y := ringSet(1, 60)
-	m, err := TrainRBF(x, y, RBFConfig{Gamma: 2, Seed: 1})
+	m, err := TrainRBF(x, y, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +40,9 @@ func TestTrainRBFSolvesRing(t *testing.T) {
 	}
 	if acc := float64(correct) / float64(len(x)); acc < 0.95 {
 		t.Errorf("RBF accuracy on ring = %.3f, want >= 0.95", acc)
+	}
+	if m.Gamma != 0.5 {
+		t.Errorf("γ = %v, want 1/dim = 0.5", m.Gamma)
 	}
 	if len(m.SupportVecs) == 0 || len(m.SupportVecs) != len(m.Coeffs) {
 		t.Errorf("support set malformed: %d SVs, %d coeffs", len(m.SupportVecs), len(m.Coeffs))
@@ -66,14 +69,17 @@ func TestLinearFailsRingButRBFDoesNot(t *testing.T) {
 }
 
 func TestTrainRBFErrors(t *testing.T) {
-	if _, err := TrainRBF([][]float64{{1}}, []Label{Positive, Negative}, RBFConfig{}); err == nil {
+	if _, err := TrainRBF([][]float64{{1}}, []Label{Positive, Negative}, Config{}); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := TrainRBF([][]float64{{1}, {2}}, []Label{Positive, Positive}, RBFConfig{}); !errors.Is(err, ErrNoData) {
+	if _, err := TrainRBF([][]float64{{1}, {2}}, []Label{Positive, Positive}, Config{}); !errors.Is(err, ErrNoData) {
 		t.Errorf("single-class err = %v", err)
 	}
-	if _, err := TrainRBF([][]float64{{1}, {2}}, []Label{Positive, Label(9)}, RBFConfig{}); err == nil {
+	if _, err := TrainRBF([][]float64{{1}, {2}}, []Label{Positive, Label(9)}, Config{}); err == nil {
 		t.Error("bad label should error")
+	}
+	if _, err := TrainRBF([][]float64{{1}, {2}}, []Label{Positive, Negative}, Config{MaxIter: -1}); err == nil {
+		t.Error("negative MaxIter should error")
 	}
 }
 

@@ -146,156 +146,35 @@ func UnmarshalModel(data []byte) (*Model, error) {
 	return &m, nil
 }
 
-// Config parameterizes training.
+// Config parameterizes training; SMO's other settings are the constants
+// below.
 type Config struct {
-	C         float64 // soft-margin penalty (default 1)
-	Tol       float64 // KKT violation tolerance (default 1e-3)
-	MaxPasses int     // consecutive no-change passes before stopping (default 5)
-	MaxIter   int     // hard iteration cap (default 10000)
-	Seed      int64   // RNG seed for SMO's second-index choice
+	MaxIter int   // hard iteration cap (default 10000; negative is an error)
+	Seed    int64 // RNG seed for SMO's second-index choice
 }
 
-func (c Config) fillDefaults() Config {
-	if c.C == 0 {
-		c.C = 1
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-3
-	}
-	if c.MaxPasses == 0 {
-		c.MaxPasses = 5
-	}
-	if c.MaxIter == 0 {
-		c.MaxIter = 10000
-	}
-	return c
-}
+// The fixed SMO settings.
+const (
+	softMargin     = 1.0   // C
+	kktTol         = 1e-3  // KKT violation tolerance
+	maxPasses      = 5     // consecutive no-change passes before stopping
+	defaultMaxIter = 10000 // iteration cap when Config.MaxIter is 0
+)
 
 // Train fits a linear SVM on raw features x with labels y using simplified
 // SMO. Standardization is fitted internally and stored with the model.
 func Train(x [][]float64, y []Label, cfg Config) (*Model, error) {
-	cfg = cfg.fillDefaults()
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("svm: %d samples but %d labels", len(x), len(y))
-	}
-	var pos, neg int
-	for _, l := range y {
-		switch l {
-		case Positive:
-			pos++
-		case Negative:
-			neg++
-		default:
-			return nil, fmt.Errorf("svm: label must be ±1, got %d", int(l))
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return nil, ErrNoData
-	}
-
-	scaler, err := FitStandardizer(x)
+	scaler, z, err := prepare(x, y, cfg)
 	if err != nil {
 		return nil, err
 	}
-	z := scaler.ApplyAll(x)
-
-	m := len(z)
-	dim := len(z[0])
-
-	// Precompute the Gram matrix (linear kernel). m is a few hundred for
-	// the paper's protocol, so O(m²) memory is fine on the host.
-	gram := make([][]float64, m)
-	for i := range gram {
-		gram[i] = make([]float64, m)
-		for j := 0; j <= i; j++ {
-			k := dot(z[i], z[j])
-			gram[i][j] = k
-		}
-	}
-	for i := range gram {
-		for j := i + 1; j < m; j++ {
-			gram[i][j] = gram[j][i]
-		}
-	}
-
-	alpha := make([]float64, m)
-	b := 0.0
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	f := func(i int) float64 {
-		var s float64
-		for k := 0; k < m; k++ {
-			if alpha[k] != 0 {
-				s += alpha[k] * float64(y[k]) * gram[k][i]
-			}
-		}
-		return s + b
-	}
-
-	passes, iter := 0, 0
-	for passes < cfg.MaxPasses && iter < cfg.MaxIter {
-		iter++
-		changed := 0
-		for i := 0; i < m; i++ {
-			ei := f(i) - float64(y[i])
-			yi := float64(y[i])
-			if !((yi*ei < -cfg.Tol && alpha[i] < cfg.C) || (yi*ei > cfg.Tol && alpha[i] > 0)) {
-				continue
-			}
-			j := rng.Intn(m - 1)
-			if j >= i {
-				j++
-			}
-			ej := f(j) - float64(y[j])
-			yj := float64(y[j])
-
-			ai, aj := alpha[i], alpha[j]
-			var lo, hi float64
-			if y[i] != y[j] {
-				lo = math.Max(0, aj-ai)
-				hi = math.Min(cfg.C, cfg.C+aj-ai)
-			} else {
-				lo = math.Max(0, ai+aj-cfg.C)
-				hi = math.Min(cfg.C, ai+aj)
-			}
-			if lo == hi {
-				continue
-			}
-			eta := 2*gram[i][j] - gram[i][i] - gram[j][j]
-			if eta >= 0 {
-				continue
-			}
-			ajNew := aj - yj*(ei-ej)/eta
-			ajNew = math.Min(hi, math.Max(lo, ajNew))
-			if math.Abs(ajNew-aj) < 1e-5 {
-				continue
-			}
-			aiNew := ai + yi*yj*(aj-ajNew)
-
-			b1 := b - ei - yi*(aiNew-ai)*gram[i][i] - yj*(ajNew-aj)*gram[i][j]
-			b2 := b - ej - yi*(aiNew-ai)*gram[i][j] - yj*(ajNew-aj)*gram[j][j]
-			switch {
-			case aiNew > 0 && aiNew < cfg.C:
-				b = b1
-			case ajNew > 0 && ajNew < cfg.C:
-				b = b2
-			default:
-				b = (b1 + b2) / 2
-			}
-			alpha[i], alpha[j] = aiNew, ajNew
-			changed++
-		}
-		if changed == 0 {
-			passes++
-		} else {
-			passes = 0
-		}
-	}
+	alpha, b, iter := smo(gramMatrix(z, dot), y, cfg)
 
 	// Collapse to a primal weight vector (linear kernel only).
+	dim := len(z[0])
 	w := make([]float64, dim)
 	sv := 0
-	for i := 0; i < m; i++ {
+	for i := range z {
 		if alpha[i] > 0 {
 			sv++
 			for j := 0; j < dim; j++ {
@@ -311,6 +190,134 @@ func Train(x [][]float64, y []Label, cfg Config) (*Model, error) {
 		SupportVectors: sv,
 		Iterations:     iter,
 	}, nil
+}
+
+// prepare checks the configuration and labels, then fits the
+// standardizer and returns it with the standardized design matrix.
+func prepare(x [][]float64, y []Label, cfg Config) (*Standardizer, [][]float64, error) {
+	if cfg.MaxIter < 0 {
+		return nil, nil, fmt.Errorf("svm: iteration cap %d must not be negative", cfg.MaxIter)
+	}
+	if len(x) != len(y) {
+		return nil, nil, fmt.Errorf("svm: %d samples but %d labels", len(x), len(y))
+	}
+	var pos, neg int
+	for _, l := range y {
+		switch l {
+		case Positive:
+			pos++
+		case Negative:
+			neg++
+		default:
+			return nil, nil, fmt.Errorf("svm: label must be ±1, got %d", int(l))
+		}
+	}
+	if pos == 0 || neg == 0 {
+		return nil, nil, ErrNoData
+	}
+	scaler, err := FitStandardizer(x)
+	if err != nil {
+		return nil, nil, err
+	}
+	return scaler, scaler.ApplyAll(x), nil
+}
+
+// gramMatrix precomputes the kernel between every pair of rows. m is a
+// few hundred for the paper's protocol, so O(m²) memory is fine on the
+// host.
+func gramMatrix(z [][]float64, kernel func(a, b []float64) float64) [][]float64 {
+	m := len(z)
+	gram := make([][]float64, m)
+	for i := range gram {
+		gram[i] = make([]float64, m)
+		for j := 0; j <= i; j++ {
+			gram[i][j] = kernel(z[i], z[j])
+			gram[j][i] = gram[i][j]
+		}
+	}
+	return gram
+}
+
+// smo runs simplified SMO over a precomputed Gram matrix and returns the
+// dual coefficients α, the bias and the number of iterations run.
+func smo(gram [][]float64, y []Label, cfg Config) (alpha []float64, b float64, iter int) {
+	maxIter := cfg.MaxIter
+	if maxIter == 0 {
+		maxIter = defaultMaxIter
+	}
+	m := len(gram)
+	alpha = make([]float64, m)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+
+	f := func(i int) float64 {
+		var s float64
+		for k := 0; k < m; k++ {
+			if alpha[k] != 0 {
+				s += alpha[k] * float64(y[k]) * gram[k][i]
+			}
+		}
+		return s + b
+	}
+
+	passes := 0
+	for passes < maxPasses && iter < maxIter {
+		iter++
+		changed := 0
+		for i := 0; i < m; i++ {
+			ei := f(i) - float64(y[i])
+			yi := float64(y[i])
+			if !((yi*ei < -kktTol && alpha[i] < softMargin) || (yi*ei > kktTol && alpha[i] > 0)) {
+				continue
+			}
+			j := rng.Intn(m - 1)
+			if j >= i {
+				j++
+			}
+			ej := f(j) - float64(y[j])
+			yj := float64(y[j])
+
+			ai, aj := alpha[i], alpha[j]
+			var lo, hi float64
+			if y[i] != y[j] {
+				lo = math.Max(0, aj-ai)
+				hi = math.Min(softMargin, softMargin+aj-ai)
+			} else {
+				lo = math.Max(0, ai+aj-softMargin)
+				hi = math.Min(softMargin, ai+aj)
+			}
+			if lo == hi {
+				continue
+			}
+			eta := 2*gram[i][j] - gram[i][i] - gram[j][j]
+			if eta >= 0 {
+				continue
+			}
+			ajNew := math.Min(hi, math.Max(lo, aj-yj*(ei-ej)/eta))
+			if math.Abs(ajNew-aj) < 1e-5 {
+				continue
+			}
+			aiNew := ai + yi*yj*(aj-ajNew)
+
+			b1 := b - ei - yi*(aiNew-ai)*gram[i][i] - yj*(ajNew-aj)*gram[i][j]
+			b2 := b - ej - yi*(aiNew-ai)*gram[i][j] - yj*(ajNew-aj)*gram[j][j]
+			switch {
+			case aiNew > 0 && aiNew < softMargin:
+				b = b1
+			case ajNew > 0 && ajNew < softMargin:
+				b = b2
+			default:
+				b = (b1 + b2) / 2
+			}
+			alpha[i], alpha[j] = aiNew, ajNew
+			changed++
+		}
+		if changed == 0 {
+			passes++
+		} else {
+			passes = 0
+		}
+	}
+	return alpha, b, iter
 }
 
 func dot(a, b []float64) float64 {
@@ -366,6 +373,23 @@ func (q *Quantized) Decision(x fixedpoint.Vec) fixedpoint.Q {
 		acc = fixedpoint.Add(acc, fixedpoint.Mul(q.Weights[j], z))
 	}
 	return acc
+}
+
+// UnitModel returns the unit quantized model of dimension dim: weights 1,
+// mean 0, inverse std 1 and bias 0, so Decision returns the feature sum.
+// Resource measurements classify through it, since a detector's cycle
+// and memory cost does not depend on the model's values.
+func UnitModel(dim int) *Quantized {
+	q := &Quantized{
+		Weights: make(fixedpoint.Vec, dim),
+		Mean:    make(fixedpoint.Vec, dim),
+		InvStd:  make(fixedpoint.Vec, dim),
+	}
+	for i := 0; i < dim; i++ {
+		q.Weights[i] = fixedpoint.One
+		q.InvStd[i] = fixedpoint.One
+	}
+	return q
 }
 
 // Predict classifies a raw fixed-point feature vector.

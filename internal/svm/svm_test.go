@@ -87,7 +87,7 @@ func TestTrainOverlappingClassesStillFits(t *testing.T) {
 	for range pos {
 		y = append(y, Positive)
 	}
-	m, err := Train(x, y, Config{C: 1, Seed: 3})
+	m, err := Train(x, y, Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +118,11 @@ func TestTrainErrors(t *testing.T) {
 	}
 	if _, err := Train([][]float64{{1}, {2, 3}}, []Label{Positive, Negative}, Config{}); err == nil {
 		t.Error("ragged matrix should error")
+	}
+	// A negative cap would skip the SMO loop and return the zero model,
+	// which flags every window as altered.
+	if _, err := Train([][]float64{{1}, {2}}, []Label{Positive, Negative}, Config{MaxIter: -1}); err == nil {
+		t.Error("negative MaxIter should error")
 	}
 }
 
@@ -202,6 +207,24 @@ func TestQuantizedMatchesFloat(t *testing.T) {
 	}
 	if frac := float64(agree) / float64(len(x)); frac < 0.97 {
 		t.Errorf("fixed-point agreement = %.3f, want >= 0.97", frac)
+	}
+}
+
+func TestUnitModelDecisionIsFeatureSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, dim := range []int{1, 5, 8} {
+		q := UnitModel(dim)
+		for trial := 0; trial < 50; trial++ {
+			x := make([]float64, dim)
+			var sum float64
+			for j := range x {
+				x[j] = math.Round(200*(rng.Float64()-0.5)*256) / 256 // exact in Q16.16
+				sum += x[j]
+			}
+			if got, want := q.Decision(fixedpoint.VecFromFloats(x)), fixedpoint.FromFloat(sum); got != want {
+				t.Fatalf("dim %d: Decision(%v) = %v, want the feature sum %v", dim, x, got.Float(), want.Float())
+			}
+		}
 	}
 }
 
