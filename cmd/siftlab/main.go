@@ -72,6 +72,10 @@ func run(args []string) error {
 		return usageError{fmt.Errorf("-svm-iter %d must not be negative", *maxIter)}
 	}
 	name := strings.ToLower(fs.Arg(0))
+	runExperiment, ok := experimentRunners[name]
+	if !ok {
+		return usageError{fmt.Errorf("unknown experiment %q", name)}
+	}
 
 	cfg := experiments.DefaultConfig()
 	if *quick {
@@ -90,106 +94,60 @@ func run(args []string) error {
 	}
 	fmt.Printf("environment: %d subjects, Δ=%.0f s training, %.0f s test (generated in %v)\n\n",
 		cfg.Subjects, cfg.TrainSec, cfg.TestSec, time.Since(start).Round(time.Millisecond))
+	return runExperiment(env, svmCfg)
+}
 
-	switch name {
-	case "table2":
-		return runTable2(env, svmCfg)
-	case "table3":
-		return runTable3(env, svmCfg)
-	case "fig2":
-		return runFig2(env, svmCfg)
-	case "fig3":
-		view, err := experiments.Fig3(env)
-		if err != nil {
-			return err
-		}
-		fmt.Print(view)
-		return nil
-	case "roc":
-		res, err := experiments.ROCCurves(env, svmCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatROC(res))
-		return nil
-	case "sweep-window":
-		pts, err := experiments.SweepWindow(env, features.Simplified, []float64{1, 2, 3, 5, 8}, svmCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatSweep("Accuracy vs window length (Simplified)", "w (s)", pts))
-		return nil
-	case "sweep-grid":
-		pts, err := experiments.SweepGrid(env, features.Simplified, []int{10, 25, 50, 75, 100}, svmCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatSweep("Accuracy vs portrait grid size (Simplified)", "n", pts))
-		return nil
-	case "sweep-train":
-		pts, err := experiments.SweepTraining(env, features.Simplified,
-			trainSpans(cfg.TrainSec), svmCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatSweep("Accuracy vs training span (Simplified)", "Δ (s)", pts))
-		return nil
-	case "precision":
-		pts, err := experiments.PrecisionSweep(env, features.Simplified, []int{4, 8, 12, 16, 20}, svmCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatSweep("Accuracy vs fixed-point fractional bits (Simplified)", "bits", pts))
-		return nil
-	case "generalization":
-		rows, err := experiments.AttackGeneralization(env, svmCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatGeneralization(rows))
-		return nil
-	case "adaptive":
+// experimentRunners maps each experiment name to the study it runs. run
+// checks a name against it before building the environment, and
+// dispatches from it.
+var experimentRunners = map[string]func(*experiments.Env, svm.Config) error{
+	"table2": runTable2,
+	"table3": runTable3,
+	"fig2":   runFig2,
+	"fig3":   runFig3,
+	"roc": func(env *experiments.Env, svmCfg svm.Config) error {
+		return printed(experiments.FormatROC)(experiments.ROCCurves(env, svmCfg))
+	},
+	"sweep-window": func(env *experiments.Env, svmCfg svm.Config) error {
+		return printed(sweepTable("Accuracy vs window length (Simplified)", "w (s)"))(
+			experiments.SweepWindow(env, features.Simplified, []float64{1, 2, 3, 5, 8}, svmCfg))
+	},
+	"sweep-grid": func(env *experiments.Env, svmCfg svm.Config) error {
+		return printed(sweepTable("Accuracy vs portrait grid size (Simplified)", "n"))(
+			experiments.SweepGrid(env, features.Simplified, []int{10, 25, 50, 75, 100}, svmCfg))
+	},
+	"sweep-train": func(env *experiments.Env, svmCfg svm.Config) error {
+		return printed(sweepTable("Accuracy vs training span (Simplified)", "Δ (s)"))(
+			experiments.SweepTraining(env, features.Simplified, trainSpans(env.Config.TrainSec), svmCfg))
+	},
+	"precision": func(env *experiments.Env, svmCfg svm.Config) error {
+		return printed(sweepTable("Accuracy vs fixed-point fractional bits (Simplified)", "bits"))(
+			experiments.PrecisionSweep(env, features.Simplified, []int{4, 8, 12, 16, 20}, svmCfg))
+	},
+	"generalization": func(env *experiments.Env, svmCfg svm.Config) error {
+		return printed(experiments.FormatGeneralization)(experiments.AttackGeneralization(env, svmCfg))
+	},
+	"adaptive": func(env *experiments.Env, svmCfg svm.Config) error {
 		res, err := experiments.Table2(env, svmCfg)
 		if err != nil {
 			return err
 		}
-		rows, err := experiments.AdaptiveStudy(res.Telemetry)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatAdaptive(rows))
-		return nil
-	case "motion":
-		rows, err := experiments.MotionStudy(env, svmCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatMotion(rows))
-		return nil
-	case "pipeline":
-		rows, err := experiments.PipelineStudy(env)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatPipeline(rows))
-		return nil
-	case "coresidency":
-		rows, err := experiments.CoResidency(env, features.Simplified)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatCoResidency(rows))
-		return nil
-	case "classifiers":
-		rows, err := experiments.ClassifierComparison(env, svmCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatClassifiers(rows))
-		return nil
-	case "features":
-		return runFeatures(env)
-	case "all":
+		return printed(experiments.FormatAdaptive)(experiments.AdaptiveStudy(res.Telemetry))
+	},
+	"motion": func(env *experiments.Env, svmCfg svm.Config) error {
+		return printed(experiments.FormatMotion)(experiments.MotionStudy(env, svmCfg))
+	},
+	"pipeline": func(env *experiments.Env, _ svm.Config) error {
+		return printed(experiments.FormatPipeline)(experiments.PipelineStudy(env))
+	},
+	"coresidency": func(env *experiments.Env, _ svm.Config) error {
+		return printed(experiments.FormatCoResidency)(experiments.CoResidency(env, features.Simplified))
+	},
+	"classifiers": func(env *experiments.Env, svmCfg svm.Config) error {
+		return printed(experiments.FormatClassifiers)(experiments.ClassifierComparison(env, svmCfg))
+	},
+	"features": func(env *experiments.Env, _ svm.Config) error { return runFeatures(env) },
+	"all": func(env *experiments.Env, svmCfg svm.Config) error {
 		if err := runTable2(env, svmCfg); err != nil {
 			return err
 		}
@@ -198,15 +156,25 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println()
-		view, err := experiments.Fig3(env)
+		return runFig3(env, svmCfg)
+	},
+}
+
+// printed returns a function that prints a study's result through
+// format, or passes on the study's error.
+func printed[T any](format func(T) string) func(T, error) error {
+	return func(res T, err error) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(view)
+		fmt.Print(format(res))
 		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
 	}
+}
+
+// sweepTable formats a sweep's points under a title and parameter name.
+func sweepTable(title, param string) func([]experiments.SweepPoint) string {
+	return func(pts []experiments.SweepPoint) string { return experiments.FormatSweep(title, param, pts) }
 }
 
 func trainSpans(maxSec float64) []float64 {
@@ -234,12 +202,21 @@ func runTable2(env *experiments.Env, svmCfg svm.Config) error {
 	return nil
 }
 
-func runTable3(env *experiments.Env, svmCfg svm.Config) error {
+func runTable3(env *experiments.Env, _ svm.Config) error {
 	res, err := experiments.Table3(env, nil)
 	if err != nil {
 		return err
 	}
 	fmt.Print(res.Format())
+	return nil
+}
+
+func runFig3(env *experiments.Env, _ svm.Config) error {
+	view, err := experiments.Fig3(env)
+	if err != nil {
+		return err
+	}
+	fmt.Print(view)
 	return nil
 }
 

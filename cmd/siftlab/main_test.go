@@ -1,14 +1,17 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
+// An unknown name is a usage error, found before the environment is
+// synthesized.
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	err := run([]string{"-quick", "definitely-not-an-experiment"})
-	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
-		t.Errorf("err = %v, want unknown-experiment", err)
+	if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), "unknown experiment") {
+		t.Errorf("err = %v, want an unknown-experiment usageError", err)
 	}
 }
 
@@ -69,7 +72,7 @@ func TestRunRejectsNegativeCounts(t *testing.T) {
 	if err := run([]string{"-nonsense"}); exitCode(err) != 2 {
 		t.Errorf("unknown flag: err = %v, exit %d, want exit 2", err, exitCode(err))
 	}
-	if err := run([]string{"-quick", "no-such-experiment"}); exitCode(err) != 1 {
-		t.Errorf("unknown experiment: err = %v, exit %d, want exit 1", err, exitCode(err))
+	if err := run([]string{"-quick", "no-such-experiment"}); exitCode(err) != 2 {
+		t.Errorf("unknown experiment: err = %v, exit %d, want exit 2", err, exitCode(err))
 	}
 }

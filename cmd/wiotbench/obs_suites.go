@@ -25,11 +25,11 @@ func obsBenchState(attach *trace.Recorder) (restore func()) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
 	if attach != nil {
-		attach.Attach()
+		obs.AttachSink(attach)
 	}
 	return func() {
 		if attach != nil {
-			trace.Detach()
+			obs.DetachSink()
 		}
 		obs.SetEnabled(prev)
 	}
@@ -130,7 +130,7 @@ func captureBenchTrace(path string, quick bool) (int, error) {
 	if err := res.Err(); err != nil {
 		return 0, err
 	}
-	trace.Detach()
+	obs.DetachSink()
 	return len(rec.Snapshot()), rec.WriteChromeTraceFile(path)
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/wiot-security/sift/internal/obs"
 	"github.com/wiot-security/sift/internal/obs/trace"
 )
 
@@ -21,11 +22,11 @@ func TestCompareRunsOverheadGate(t *testing.T) {
 func TestObsBenchStateRestores(t *testing.T) {
 	rec := trace.New(16, 1)
 	restore := obsBenchState(rec)
-	if trace.Attached() != rec {
+	if !obs.SinkAttached() {
 		t.Fatal("obsBenchState did not attach the recorder")
 	}
 	restore()
-	if trace.Attached() != nil {
+	if obs.SinkAttached() {
 		t.Fatal("restore left the recorder attached")
 	}
 }

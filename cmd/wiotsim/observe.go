@@ -77,7 +77,7 @@ func newObservability(serveAddr, tracePath string, pprof bool) *observability {
 func (o *observability) start() {
 	o.prevObs = obs.Enabled()
 	obs.SetEnabled(true)
-	o.rec.Attach()
+	obs.AttachSink(o.rec)
 	o.sampler.Start()
 	if o.serveAddr == "" {
 		return
@@ -139,7 +139,7 @@ func (o *observability) finish() error {
 
 	// Dump the trace after the server quiets down so the file includes
 	// everything the run recorded.
-	trace.Detach()
+	obs.DetachSink()
 	if o.tracePath != "" {
 		if err := o.rec.WriteChromeTraceFile(o.tracePath); err != nil {
 			if firstErr == nil {

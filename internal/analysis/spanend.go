@@ -8,14 +8,13 @@ import (
 )
 
 // SpanEnd enforces the obs instrumentation discipline: every obs.Span
-// produced by Timer.Start or Span.Child, and every trace.Region produced
-// by trace.Begin or trace.BeginChildOf, must be ended, and ended via
-// defer, in the function that started it. A span that never ends charges
-// nothing to its timer (silently missing telemetry); an unended region
-// leaves an unmatched "B" event in the flight recorder, which Chrome
-// trace viewers render as an interval stretching to the end of time; a
-// non-deferred End skips recording on every early return and
-// misattributes child time in the self/total accounting.
+// produced by Timer.Start, Timer.StartChildOf or Span.Child must be
+// ended, and ended via defer, in the function that started it. A span
+// that never ends charges nothing to its timer (silently missing
+// telemetry) and leaves an unmatched "B" event in any attached flight
+// recorder, which Chrome trace viewers render as an interval stretching
+// to the end of time; a non-deferred End skips recording on every early
+// return and misattributes child time in the self/total accounting.
 //
 // Accepted shapes:
 //
@@ -26,10 +25,7 @@ import (
 //	defer func() { ...; sp.End() }()
 //
 // (A fused defer timer.Start().End() cannot compile: obs.Span.End has a
-// pointer receiver and the call result is not addressable. For regions,
-// whose End takes a value receiver, the fused defer trace.Begin(...).End()
-// is legal Go and is accepted — nothing is assigned, so there is no
-// variable whose lifetime could go wrong.)
+// pointer receiver and the call result is not addressable.)
 //
 // A span value that escapes the function (returned, passed as an
 // argument, stored in a composite or struct) is skipped — its lifetime
@@ -37,7 +33,7 @@ import (
 // suppressed with //wiotlint:allow spanend at the start site.
 var SpanEnd = &Analyzer{
 	Name: "spanend",
-	Doc:  "every obs.Span or trace.Region started must have a deferred End in the same function",
+	Doc:  "every obs.Span started must have a deferred End in the same function",
 	Run:  runSpanEnd,
 }
 
@@ -68,8 +64,7 @@ func checkSpansIn(pass *Pass, body *ast.BlockStmt) {
 			if !ok {
 				return true
 			}
-			kind, ok := spanKind(pass, call)
-			if !ok {
+			if !isSpan(pass, call) {
 				return true
 			}
 			ident, ok := n.Lhs[0].(*ast.Ident)
@@ -77,7 +72,7 @@ func checkSpansIn(pass *Pass, body *ast.BlockStmt) {
 				return true
 			}
 			if ident.Name == "_" {
-				pass.Reportf(call.Pos(), "%s assigned to _ is never ended: its time is never recorded", kind)
+				pass.Reportf(call.Pos(), "obs.Span assigned to _ is never ended: its time is never recorded")
 				return true
 			}
 			obj := pass.Info.Defs[ident]
@@ -87,15 +82,15 @@ func checkSpansIn(pass *Pass, body *ast.BlockStmt) {
 			if obj == nil {
 				return true
 			}
-			checkSpanVar(pass, body, call, obj, kind)
+			checkSpanVar(pass, body, call, obj)
 		}
 		return true
 	})
 }
 
-// checkSpanVar classifies how the span (or region) variable ends within
-// the enclosing body.
-func checkSpanVar(pass *Pass, body *ast.BlockStmt, creation *ast.CallExpr, span types.Object, kind string) {
+// checkSpanVar classifies how the span variable ends within the
+// enclosing body.
+func checkSpanVar(pass *Pass, body *ast.BlockStmt, creation *ast.CallExpr, span types.Object) {
 	if escapes(pass, body, span) {
 		return
 	}
@@ -125,9 +120,9 @@ func checkSpanVar(pass *Pass, body *ast.BlockStmt, creation *ast.CallExpr, span 
 	})
 	switch {
 	case !ended:
-		pass.Reportf(creation.Pos(), "%s %q is started but never ended in this function", kind, span.Name())
+		pass.Reportf(creation.Pos(), "obs.Span %q is started but never ended in this function", span.Name())
 	case !deferred:
-		pass.Reportf(creation.Pos(), "%s %q is ended but not via defer: early returns skip the End", kind, span.Name())
+		pass.Reportf(creation.Pos(), "obs.Span %q is ended but not via defer: early returns skip the End", span.Name())
 	}
 }
 
@@ -191,28 +186,14 @@ func escapes(pass *Pass, body *ast.BlockStmt, span types.Object) bool {
 	return leaked
 }
 
-// spanKind reports whether the call's result is a lifetime the analyzer
-// tracks, and which one: obs.Span (from internal/obs) or trace.Region
-// (from internal/obs/trace).
-func spanKind(pass *Pass, call *ast.CallExpr) (string, bool) {
+// isSpan reports whether the call's result is an obs.Span, the one
+// lifetime the analyzer tracks.
+func isSpan(pass *Pass, call *ast.CallExpr) bool {
 	tv, ok := pass.Info.Types[call]
 	if !ok {
-		return "", false
+		return false
 	}
 	named := namedType(tv.Type)
-	if named == nil || named.Obj().Pkg() == nil {
-		return "", false
-	}
-	path := named.Obj().Pkg().Path()
-	switch named.Obj().Name() {
-	case "Span":
-		if strings.HasSuffix(path, "internal/obs") {
-			return "obs.Span", true
-		}
-	case "Region":
-		if strings.HasSuffix(path, "internal/obs/trace") {
-			return "trace.Region", true
-		}
-	}
-	return "", false
+	return named != nil && named.Obj().Pkg() != nil && named.Obj().Name() == "Span" &&
+		strings.HasSuffix(named.Obj().Pkg().Path(), "internal/obs")
 }

@@ -1,11 +1,8 @@
 // Package spans is a spanend fixture covering the accepted and rejected
-// lifetimes of an obs.Span and a trace.Region.
+// lifetimes of an obs.Span.
 package spans
 
-import (
-	"github.com/wiot-security/sift/internal/obs"
-	"github.com/wiot-security/sift/internal/obs/trace"
-)
+import "github.com/wiot-security/sift/internal/obs"
 
 var timer = obs.NewTimer("fixture.spans")
 var child = obs.NewTimer("fixture.spans.child")
@@ -71,50 +68,16 @@ func goodChild() {
 	work()
 }
 
-// goodRegionDeferred is the canonical region shape.
-func goodRegionDeferred() {
-	g := trace.Begin("fixture.region")
-	defer g.End()
+// goodDeferredChildOf opens the span after the defer that ends it, the
+// shape of a connection span adopted partway through a read loop.
+func goodDeferredChildOf(parent uint64) {
+	var sp obs.Span
+	defer sp.End()
 	work()
-}
-
-// goodRegionFused is legal for regions (value-receiver End) and leaves
-// no variable to track.
-func goodRegionFused() {
-	defer trace.Begin("fixture.region.fused").End()
+	sp = timer.StartChildOf(parent)
 	work()
-}
-
-// badRegionNotDeferred ends the region on the straight-line path only.
-func badRegionNotDeferred() {
-	g := trace.Begin("fixture.region") // want "trace.Region .g. is ended but not via defer"
-	work()
-	g.End()
-}
-
-// badRegionNeverEnded opens a region and abandons it: the flight
-// recorder keeps an unmatched B event forever.
-func badRegionNeverEnded() {
-	g := trace.BeginChildOf("fixture.region", 7) // want "trace.Region .g. is started but never ended"
-	if g.TraceID() != 0 {
-		work()
-	}
-}
-
-// badRegionBlank discards the region at birth.
-func badRegionBlank() {
-	_ = trace.Begin("fixture.region") // want "trace.Region assigned to _ is never ended"
-	work()
-}
-
-// goodRegionEscaping hands the region to someone else.
-func goodRegionEscaping() {
-	g := trace.Begin("fixture.region")
-	keepRegion(g)
 }
 
 func keep(obs.Span) {}
-
-func keepRegion(trace.Region) {}
 
 func work() {}

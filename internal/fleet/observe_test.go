@@ -58,9 +58,9 @@ func TestFleetTraceTreeNests(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
 	rec := trace.New(4096, 2)
-	rec.Attach()
+	obs.AttachSink(rec)
 	t.Cleanup(func() {
-		trace.Detach()
+		obs.DetachSink()
 		obs.SetEnabled(prev)
 	})
 

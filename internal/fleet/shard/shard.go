@@ -77,13 +77,10 @@ type Config struct {
 	// registry (display only); nil labels every station "inproc".
 	AddrFor func(station int) string
 
-	// QueueDepth bounds each station's pending-slot queue; a slow
-	// station pushes back on the dispatcher instead of buffering the
-	// cohort (<=0 means 2×Workers). BatchSize is how many verdicts a
-	// station worker accumulates before flushing one aggregation
-	// message to the coordinator (<=0 means 64).
-	QueueDepth int
-	BatchSize  int
+	// BatchSize is how many verdicts a station worker accumulates
+	// before flushing one aggregation message to the coordinator (<=0
+	// means 64).
+	BatchSize int
 
 	// Stream drops the per-subject breakdown from the aggregate so
 	// memory stays flat when every wearer is a distinct subject.
@@ -194,10 +191,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			workers = 1
 		}
 	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 2 * workers
-	}
 	batch := cfg.BatchSize
 	if batch <= 0 {
 		batch = 64
@@ -229,7 +222,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 	for k := 0; k < shards; k++ {
 		c.alive = append(c.alive, k)
-		c.stations[k] = newStation(ctx, c, k, workers, depth)
+		c.stations[k] = newStation(ctx, c, k, workers)
 		c.stats[k] = StationStats{
 			ID:       c.stations[k].id,
 			Assigned: (cfg.Scenarios - k + shards - 1) / shards,

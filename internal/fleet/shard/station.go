@@ -30,7 +30,7 @@ type station struct {
 	id      string
 	ctx     context.Context
 	cancel  context.CancelFunc
-	queue   chan task  // bounded; full queue backpressures the dispatcher
+	queue   chan task  // 2×workers slots: a full queue backpressures the dispatcher instead of buffering the cohort
 	extras  chan []int // slot batches adopted from dead stations
 	workers int
 
@@ -43,14 +43,14 @@ type station struct {
 	cfg     fleet.Config // per-station view handed to fleet.RunSlot
 }
 
-func newStation(ctx context.Context, c *coordinator, k, workers, depth int) *station {
+func newStation(ctx context.Context, c *coordinator, k, workers int) *station {
 	sctx, cancel := context.WithCancel(ctx)
 	st := &station{
 		idx:     k,
 		id:      fmt.Sprintf("station-%02d", k),
 		ctx:     sctx,
 		cancel:  cancel,
-		queue:   make(chan task, depth),
+		queue:   make(chan task, 2*workers),
 		extras:  make(chan []int, c.shards),
 		workers: workers,
 	}

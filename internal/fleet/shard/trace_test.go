@@ -28,11 +28,13 @@ func TestShardChaosTraceSingleRoot(t *testing.T) {
 		"shard.run":          true,
 		"fleet.slot":         true,
 		"fleet.scenario.run": true,
+		"wiot.sink.conn":     true,
+		"wiot.station.conn":  true,
 	}
 	rec := trace.New(1<<15, 4)
 	rec.SetFilter(func(name string) bool { return keep[name] })
-	rec.Attach()
-	t.Cleanup(trace.Detach)
+	obs.AttachSink(rec)
+	t.Cleanup(obs.DetachSink)
 
 	const scenarios, seed = 8, 11
 	overChaosTCP := func(ctx context.Context, slot fleet.Slot, sc wiot.Scenario) (wiot.ScenarioResult, error) {
@@ -57,7 +59,7 @@ func TestShardChaosTraceSingleRoot(t *testing.T) {
 		Runner:    overChaosTCP,
 		Kill:      &KillPlan{Station: 2, AfterSlots: 1},
 	})
-	trace.Detach()
+	obs.DetachSink()
 	if err != nil {
 		t.Fatal(err)
 	}

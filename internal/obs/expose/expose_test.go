@@ -43,9 +43,9 @@ func testHandler(t *testing.T) (http.Handler, *telemetry.Registry) {
 	sampler.SampleOnce(1_000_000)
 
 	rec := trace.New(64, 1)
-	rec.Attach()
-	t.Cleanup(trace.Detach)
-	g := trace.Begin("expose.test.region")
+	obs.AttachSink(rec)
+	t.Cleanup(obs.DetachSink)
+	g := obs.NewTimer("expose.test.span").Start()
 	g.End()
 
 	return Handler(Options{Telemetry: reg, Sampler: sampler, Recorder: rec}), reg
@@ -126,12 +126,12 @@ func TestTraceEndpointServesChromeJSON(t *testing.T) {
 	}
 	var found bool
 	for _, ev := range doc.TraceEvents {
-		if ev["name"] == "expose.test.region" {
+		if ev["name"] == "expose.test.span" {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("trace dump does not contain the recorded region")
+		t.Error("trace dump does not contain the recorded span")
 	}
 }
 

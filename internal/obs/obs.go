@@ -76,11 +76,6 @@ func SinkAttached() bool { return sink.Load() != nil }
 // mean "no span" (roots have parent 0; disabled spans have ID 0).
 var nextSpanID atomic.Uint64
 
-// NewSpanID allocates a span ID from the same sequence Timer spans use,
-// so sinks that mint their own regions (obs/trace) never collide with
-// instrumented spans.
-func NewSpanID() uint64 { return nextSpanID.Add(1) }
-
 // registry holds every metric ever created, keyed by name, so snapshots
 // and resets can enumerate them. Creation is rare (package init);
 // lookups on the hot path never touch it. Every metric also gets a

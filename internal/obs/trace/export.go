@@ -12,14 +12,13 @@ import (
 // (the dialect chrome://tracing and Perfetto both load). Timestamps
 // and durations are microseconds.
 type chromeEvent struct {
-	Name  string         `json:"name"`
-	Ph    string         `json:"ph"`
-	TS    float64        `json:"ts"`
-	Dur   *float64       `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   uint64         `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	TS   float64        `json:"ts"`
+	Dur  *float64       `json:"dur,omitempty"`
+	PID  int            `json:"pid"`
+	TID  uint64         `json:"tid"`
+	Args map[string]any `json:"args,omitempty"`
 }
 
 // chromeDoc is the top-level JSON Object Format wrapper; its
@@ -55,9 +54,8 @@ func micros(ns int64) float64 { return float64(ns) / 1e3 }
 // ChromeTraceEvents converts a decoded event set into trace_event
 // records: completed spans become "X" complete slices grouped by root
 // ancestor, unmatched begins become "B" slices (still-open work at
-// dump time), instants become "i" marks, and counter samples become
-// "C" counter tracks. Thread-name metadata labels each track after its
-// root span.
+// dump time), and counter samples become "C" counter tracks.
+// Thread-name metadata labels each track after its root span.
 func ChromeTraceEvents(events []Event) []chromeEvent {
 	parents := make(map[uint64]uint64)
 	spanName := make(map[uint64]string)
@@ -102,17 +100,6 @@ func ChromeTraceEvents(events []Event) []chromeEvent {
 			out = append(out, chromeEvent{
 				Name: e.Name, Ph: "B", TS: micros(e.TS),
 				PID: chromePID, TID: track(e.SpanID, e.Name),
-			})
-		case KindInstant:
-			// An instant renders on its parent span's track when it has
-			// one, so milestones land inside the slice they annotate.
-			anchor := e.SpanID
-			if e.ParentID != 0 {
-				anchor = e.ParentID
-			}
-			out = append(out, chromeEvent{
-				Name: e.Name, Ph: "i", TS: micros(e.TS), Scope: "t",
-				PID: chromePID, TID: track(anchor, e.Name),
 			})
 		case KindCounter:
 			out = append(out, chromeEvent{

@@ -1,10 +1,11 @@
 // Package trace is the repo's flight recorder: a bounded, sharded,
 // lock-free ring buffer of fixed-size event records fed by the obs
-// layer's spans and counters. Attach a Recorder and every live
-// obs.Span emits begin/end events, every obs.Counter.Add emits a
-// sample, and explicit Instant/Begin calls mark application moments —
+// layer's spans and counters, and by nothing else. Attach a Recorder
+// with obs.AttachSink and, while obs is enabled, every live obs.Span
+// emits begin/end events and every obs.Counter.Add emits a sample —
 // all with monotonic timestamps on obs's clock, zero allocations on
 // the hot path, and per-shard drop accounting when the ring wraps.
+// Every event names an obs metric.
 //
 // The recorder keeps the most recent events (flight-recorder
 // semantics: old records are overwritten, never new ones refused), so
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/wiot-security/sift/internal/obs"
@@ -27,14 +27,12 @@ import (
 type Kind uint8
 
 const (
-	// KindSpanBegin marks a span opening (obs.Timer.Start/Child or
-	// trace.Begin). TS is the start time.
+	// KindSpanBegin marks a span opening (obs.Timer.Start,
+	// StartChildOf or Span.Child). TS is the start time.
 	KindSpanBegin Kind = iota + 1
 	// KindSpanEnd marks a span closing. TS is the end time, TS2 the
 	// start time, so the record alone reconstructs the interval.
 	KindSpanEnd
-	// KindInstant is a point-in-time marker.
-	KindInstant
 	// KindCounter is one counter sample; Value is the counter's total
 	// after the Add that emitted it.
 	KindCounter
@@ -47,8 +45,6 @@ func (k Kind) String() string {
 		return "spanBegin"
 	case KindSpanEnd:
 		return "spanEnd"
-	case KindInstant:
-		return "instant"
 	case KindCounter:
 		return "counter"
 	default:
@@ -92,17 +88,14 @@ type shard struct {
 	ring   []slot
 }
 
-// Recorder is the sharded flight recorder. It implements obs.EventSink.
-// The zero value is unusable; construct with New.
+// Recorder is the sharded flight recorder. It implements obs.EventSink;
+// attach it with obs.AttachSink and detach it with obs.DetachSink. The
+// zero value is unusable; construct with New.
 type Recorder struct {
 	shards  []shard
 	mask    uint64 // per-shard capacity - 1 (capacity is a power of two)
 	filter  func(name string) bool
 	verdict []atomic.Int32 // obs metric ID -> 0 unknown, 1 record, 2 skip
-
-	namesMu sync.Mutex
-	nameIDs map[string]int32
-	names   []string
 }
 
 // New builds a recorder with perShard event slots in each of shards
@@ -121,9 +114,8 @@ func New(perShard, shards int) *Recorder {
 		capacity <<= 1
 	}
 	r := &Recorder{
-		shards:  make([]shard, shards),
-		mask:    uint64(capacity - 1),
-		nameIDs: map[string]int32{},
+		shards: make([]shard, shards),
+		mask:   uint64(capacity - 1),
 	}
 	for i := range r.shards {
 		r.shards[i].ring = make([]slot, capacity)
@@ -131,12 +123,11 @@ func New(perShard, shards int) *Recorder {
 	return r
 }
 
-// SetFilter installs a per-metric predicate: obs span and counter
-// events whose metric name fails it are not recorded (regions and
-// instants always record — they were asked for explicitly). Verdicts
-// are cached per metric ID, so the predicate itself runs at most a
-// handful of times per metric. Must be called before the recorder is
-// attached; a nil filter records everything.
+// SetFilter installs a per-metric predicate: span and counter events
+// whose metric name fails it are not recorded. Verdicts are cached per
+// metric ID, so the predicate itself runs at most a handful of times
+// per metric. Must be called before the recorder is attached; a nil
+// filter records everything.
 func (r *Recorder) SetFilter(keep func(name string) bool) {
 	r.filter = keep
 	r.verdict = make([]atomic.Int32, int(obs.MaxMetricID())+1024)
@@ -149,7 +140,7 @@ func (r *Recorder) keeps(id int32) bool {
 	if r.filter == nil {
 		return true
 	}
-	if int(id) < len(r.verdict) && id >= 0 {
+	if int(id) < len(r.verdict) {
 		switch r.verdict[id].Load() {
 		case 1:
 			return true
@@ -158,7 +149,7 @@ func (r *Recorder) keeps(id int32) bool {
 		}
 	}
 	ok := r.filter(obs.MetricName(id))
-	if int(id) < len(r.verdict) && id >= 0 {
+	if int(id) < len(r.verdict) {
 		v := int32(2)
 		if ok {
 			v = 1
@@ -219,41 +210,6 @@ func (r *Recorder) CounterSample(metricID int32, tsNS int64, total int64) {
 		return
 	}
 	r.emit(KindCounter, metricID, tsNS, 0, 0, 0, total)
-}
-
-// localID interns a region/instant name in the recorder's own table.
-// Local IDs are stored negated (offset by one) so they share the slot
-// field with non-negative obs metric IDs.
-func (r *Recorder) localID(name string) int32 {
-	r.namesMu.Lock()
-	defer r.namesMu.Unlock()
-	if id, ok := r.nameIDs[name]; ok {
-		return id
-	}
-	r.names = append(r.names, name)
-	id := -int32(len(r.names))
-	r.nameIDs[name] = id
-	return id
-}
-
-// resolve maps a stored name field back to a string.
-func (r *Recorder) resolve(name int32) string {
-	if name >= 0 {
-		return obs.MetricName(name)
-	}
-	r.namesMu.Lock()
-	defer r.namesMu.Unlock()
-	i := int(-name) - 1
-	if i >= len(r.names) {
-		return ""
-	}
-	return r.names[i]
-}
-
-// RecordInstant writes a point marker, optionally attached under a
-// parent span's trace ID (0 for a free-standing mark).
-func (r *Recorder) RecordInstant(name string, parentID uint64) {
-	r.emit(KindInstant, r.localID(name), obs.NowNanos(), 0, obs.NewSpanID(), parentID, 0)
 }
 
 // Written returns the total number of events ever accepted (including
@@ -319,7 +275,7 @@ func (r *Recorder) Snapshot() []Event {
 			if s.seq.Load() != idx+1 {
 				continue
 			}
-			ev.Name = r.resolve(name)
+			ev.Name = obs.MetricName(name)
 			out = append(out, ev)
 		}
 	}
@@ -330,76 +286,4 @@ func (r *Recorder) Snapshot() []Event {
 		return out[i].SpanID < out[j].SpanID
 	})
 	return out
-}
-
-// current is the process-wide attached recorder, mirrored into the obs
-// sink. Package-level Instant/Begin route through it.
-var current atomic.Pointer[Recorder]
-
-// Attach routes obs event telemetry and package-level Instant/Begin
-// calls into r (replacing any previously attached recorder). Span and
-// counter events additionally require obs.SetEnabled(true) — the
-// recorder does not flip collection on by itself.
-func (r *Recorder) Attach() {
-	current.Store(r)
-	obs.AttachSink(r)
-}
-
-// Detach disconnects whatever recorder is attached. Retained events
-// stay readable through the recorder's own Snapshot and exporters.
-func Detach() {
-	current.Store(nil)
-	obs.DetachSink()
-}
-
-// Attached returns the currently attached recorder, or nil.
-func Attached() *Recorder { return current.Load() }
-
-// Instant records a point marker on the attached recorder; without one
-// it is a no-op.
-func Instant(name string) {
-	if r := current.Load(); r != nil {
-		r.RecordInstant(name, 0)
-	}
-}
-
-// Region is an explicitly delimited trace interval for code that has no
-// obs.Timer — the trace-only analogue of a span. Obtain one with Begin
-// and End it with defer, exactly like an obs.Span (the spanend lint
-// pass enforces the same discipline for both).
-type Region struct {
-	rec     *Recorder
-	id      uint64
-	parent  uint64
-	nameID  int32
-	startNS int64
-}
-
-// Begin opens a region on the attached recorder. Without a recorder it
-// returns the zero Region, whose End is a no-op.
-func Begin(name string) Region {
-	return BeginChildOf(name, 0)
-}
-
-// BeginChildOf opens a region parented under an existing span or
-// region trace ID (0 for a root).
-func BeginChildOf(name string, parentID uint64) Region {
-	r := current.Load()
-	if r == nil {
-		return Region{}
-	}
-	g := Region{rec: r, id: obs.NewSpanID(), parent: parentID, nameID: r.localID(name), startNS: obs.NowNanos()}
-	r.emit(KindSpanBegin, g.nameID, g.startNS, 0, g.id, parentID, 0)
-	return g
-}
-
-// TraceID returns the region's span ID (0 for the zero Region).
-func (g Region) TraceID() uint64 { return g.id }
-
-// End closes the region. End on the zero Region is a no-op.
-func (g Region) End() {
-	if g.rec == nil {
-		return
-	}
-	g.rec.emit(KindSpanEnd, g.nameID, obs.NowNanos(), g.startNS, g.id, g.parent, 0)
 }

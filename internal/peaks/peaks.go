@@ -21,32 +21,17 @@ import (
 // DetectorConfig parameterizes the R-peak detector.
 type DetectorConfig struct {
 	SampleRate float64 // Hz; must be positive
-	BandLow    float64 // Hz, band-pass low edge (default 5)
-	BandHigh   float64 // Hz, band-pass high edge (default 15)
-	WindowSec  float64 // moving integration window (default 0.15 s)
-	Refractory float64 // minimum peak separation in seconds (default 0.25)
-	ThreshFrac float64 // threshold as a fraction of the running max (default 0.35)
 }
 
-// fillDefaults returns cfg with zero fields replaced by defaults.
-func (c DetectorConfig) fillDefaults() DetectorConfig {
-	if c.BandLow == 0 {
-		c.BandLow = 5
-	}
-	if c.BandHigh == 0 {
-		c.BandHigh = 15
-	}
-	if c.WindowSec == 0 {
-		c.WindowSec = 0.15
-	}
-	if c.Refractory == 0 {
-		c.Refractory = 0.25
-	}
-	if c.ThreshFrac == 0 {
-		c.ThreshFrac = 0.35
-	}
-	return c
-}
+// The R-peak detector's tuning, the Pan–Tompkins values every caller
+// runs with.
+const (
+	bandLow        = 5.0  // Hz, band-pass low edge
+	bandHigh       = 15.0 // Hz, band-pass high edge
+	integrationSec = 0.15 // moving integration window
+	refractorySec  = 0.25 // minimum peak separation
+	threshFrac     = 0.35 // threshold as a fraction of the running max
+)
 
 // DetectR locates R-peak sample indices in ecg. It is NewRDetector
 // followed by one Detect; callers that detect window after window should
@@ -66,8 +51,7 @@ func DetectR(ecg []float64, cfg DetectorConfig) ([]int, error) {
 type RDetector struct {
 	hp, lp     dsp.Biquad // the band-pass: high-pass then low-pass, as dsp.BandPass composes it
 	win        int        // moving-integration window, odd
-	refractory int
-	threshFrac float64
+	refractory int        // minimum peak separation, samples
 
 	// Scratch reused across Detect calls.
 	energy     []float64 // squared first difference of the band-passed signal
@@ -77,15 +61,14 @@ type RDetector struct {
 
 // NewRDetector validates cfg and designs its band-pass filter.
 func NewRDetector(cfg DetectorConfig) (*RDetector, error) {
-	cfg = cfg.fillDefaults()
 	if cfg.SampleRate <= 0 {
 		return nil, fmt.Errorf("peaks: sample rate must be positive, got %.3g", cfg.SampleRate)
 	}
-	hp, lp, err := dsp.BandPassSections(cfg.BandLow, cfg.BandHigh, cfg.SampleRate)
+	hp, lp, err := dsp.BandPassSections(bandLow, bandHigh, cfg.SampleRate)
 	if err != nil {
 		return nil, fmt.Errorf("peaks: band-pass design: %w", err)
 	}
-	win := int(cfg.WindowSec * cfg.SampleRate)
+	win := int(integrationSec * cfg.SampleRate)
 	if win%2 == 0 {
 		win++
 	}
@@ -96,8 +79,7 @@ func NewRDetector(cfg DetectorConfig) (*RDetector, error) {
 		hp:         *hp,
 		lp:         *lp,
 		win:        win,
-		refractory: int(cfg.Refractory * cfg.SampleRate),
-		threshFrac: cfg.ThreshFrac,
+		refractory: int(refractorySec * cfg.SampleRate),
 	}, nil
 }
 
@@ -210,7 +192,7 @@ func (d *RDetector) Detect(ecg []float64) ([]int, error) {
 
 	d.candidates = d.candidates[:0]
 	if !(maxV <= 0) { // a NaN maximum scans too, with a NaN floor
-		d.candidates = localMaxima(d.candidates, integrated, d.threshFrac*maxV, d.refractory)
+		d.candidates = localMaxima(d.candidates, integrated, threshFrac*maxV, d.refractory)
 	}
 	// Refine each candidate to the true ECG maximum in a neighborhood —
 	// the integrator peak lags the R wave by roughly half the window.

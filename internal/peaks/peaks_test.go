@@ -82,9 +82,6 @@ func TestDetectREmptyAndBadArgs(t *testing.T) {
 	if _, err := DetectR([]float64{1, 2}, DetectorConfig{}); err == nil {
 		t.Error("zero sample rate should error")
 	}
-	if _, err := DetectR([]float64{1, 2}, DetectorConfig{SampleRate: 360, WindowSec: -1}); err == nil {
-		t.Error("negative integration window should error")
-	}
 	if _, err := DetectSystolic(nil, 360); !errors.Is(err, dsp.ErrEmptySignal) {
 		t.Error("empty ABP should return ErrEmptySignal")
 	}
@@ -210,20 +207,19 @@ func movingAverageNaive(x []float64, window int) []float64 {
 // moving-window integrator.
 func detectROracle(t *testing.T, ecg []float64, cfg DetectorConfig) []int {
 	t.Helper()
-	cfg = cfg.fillDefaults()
-	band, err := dsp.BandPass(cfg.BandLow, cfg.BandHigh, cfg.SampleRate)
+	band, err := dsp.BandPass(bandLow, bandHigh, cfg.SampleRate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	squared := dsp.Square(dsp.Diff(band.Apply(ecg)))
-	win := int(cfg.WindowSec * cfg.SampleRate)
+	win := int(integrationSec * cfg.SampleRate)
 	if win%2 == 0 {
 		win++
 	}
 	integrated := movingAverageNaive(squared, win)
-	refractory := int(cfg.Refractory * cfg.SampleRate)
+	refractory := int(refractorySec * cfg.SampleRate)
 	var out []int
-	for _, c := range thresholdPeaks(nil, integrated, cfg.ThreshFrac, refractory) {
+	for _, c := range thresholdPeaks(nil, integrated, threshFrac, refractory) {
 		out = append(out, argmaxAround(ecg, c, win))
 	}
 	return dedupeSorted(out, refractory)
@@ -249,16 +245,15 @@ func detectMultiPass(t *testing.T, ecg []float64, cfg DetectorConfig) ([]int, []
 	if len(ecg) == 0 {
 		return nil, nil, dsp.ErrEmptySignal
 	}
-	cfg = cfg.fillDefaults()
-	band, err := dsp.BandPass(cfg.BandLow, cfg.BandHigh, cfg.SampleRate)
+	band, err := dsp.BandPass(bandLow, bandHigh, cfg.SampleRate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	win := int(cfg.WindowSec * cfg.SampleRate)
+	win := int(integrationSec * cfg.SampleRate)
 	if win%2 == 0 {
 		win++
 	}
-	refractory := int(cfg.Refractory * cfg.SampleRate)
+	refractory := int(refractorySec * cfg.SampleRate)
 	filtered := band.ApplyInto(nil, ecg)
 	energy := make([]float64, len(ecg)-1)
 	for i := range energy {
@@ -269,7 +264,7 @@ func detectMultiPass(t *testing.T, ecg []float64, cfg DetectorConfig) ([]int, []
 	if err != nil {
 		return nil, nil, err
 	}
-	candidates := thresholdPeaks(nil, integrated, cfg.ThreshFrac, refractory)
+	candidates := thresholdPeaks(nil, integrated, threshFrac, refractory)
 	out := make([]int, 0, len(candidates))
 	for _, c := range candidates {
 		out = append(out, argmaxAround(ecg, c, win))

@@ -11,7 +11,6 @@ import (
 
 	"github.com/wiot-security/sift/internal/obs"
 	"github.com/wiot-security/sift/internal/obs/logx"
-	"github.com/wiot-security/sift/internal/obs/trace"
 )
 
 // Observability handles for the reconnecting sensor client.
@@ -23,6 +22,7 @@ var (
 	obsSinkWriteTimeouts = obs.NewCounter("wiot.sink.writeTimeouts")
 	obsSinkGapsDeclared  = obs.NewCounter("wiot.sink.gapsDeclared")
 	obsSinkHandshakes    = obs.NewCounter("wiot.sink.handshakes")
+	obsSinkConn          = obs.NewTimer("wiot.sink.conn")
 )
 
 // Reconnect-layer errors.
@@ -71,7 +71,7 @@ type ReconnectConfig struct {
 
 	// TraceParent, when nonzero, is the fleet-side span ID every
 	// connection of this sink parents under: each (re)connect opens a
-	// wiot.sink.conn region as its child and announces both IDs to the
+	// wiot.sink.conn span as its child and announces both IDs to the
 	// station in a ctrlTrace record, so station-side spans join the same
 	// trace tree across the TCP boundary. Zero disables propagation (no
 	// extra record, no extra work on the wire).
@@ -257,7 +257,6 @@ func (r *ReconnectSink) HandleFrame(f Frame) error {
 			if !time.Now().Before(deadline) {
 				r.framesDropped.Add(1)
 				obsSinkFramesDropped.Add(1)
-				trace.Instant("wiot.sink.drop")
 				return fmt.Errorf("enqueue after %v: %w", r.cfg.EnqueueTimeout, ErrBufferFull)
 			}
 			r.cond.Wait()
@@ -334,14 +333,14 @@ func (r *ReconnectSink) run() {
 		// Trace-context propagation: the connection interval is a child of
 		// the fleet-side parent, and the station learns both IDs from the
 		// ctrlTrace record so its own spans parent under this connection.
-		// The region spans the connection's lifetime, so it ends at the
+		// The span covers the connection's lifetime, so it ends at the
 		// bottom of the loop body rather than via defer.
-		var connRegion trace.Region
+		var connSpan obs.Span
 		if r.cfg.TraceParent != 0 {
-			connRegion = trace.BeginChildOf("wiot.sink.conn", r.cfg.TraceParent) //wiotlint:allow spanend
-			rec := ctrlRecord{Kind: ctrlTrace, Span: connRegion.TraceID(), Parent: r.cfg.TraceParent}
+			connSpan = obsSinkConn.StartChildOf(r.cfg.TraceParent) //wiotlint:allow spanend
+			rec := ctrlRecord{Kind: ctrlTrace, Span: connSpan.TraceID(), Parent: r.cfg.TraceParent}
 			if err := r.writeRaw(conn, appendCtrl(nil, rec)); err != nil {
-				connRegion.End()
+				connSpan.End()
 				_ = conn.Close()
 				continue
 			}
@@ -352,7 +351,7 @@ func (r *ReconnectSink) run() {
 			r.readAcks(conn, gen, sc)
 		}()
 		r.writeLoop(conn, gen)
-		connRegion.End()
+		connSpan.End()
 		_ = conn.Close()
 	}
 }
@@ -377,13 +376,11 @@ func (r *ReconnectSink) connect(rng *rand.Rand) (net.Conn, error) {
 		if err == nil {
 			r.connects.Add(1)
 			obsSinkConnects.Add(1)
-			trace.Instant("wiot.sink.connect")
 			logx.L().Debug("sink connected", "addr", r.cfg.Addr, "attempt", attempt)
 			return conn, nil
 		}
 		r.dialRetries.Add(1)
 		obsSinkDialRetries.Add(1)
-		trace.Instant("wiot.sink.retry")
 		logx.L().Debug("sink dial failed", "addr", r.cfg.Addr, "attempt", attempt, "err", err)
 		if isTimeout(err) {
 			err = fmt.Errorf("wiot: dial station %s after %v: %w", r.cfg.Addr, r.cfg.DialTimeout, ErrDialTimeout)
@@ -530,7 +527,6 @@ func (r *ReconnectSink) appendGapLocked(buf []byte) []byte {
 	delete(r.gapPend, sensor)
 	r.gapsDeclared.Add(1)
 	obsSinkGapsDeclared.Add(1)
-	trace.Instant("wiot.sink.gap")
 	return appendCtrl(buf, ctrlRecord{Kind: ctrlGap, Sensor: sensor, Seq: r.gapTargetLocked(sensor)})
 }
 
@@ -579,7 +575,6 @@ func (r *ReconnectSink) handshake(conn net.Conn, sc *frameScanner) (*Session, er
 	}
 	obsSinkHandshakes.Add(1)
 	r.handshakes.Add(1)
-	trace.Instant("wiot.sink.handshake")
 	logx.L().Debug("sink established v3 session",
 		"addr", r.cfg.Addr, "sid", sess.ID, "alg", sess.Alg.String())
 	return sess, nil

@@ -14,8 +14,6 @@ import (
 type Scenario struct {
 	Record     *physio.Record
 	Detector   Detector
-	ChunkSize  int // samples per frame (default 90 = 0.25 s at 360 Hz)
-	WindowSec  float64
 	Attack     Interceptor // nil = no attack
 	AttackFrom int         // victim sample index where the attack starts (ground truth)
 	AttackTo   int         // exclusive end; 0 = end of stream
@@ -58,11 +56,10 @@ func RunScenario(sc Scenario) (ScenarioResult, error) {
 	return RunScenarioContext(context.Background(), sc)
 }
 
-// DefaultChunkSize is the samples-per-frame default every scenario gets
-// when ChunkSize is unset: 90 samples = 0.25 s at 360 Hz, one BLE
-// connection event. The campaign layer's fault-schedule compilation
-// relies on it to translate frame sequence numbers back into sample
-// positions.
+// DefaultChunkSize is the samples per frame of every scenario: 90
+// samples = 0.25 s at 360 Hz, one BLE connection event. The campaign
+// layer's fault-schedule compilation relies on it to translate frame
+// sequence numbers back into sample positions.
 const DefaultChunkSize = 90
 
 // RunScenarioContext is RunScenario with cancellation: the frame loop
@@ -82,9 +79,6 @@ func (sc *Scenario) run(deliver func(*BaseStation) error) (ScenarioResult, error
 	if sc.Record == nil {
 		return ScenarioResult{}, errors.New("wiot: scenario needs a record")
 	}
-	if sc.ChunkSize == 0 {
-		sc.ChunkSize = DefaultChunkSize
-	}
 	hasAttack := sc.Attack != nil
 	if !hasAttack {
 		sc.Attack = PassThrough{}
@@ -96,7 +90,6 @@ func (sc *Scenario) run(deliver func(*BaseStation) error) (ScenarioResult, error
 	station, err := NewBaseStation(StationConfig{
 		SubjectID:  sc.Record.SubjectID,
 		SampleRate: sc.Record.SampleRate,
-		WindowSec:  sc.WindowSec,
 		Detector:   sc.Detector,
 		Sink:       sink,
 	})
@@ -115,11 +108,11 @@ func (sc *Scenario) run(deliver func(*BaseStation) error) (ScenarioResult, error
 // ctx between connection events and stops at the first frame a sink
 // refuses.
 func (sc *Scenario) stream(ctx context.Context, ecg, abp FrameSink) error {
-	es, err := NewSensor(SensorECG, sc.Record, sc.ChunkSize)
+	es, err := NewSensor(SensorECG, sc.Record, DefaultChunkSize)
 	if err != nil {
 		return err
 	}
-	as, err := NewSensor(SensorABP, sc.Record, sc.ChunkSize)
+	as, err := NewSensor(SensorABP, sc.Record, DefaultChunkSize)
 	if err != nil {
 		return err
 	}

@@ -307,7 +307,7 @@ func TestStreamAllocatesNothingPerFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ch := range []ChannelEffect{&reuseChannel{}, Reliable{}} {
-		sc := Scenario{Record: rec, ChunkSize: DefaultChunkSize, Attack: PassThrough{}, Channel: ch}
+		sc := Scenario{Record: rec, Attack: PassThrough{}, Channel: ch}
 		frames := 2 * ((len(rec.ECG) + DefaultChunkSize - 1) / DefaultChunkSize)
 		var sink frameCounter
 		allocs := testing.AllocsPerRun(3, func() {

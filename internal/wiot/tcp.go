@@ -13,7 +13,6 @@ import (
 
 	"github.com/wiot-security/sift/internal/obs"
 	"github.com/wiot-security/sift/internal/obs/logx"
-	"github.com/wiot-security/sift/internal/obs/trace"
 )
 
 // Observability handles for the TCP transport. Counters registered here
@@ -26,6 +25,7 @@ var (
 	obsTCPAcceptErrors = obs.NewCounter("wiot.tcp.acceptErrors")
 	obsTCPAcks         = obs.NewCounter("wiot.tcp.acks")
 	obsTCPNacks        = obs.NewCounter("wiot.tcp.nacks")
+	obsStationConn     = obs.NewTimer("wiot.station.conn")
 
 	// Auth-layer counters: every handshake and every rejected attempt is
 	// accounted for, so an attack campaign can prove zero forged frames
@@ -39,7 +39,9 @@ var (
 	obsAuthRejectPlain     = obs.NewCounter("wiot.auth.reject.plain")
 )
 
-// Transport timeout defaults, shared by the station and its clients.
+// Transport timeouts, shared by the station and its clients. Dial and
+// write timeouts are defaults a config may override; every station read
+// waits at most DefaultReadIdleTimeout.
 const (
 	DefaultDialTimeout     = 5 * time.Second
 	DefaultWriteTimeout    = 5 * time.Second
@@ -56,10 +58,6 @@ var (
 // TCPConfig tunes the hardened station transport. The zero value gets
 // sensible defaults everywhere.
 type TCPConfig struct {
-	// ReadIdleTimeout is the per-read deadline on sensor connections: a
-	// connection that goes silent this long is torn down so its goroutine
-	// cannot linger forever. <0 disables the deadline.
-	ReadIdleTimeout time.Duration
 	// WriteTimeout bounds station→sensor control writes (acks/nacks) so a
 	// sensor that stops reading cannot wedge a handler goroutine.
 	WriteTimeout time.Duration
@@ -79,9 +77,6 @@ type TCPConfig struct {
 }
 
 func (c TCPConfig) withDefaults() TCPConfig {
-	if c.ReadIdleTimeout == 0 {
-		c.ReadIdleTimeout = DefaultReadIdleTimeout
-	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = DefaultWriteTimeout
 	}
@@ -235,7 +230,6 @@ func (s *TCPStation) acceptLoop() {
 		}
 		s.conns64.Add(1)
 		obsTCPConns.Add(1)
-		trace.Instant("wiot.tcp.conn")
 		logx.L().Debug("station accepted conn", "remote", conn.RemoteAddr().String())
 		s.wg.Add(1)
 		go func() {
@@ -265,18 +259,14 @@ func (s *TCPStation) untrack(conn net.Conn) {
 	_ = conn.Close()
 }
 
-// deadlineReader arms the connection's read deadline before every read
-// so an idle sensor cannot pin its handler goroutine forever.
-type deadlineReader struct {
-	conn    net.Conn
-	timeout time.Duration
-}
+// deadlineReader arms the connection's read deadline before every read:
+// a sensor connection silent for DefaultReadIdleTimeout is torn down, so
+// an idle sensor cannot pin its handler goroutine forever.
+type deadlineReader struct{ conn net.Conn }
 
 func (d deadlineReader) Read(p []byte) (int, error) {
-	if d.timeout > 0 {
-		if err := d.conn.SetReadDeadline(time.Now().Add(d.timeout)); err != nil {
-			return 0, err
-		}
+	if err := d.conn.SetReadDeadline(time.Now().Add(DefaultReadIdleTimeout)); err != nil {
+		return 0, err
 	}
 	return d.conn.Read(p)
 }
@@ -291,18 +281,16 @@ func (d deadlineReader) Read(p []byte) (int, error) {
 // any other control record the connection sends).
 //
 // If the sensor announces trace context (ctrlTrace), the connection's
-// lifetime is recorded as a wiot.station.conn region parented under the
+// lifetime is recorded as a wiot.station.conn span parented under the
 // sink-side connection span, joining the coordinator's trace tree across
 // the TCP boundary. The deferred End covers every exit path — including
 // the teardown of a mid-run reconnect — so no station-side span is left
 // open across reconnects.
 func (s *TCPStation) serveConn(conn net.Conn) {
-	sc := newFrameScanner(deadlineReader{conn, s.cfg.ReadIdleTimeout})
+	sc := newFrameScanner(deadlineReader{conn})
 	cw := &ctrlWriter{conn: conn}
-	var connRegion trace.Region
-	defer func() {
-		connRegion.End()
-	}()
+	var connSpan obs.Span
+	defer connSpan.End()
 	// sess is this connection's v3 handshake state. It is owned by this
 	// goroutine: only serveConn's dispatch mutates it.
 	var sess stationSession
@@ -318,7 +306,6 @@ func (s *TCPStation) serveConn(conn net.Conn) {
 			s.skipped.Add(ds)
 			obsTCPResyncs.Add(dr)
 			obsTCPSkippedBytes.Add(ds)
-			trace.Instant("wiot.tcp.resync")
 		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.closing() {
@@ -332,12 +319,12 @@ func (s *TCPStation) serveConn(conn net.Conn) {
 			// the sink's connection span when it recorded one, else directly
 			// under the fleet-side parent (the sink may have no recorder
 			// attached while the station side does).
-			if connRegion.TraceID() == 0 {
+			if !connSpan.Running() {
 				parent := rec.ctrl.Span
 				if parent == 0 {
 					parent = rec.ctrl.Parent
 				}
-				connRegion = trace.BeginChildOf("wiot.station.conn", parent) //wiotlint:allow spanend
+				connSpan = obsStationConn.StartChildOf(parent)
 			}
 		case rec.isCtrl && rec.ctrl.Kind >= ctrlAuthHello:
 			s.handleAuth(cw, rec.ctrl, &sess)
@@ -470,7 +457,6 @@ func (s *TCPStation) handleAuth(cw *ctrlWriter, c ctrlRecord, ss *stationSession
 		ss.mac = newFrameMAC(deriveSessionKey(ss.psk, transcript), ss.alg)
 		s.authHandshakes.Add(1)
 		obsAuthHandshakes.Add(1)
-		trace.Instant("wiot.auth.session")
 		logx.L().Debug("station established v3 session",
 			"sensor", ss.sensor.String(), "sid", ss.sid, "alg", ss.alg.String())
 		proof := authHandshakeMAC(ss.psk, "wiot-ok-v3", transcript)
