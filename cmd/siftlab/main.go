@@ -211,6 +211,15 @@ func runTable3(env *experiments.Env, _ svm.Config) error {
 	return nil
 }
 
+func runFig2(env *experiments.Env, svmCfg svm.Config) error {
+	trace, err := experiments.Fig2(env, svmCfg)
+	if err != nil {
+		return err
+	}
+	fmt.Print(trace)
+	return nil
+}
+
 func runFig3(env *experiments.Env, _ svm.Config) error {
 	view, err := experiments.Fig3(env)
 	if err != nil {
@@ -251,39 +260,6 @@ func runFeatures(env *experiments.Env) error {
 		fmt.Printf("\n%s (%d features):\n", v, v.Dim())
 		for i, name := range v.Names() {
 			fmt.Printf("  %-46s %10.4f | %10.4f\n", name, fg[i], fa[i])
-		}
-	}
-	return nil
-}
-
-// runFig2 traces the three-state pipeline on one window — the textual
-// analog of the paper's Fig 2 overview.
-func runFig2(env *experiments.Env, svmCfg svm.Config) error {
-	det, err := sift.TrainForSubject(env.TrainRecs[0], env.DonorsFor(0), sift.Config{
-		Version: features.Original,
-		SVM:     svmCfg,
-	})
-	if err != nil {
-		return err
-	}
-	wins, err := dataset.FromRecord(env.TestRecs[0], dataset.WindowSec)
-	if err != nil {
-		return err
-	}
-	app, err := sift.NewApp(det, func(a sift.AppAlert) {
-		fmt.Printf("  ALERT window %d: altered=%v margin=%+.3f\n", a.WindowIndex, a.Altered, a.Margin)
-	})
-	if err != nil {
-		return err
-	}
-	app.Trace(func(active, from, to string) {
-		fmt.Printf("  [%s] %s → %s\n", active, from, to)
-	})
-	fmt.Println("Fig 2: SIFT pipeline trace (PeaksDataCheck → FeatureExtraction → MLClassifier)")
-	for _, w := range wins[:3] {
-		fmt.Printf("window %d:\n", w.Index)
-		if err := app.Process(w); err != nil {
-			return err
 		}
 	}
 	return nil

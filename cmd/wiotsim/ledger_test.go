@@ -41,7 +41,7 @@ var quickSVM = svm.Config{Seed: 42, MaxIter: 150}
 // TestGoldenLedger pins the repo's deterministic outputs to absolute
 // values: each catalog campaign's verdict digest and manifest bytes,
 // the 1,000-wearer streamed smoke's digest line, the -quick Table
-// II/III, Fig 3, classifier-comparison and sweep text, each version's
+// II/III, Fig 2, Fig 3, classifier-comparison and sweep text, each version's
 // Table III cycles per window and battery-days, and the trained SVM
 // model bytes of each -quick wearer and detector version. The invariance tests elsewhere compare two
 // paths of one build; this one catches a change that moves every path
@@ -59,7 +59,7 @@ var quickSVM = svm.Config{Seed: 42, MaxIter: 150}
 // A -run filter on the subtests rewrites only the entries it reaches.
 func TestGoldenLedger(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every catalog campaign, a 1,000-wearer stream, the -quick tables, figure and sweeps, and 12 trainings")
+		t.Skip("runs every catalog campaign, a 1,000-wearer stream, the -quick tables, figures and sweeps, and 12 trainings")
 	}
 	got := ledgerEnv()
 	want, err := readLedger(ledgerPath)
@@ -118,6 +118,13 @@ func TestGoldenLedger(t *testing.T) {
 				check(t, billKey(row.Version, "cycles_per_window"), strconv.FormatFloat(row.CyclesPerWindow, 'f', -1, 64))
 				check(t, billKey(row.Version, "battery_days"), strconv.FormatFloat(row.Report.LifetimeDays, 'f', -1, 64))
 			}
+		})
+		t.Run("fig2", func(t *testing.T) {
+			trace, err := experiments.Fig2(mustEnv(t, quickEnv), quickSVM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "siftlab.fig2_sha256", sha256Hex([]byte(trace)))
 		})
 		t.Run("fig3", func(t *testing.T) {
 			view, err := experiments.Fig3(mustEnv(t, quickEnv))
@@ -199,6 +206,7 @@ func ledgerKeys(t *testing.T) map[string]bool {
 	keys["stream.digest"] = true
 	keys["siftlab.table2_sha256"] = true
 	keys["siftlab.table3_sha256"] = true
+	keys["siftlab.fig2_sha256"] = true
 	keys["siftlab.fig3_sha256"] = true
 	keys["siftlab.classifiers_sha256"] = true
 	for _, sw := range ledgerSweeps {
