@@ -10,6 +10,7 @@ import (
 	"github.com/wiot-security/sift/internal/features"
 	"github.com/wiot-security/sift/internal/physio"
 	"github.com/wiot-security/sift/internal/sensors"
+	"github.com/wiot-security/sift/internal/sift"
 	"github.com/wiot-security/sift/internal/svm"
 	"github.com/wiot-security/sift/internal/wiot"
 )
@@ -172,7 +173,7 @@ func BenchmarkLossyScenario(b *testing.B) {
 	l := getLab(b)
 	live := l.env.TestRecs[0]
 	det := l.dets[features.Reduced]
-	adapter := wiotAdapter{det}
+	adapter := sift.HostDetector{D: det}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := runLossy(live, adapter, int64(i))

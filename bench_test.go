@@ -187,7 +187,7 @@ func BenchmarkFig1_WIoTScenario(b *testing.B) {
 		b.Fatal(err)
 	}
 	det := l.dets[features.Original]
-	adapter := wiotAdapter{det}
+	adapter := sift.HostDetector{D: det}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		half := len(live.ECG) / 2
@@ -207,29 +207,17 @@ func BenchmarkFig1_WIoTScenario(b *testing.B) {
 	}
 }
 
-type wiotAdapter struct{ d *sift.Detector }
-
-func (a wiotAdapter) Classify(w dataset.Window) (bool, error) {
-	r, err := a.d.Classify(w)
-	if err != nil {
-		return false, err
-	}
-	return r.Altered, nil
-}
-
-// BenchmarkFig2_Pipeline drives the QM three-state app over one window.
+// BenchmarkFig2_Pipeline traces the three stages of both detectors
+// over Fig 2's windows, training included.
 func BenchmarkFig2_Pipeline(b *testing.B) {
 	l := getLab(b)
-	app, err := sift.NewApp(l.dets[features.Simplified], func(sift.AppAlert) {})
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := l.test.Windows[0]
-	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := app.Process(w); err != nil {
+		trace, err := experiments.Fig2(l.env, quickSVM())
+		if err != nil {
 			b.Fatal(err)
+		}
+		if i == 0 {
+			b.Logf("\n%s", trace)
 		}
 	}
 }

@@ -1,14 +1,16 @@
 // Quickstart: train a user-specific SIFT detector and catch an ECG
 // substitution attack, end to end, in under a minute of CPU time.
 //
-// This walks the paper's Fig 2 pipeline explicitly: windows of
-// synchronized ECG+ABP flow through PeaksDataCheck → FeatureExtraction →
-// MLClassifier, and altered windows raise alerts.
+// This walks the paper's Fig 2 pipeline: each window of synchronized
+// ECG+ABP goes through Detector.Classify — PeaksDataCheck →
+// FeatureExtraction → MLClassifier — and altered windows raise alerts.
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
@@ -18,12 +20,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(out io.Writer) error {
 	// 1. Synthesize a small cohort: the wearer plus two other people whose
 	//    ECG the adversary might substitute.
 	subjects, err := physio.Cohort(3, 1)
@@ -31,7 +33,7 @@ func run() error {
 		return err
 	}
 	wearer, donorA, donorB := subjects[0], subjects[1], subjects[2]
-	fmt.Printf("wearer %s: age %d, %.0f bpm, BP %.0f/%.0f\n\n",
+	fmt.Fprintf(out, "wearer %s: age %d, %.0f bpm, BP %.0f/%.0f\n\n",
 		wearer.ID, wearer.Age, wearer.HeartRate, wearer.Systolic, wearer.Diastolic)
 
 	// 2. Record 5 minutes of training data from everyone.
@@ -57,10 +59,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("trained %s detector: %d features, %d support vectors\n\n",
+	fmt.Fprintf(out, "trained %s detector: %d features, %d support vectors\n\n",
 		det.Version, det.Version.Dim(), det.Model.SupportVectors)
 
-	// 4. Stream unseen live data as the QM three-state app would see it.
+	// 4. Stream unseen live data through the detector, window by window.
 	liveRec, err := physio.Generate(wearer, 30, physio.DefaultSampleRate, 99)
 	if err != nil {
 		return err
@@ -78,33 +80,35 @@ func run() error {
 		return err
 	}
 
-	app, err := sift.NewApp(det, func(a sift.AppAlert) {
+	classify := func(w dataset.Window) error {
+		r, err := det.Classify(w)
+		if err != nil {
+			return err
+		}
 		verdict := "genuine"
-		if a.Altered {
+		if r.Altered {
 			verdict = "** ALTERED — alert raised **"
 		}
-		fmt.Printf("   window %2d: margin %+7.3f → %s\n", a.WindowIndex, a.Margin, verdict)
-	})
-	if err != nil {
-		return err
+		fmt.Fprintf(out, "   window %2d: margin %+7.3f → %s\n", w.Index, r.Margin, verdict)
+		return nil
 	}
 
-	fmt.Println("live stream (genuine windows):")
+	fmt.Fprintln(out, "live stream (genuine windows):")
 	for _, w := range wins[:5] {
-		if err := app.Process(w); err != nil {
+		if err := classify(w); err != nil {
 			return err
 		}
 	}
 
 	// 5. The adversary hijacks the ECG sensor: the wearer's ECG channel
 	//    now reports someone else's heartbeat.
-	fmt.Println("\nsensor hijacked (donor ECG substituted over wearer ABP):")
+	fmt.Fprintln(out, "\nsensor hijacked (donor ECG substituted over wearer ABP):")
 	for i, w := range wins[5:10] {
 		attacked, err := dataset.Substitute(w, donorWins[i], liveRec.SampleRate)
 		if err != nil {
 			return err
 		}
-		if err := app.Process(attacked); err != nil {
+		if err := classify(attacked); err != nil {
 			return err
 		}
 	}

@@ -208,22 +208,12 @@ func legacyFleetSource(t *testing.T, subjects []physio.Subject, version features
 		attackFrom := int(attackAt * live.SampleRate)
 		return wiot.Scenario{
 			Record:     live,
-			Detector:   boolDetector{det},
+			Detector:   sift.HostDetector{D: det},
 			Attack:     &wiot.SubstitutionMITM{Donor: donorLive.ECG, ActiveFrom: attackFrom},
 			AttackFrom: attackFrom,
 			Channel:    ch,
 		}, nil
 	}
-}
-
-type boolDetector struct{ d *sift.Detector }
-
-func (h boolDetector) Classify(w dataset.Window) (bool, error) {
-	r, err := h.d.Classify(w)
-	if err != nil {
-		return false, err
-	}
-	return r.Altered, nil
 }
 
 // TestFleetDeclarativeMatchesImperative proves the tentpole's core

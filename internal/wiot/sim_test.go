@@ -14,17 +14,6 @@ import (
 	"github.com/wiot-security/sift/internal/svm"
 )
 
-// detectorAdapter bridges a sift.Detector to the wiot.Detector interface.
-type detectorAdapter struct{ d *sift.Detector }
-
-func (a detectorAdapter) Classify(w dataset.Window) (bool, error) {
-	r, err := a.d.Classify(w)
-	if err != nil {
-		return false, err
-	}
-	return r.Altered, nil
-}
-
 // trainEnv builds a trained detector plus live and donor records.
 func trainEnv(t *testing.T) (det Detector, live, donor *physio.Record) {
 	t.Helper()
@@ -48,7 +37,7 @@ func trainEnv(t *testing.T) (det Detector, live, donor *physio.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return detectorAdapter{d}, gen(subjects[0], 60, 50), gen(subjects[1], 60, 51)
+	return sift.HostDetector{D: d}, gen(subjects[0], 60, 50), gen(subjects[1], 60, 51)
 }
 
 func TestRunScenarioCleanStream(t *testing.T) {
