@@ -17,15 +17,12 @@ type KernelModel struct {
 	Scaler      *Standardizer
 }
 
-// Decision returns the signed margin for a raw feature vector.
+// Decision returns the signed margin for a raw feature vector. It
+// standardizes each element as it goes, so it allocates nothing.
 func (m *KernelModel) Decision(x []float64) float64 {
-	z := x
-	if m.Scaler != nil {
-		z = m.Scaler.Apply(x)
-	}
 	s := m.Bias
 	for i, sv := range m.SupportVecs {
-		s += m.Coeffs[i] * rbf(sv, z, m.Gamma)
+		s += m.Coeffs[i] * rbf(sv, x, m.Scaler, m.Gamma)
 	}
 	return s
 }
@@ -38,13 +35,19 @@ func (m *KernelModel) Predict(x []float64) Label {
 	return Negative
 }
 
-func rbf(a, b []float64, gamma float64) float64 {
+// rbf is the kernel exp(−γ‖a − b‖²) over a's length, with each element
+// of b standardized by scaler first when scaler is not nil.
+func rbf(a, b []float64, scaler *Standardizer, gamma float64) float64 {
 	var d float64
 	for i := range a {
 		if i >= len(b) {
 			break
 		}
-		diff := a[i] - b[i]
+		v := b[i]
+		if scaler != nil {
+			v = scaler.z(i, v)
+		}
+		diff := a[i] - v
 		d += diff * diff
 	}
 	return math.Exp(-gamma * d)
@@ -58,7 +61,7 @@ func TrainRBF(x [][]float64, y []Label, cfg Config) (*KernelModel, error) {
 		return nil, err
 	}
 	gamma := 1 / float64(len(z[0]))
-	alpha, b, _ := smo(gramMatrix(z, func(a, b []float64) float64 { return rbf(a, b, gamma) }), y, cfg)
+	alpha, b, _ := smo(gramMatrix(z, func(a, b []float64) float64 { return rbf(a, b, nil, gamma) }), y, cfg)
 
 	model := &KernelModel{Gamma: gamma, Bias: b, Scaler: scaler}
 	for i := range z {

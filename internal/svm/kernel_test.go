@@ -84,12 +84,36 @@ func TestTrainRBFErrors(t *testing.T) {
 }
 
 func TestRBFKernelValues(t *testing.T) {
-	if got := rbf([]float64{0, 0}, []float64{0, 0}, 1); got != 1 {
+	if got := rbf([]float64{0, 0}, []float64{0, 0}, nil, 1); got != 1 {
 		t.Errorf("K(x,x) = %v, want 1", got)
 	}
-	got := rbf([]float64{0}, []float64{2}, 0.5)
+	got := rbf([]float64{0}, []float64{2}, nil, 0.5)
 	want := math.Exp(-0.5 * 4)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("K = %v, want %v", got, want)
+	}
+}
+
+// TestKernelDecisionStandardizesInPlace holds Decision bit for bit to
+// the kernel sum over the Standardizer.Apply copy of the input, and
+// checks that it allocates nothing.
+func TestKernelDecisionStandardizesInPlace(t *testing.T) {
+	x, y := ringSet(3, 40)
+	m, err := TrainRBF(x, y, Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, xi := range x {
+		z := m.Scaler.Apply(xi)
+		want := m.Bias
+		for i, sv := range m.SupportVecs {
+			want += m.Coeffs[i] * rbf(sv, z, nil, m.Gamma)
+		}
+		if got := m.Decision(xi); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Decision(%v) = %v, want %v", xi, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Decision(x[0]) }); allocs != 0 {
+		t.Errorf("Decision allocates %v times per call, want 0", allocs)
 	}
 }
