@@ -55,9 +55,14 @@ chaos:
 # the station registry, snapshot merging, telemetry folding, the
 # heap-watermark sampler the streamed smoke relies on, and the metrics
 # federation layer (keep-latest absorption, publisher flush ordering,
-# federated-sum exactness, cross-station trace connectivity).
+# federated-sum exactness, cross-station trace connectivity). The
+# failover drill and the flush-at-cancel teardown run ten times each,
+# so a teardown that waits out a sink's CloseTimeout fails their
+# wall-time bounds.
 shard:
 	$(GO) test -race -count=1 ./internal/fleet/shard/ ./internal/fleet/ -run 'Shard|SnapshotMerge'
+	$(GO) test -race -count=10 ./internal/fleet/shard/ -run 'ShardedChaosPartitionFailover'
+	$(GO) test -race -count=10 ./internal/wiot/ -run 'ServeFlushStopsAtCancel'
 	$(GO) test -race -count=1 ./internal/wiot/ -run 'StationRegistry'
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/obs/telemetry/ -run 'HeapWatermark|Absorb|RegistryMerge'
 	$(GO) test -race -count=1 ./internal/obs/federate/

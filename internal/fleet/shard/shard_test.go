@@ -361,9 +361,12 @@ func hashSource(t *testing.T, nSubjects int, durSec float64) fleet.Source {
 // (frame corruption, mid-frame cuts), and station 1's uplink partitions
 // for good after its first completed slot. The coordinator must detect
 // the dead station, requeue its slots onto survivors, and still produce
-// an aggregate byte-identical to a clean unsharded in-process run.
+// an aggregate byte-identical to a clean unsharded in-process run. The
+// drill must also end promptly: a slot cancelled mid-flush stops its
+// sinks at once instead of waiting out their 10 s CloseTimeout.
 func TestShardedChaosPartitionFailover(t *testing.T) {
 	const scenarios, seed = 6, 17
+	const wallBound = 5 * time.Second
 	want := oracle(t, scenarios, seed, hashSource(t, 3, 9))
 
 	overChaosTCP := func(ctx context.Context, slot fleet.Slot, sc wiot.Scenario) (wiot.ScenarioResult, error) {
@@ -380,6 +383,7 @@ func TestShardedChaosPartitionFailover(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	reg := wiot.NewStationRegistry()
+	start := time.Now()
 	res, err := Run(ctx, Config{
 		Scenarios: scenarios,
 		Shards:    3,
@@ -404,6 +408,9 @@ func TestShardedChaosPartitionFailover(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > wallBound {
+		t.Errorf("failover drill took %v, want under %v", elapsed, wallBound)
 	}
 	if res.Deaths != 1 || !res.Stations[1].Died {
 		t.Fatalf("expected station 1 to die, got deaths=%d stats=%+v", res.Deaths, res.Stations)

@@ -127,9 +127,25 @@ func (nc NetConfig) serve(ctx context.Context, station *BaseStation, pump func(e
 	}
 
 	// Flush: each sink's Close blocks until the station has acknowledged
-	// its whole buffer (or the close deadline passes).
-	errE := ecgSink.Close()
+	// its whole buffer (or the close deadline passes). The sinks flush
+	// side by side, and a cancelled ctx aborts both at once: its watcher
+	// has closed the station, so nothing more can be acknowledged.
+	stop := context.AfterFunc(ctx, func() {
+		ecgSink.abort()
+		abpSink.abort()
+	})
+	var errE error
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		errE = ecgSink.Close()
+	}()
 	errA := abpSink.Close()
-	errS := st.Close()
-	return errors.Join(errE, errA, errS)
+	<-flushed
+	stop()
+	err = errors.Join(errE, errA)
+	if err != nil && ctx.Err() != nil {
+		err = fmt.Errorf("%w: %w", err, ctx.Err())
+	}
+	return errors.Join(err, st.Close())
 }
