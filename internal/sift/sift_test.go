@@ -3,6 +3,7 @@ package sift
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,6 +114,116 @@ func TestClassifyWithoutModel(t *testing.T) {
 	}
 }
 
+// TestClassifyRejectsMalformedWindow feeds a trained detector windows no
+// station should cut: each is an error, never a verdict, whether or not
+// it carries the R peaks the sanity rule looks for.
+func TestClassifyRejectsMalformedWindow(t *testing.T) {
+	fx := newFixture(t)
+	d := trainDetector(t, fx, features.Reduced)
+	wins, err := dataset.FromRecord(fx.subjectTest, dataset.WindowSec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wins[0]
+	peakless := w
+	peakless.RPeaks, peakless.Pairs = nil, nil
+	rOutside := w
+	rOutside.RPeaks = []int{w.Len()}
+	sysOutside := peakless
+	sysOutside.SysPeaks = []int{-1}
+	for _, tc := range []struct {
+		name string
+		w    dataset.Window
+	}{
+		{"empty", dataset.Window{}},
+		{"channels_differ", dataset.Window{ECG: []float64{1, 2}, ABP: []float64{1}}},
+		{"R_peak_outside", rOutside},
+		{"peakless_systolic_peak_outside", sysOutside},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := d.Classify(tc.w)
+			if err == nil {
+				t.Fatalf("Classify = %+v, want an error", r)
+			}
+			if r != (Result{}) {
+				t.Errorf("failed Classify returned %+v, want the zero Result", r)
+			}
+			if altered, err := (HostDetector{D: d}).Classify(tc.w); err == nil || altered {
+				t.Errorf("HostDetector.Classify = %v, %v; want false and an error", altered, err)
+			}
+		})
+	}
+}
+
+// TestPeakSanityRule strips a well-formed window's R peaks: with
+// PeakSanity on, Classify answers SanityMargin before any features; with
+// it off, the window goes through the classifier like any other.
+func TestPeakSanityRule(t *testing.T) {
+	fx := newFixture(t)
+	d := trainDetector(t, fx, features.Reduced)
+	wins, err := dataset.FromRecord(fx.subjectTest, dataset.WindowSec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wins[0]
+	if d.FailsPeakCheck(w) {
+		t.Fatal("a window with R peaks fails the peak check")
+	}
+	w.RPeaks, w.Pairs = nil, nil
+	if !d.FailsPeakCheck(w) {
+		t.Fatal("a peakless window passes the peak check")
+	}
+	r, err := d.Classify(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Result{Altered: true, Margin: SanityMargin}); r != want {
+		t.Errorf("peakless Classify = %+v, want %+v", r, want)
+	}
+
+	off := *d
+	off.PeakSanity = false
+	if off.FailsPeakCheck(w) {
+		t.Fatal("the peak check fires with PeakSanity off")
+	}
+	r, err = off.Classify(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := off.FeaturesOf(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := off.Model.Decision(f); math.Float64bits(r.Margin) != math.Float64bits(want) || r.Altered != (want >= 0) {
+		t.Errorf("Classify without PeakSanity = %+v, want margin %v", r, want)
+	}
+}
+
+// TestHostDetectorReportsClassify checks that the station's adapter
+// reports exactly the verdict Classify returns, window by window.
+func TestHostDetectorReportsClassify(t *testing.T) {
+	fx := newFixture(t)
+	d := trainDetector(t, fx, features.Simplified)
+	set, err := dataset.BuildTest(fx.subjectTest, fx.donorsTest, dataset.WindowSec, 0.5, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := HostDetector{D: d}
+	for i, w := range set.Windows {
+		r, err := d.Classify(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		altered, err := host.Classify(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if altered != r.Altered {
+			t.Errorf("window %d: HostDetector says altered=%v, Classify %+v", i, altered, r)
+		}
+	}
+}
+
 func TestEvaluateEmptySet(t *testing.T) {
 	d := &Detector{Version: features.Original, GridN: 50, Model: &svm.Model{Weights: []float64{1}}}
 	if _, err := d.Evaluate(nil); err == nil {
@@ -120,6 +231,26 @@ func TestEvaluateEmptySet(t *testing.T) {
 	}
 	if _, err := d.Evaluate(&dataset.LabeledSet{}); err == nil {
 		t.Error("empty set should error")
+	}
+}
+
+// TestEvaluateReportsMalformedWindow puts a peakless window with
+// mismatched channels into an evaluation set: Evaluate stops there with
+// the window's position, rather than counting it as a detected attack.
+func TestEvaluateReportsMalformedWindow(t *testing.T) {
+	fx := newFixture(t)
+	d := trainDetector(t, fx, features.Reduced)
+	set, err := dataset.BuildTest(fx.subjectTest, fx.donorsTest, dataset.WindowSec, 0.5, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := set.Windows[1]
+	bad.RPeaks, bad.Pairs = nil, nil
+	bad.ABP = bad.ABP[:len(bad.ABP)/2]
+	bad.Altered = true
+	set.Windows = []dataset.Window{set.Windows[0], bad, set.Windows[2]}
+	if c, err := d.Evaluate(set); err == nil || !strings.Contains(err.Error(), "classify window 1") {
+		t.Errorf("Evaluate = %s, %v; want an error at window 1", c, err)
 	}
 }
 
@@ -198,6 +329,23 @@ func TestFeaturesOfDimension(t *testing.T) {
 		}
 		if len(f) != v.Dim() {
 			t.Errorf("%s: dim = %d, want %d", v, len(f), v.Dim())
+		}
+	}
+}
+
+// TestFeaturesOfRejectsMalformedWindow checks that every version's
+// FeatureExtraction refuses a window whose channels are empty or differ
+// in length.
+func TestFeaturesOfRejectsMalformedWindow(t *testing.T) {
+	for _, v := range features.Versions {
+		d := &Detector{Version: v, GridN: 50}
+		for _, w := range []dataset.Window{
+			{},
+			{ECG: []float64{1, 2}, ABP: []float64{1}},
+		} {
+			if f, err := d.FeaturesOf(w); err == nil {
+				t.Errorf("%s: FeaturesOf(%d ECG, %d ABP samples) = %v, want an error", v, len(w.ECG), len(w.ABP), f)
+			}
 		}
 	}
 }
