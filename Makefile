@@ -43,11 +43,15 @@ race:
 # base station's window pipeline with its admission reference model, and
 # the borrowed-frame pins (zero steady-state allocations per hop, and
 # verdicts unmoved when every frame is poisoned once its callee
-# returns), all under the race detector and run twice (-count=2 catches
-# state leaking between runs through package-level counters or lingering
-# goroutines).
+# returns), and the lead bound between a wearer's two sensor
+# connections, all under the race detector and run twice (-count=2
+# catches state leaking between runs through package-level counters or
+# lingering goroutines). A stall that Close or cancellation must end
+# runs ten times, so a handler left waiting out its deadline fails the
+# test's 100 ms bound.
 chaos:
-	$(GO) test -race -count=2 ./internal/wiot/chaos/ ./internal/wiot/ -run 'Chaos|Reconnect|RunScenarioOverTCP|FrameScanner|ServeTCP|ServeConn|Station|Admission|PeekRecord|AcceptLoop|ErrorRing|BareFrameBody|Corruption|Cut|Partition|ControlRecords|Latency|CoalescedAcks|SinkBatch|SteadyStateAllocs|BorrowedFrame'
+	$(GO) test -race -count=2 ./internal/wiot/chaos/ ./internal/wiot/ -run 'Chaos|Reconnect|RunScenarioOverTCP|FrameScanner|ServeTCP|ServeConn|Station|Admission|PeekRecord|AcceptLoop|ErrorRing|BareFrameBody|Corruption|Cut|Partition|ControlRecords|Latency|CoalescedAcks|SinkBatch|SteadyStateAllocs|BorrowedFrame|Lead'
+	$(GO) test -race -count=10 ./internal/wiot/ -run 'LeadStallEndsAtClose'
 	$(GO) test -race -count=2 ./internal/fleet/ -run 'FleetRunnerOverChaosTCP'
 
 # The sharded control plane under the race detector: the coordinator's
@@ -58,10 +62,12 @@ chaos:
 # federated-sum exactness, cross-station trace connectivity). The
 # failover drill and the flush-at-cancel teardown run ten times each,
 # so a teardown that waits out a sink's CloseTimeout fails their
-# wall-time bounds.
+# wall-time bounds; the drill runs again at 1, 2 and 4 CPUs, since
+# which slot stalls depends on scheduling.
 shard:
 	$(GO) test -race -count=1 ./internal/fleet/shard/ ./internal/fleet/ -run 'Shard|SnapshotMerge'
 	$(GO) test -race -count=10 ./internal/fleet/shard/ -run 'ShardedChaosPartitionFailover'
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/fleet/shard/ -run 'ShardedChaosPartitionFailover'
 	$(GO) test -race -count=10 ./internal/wiot/ -run 'ServeFlushStopsAtCancel'
 	$(GO) test -race -count=1 ./internal/wiot/ -run 'StationRegistry'
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/obs/telemetry/ -run 'HeapWatermark|Absorb|RegistryMerge'

@@ -454,3 +454,49 @@ func BenchmarkRDetectorDetect(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScanSystolic runs the systolic scan as the base station does:
+// on 3 s ABP windows quantised to Q16.16, given the sum (in index order
+// from +0) and the maximum the station folds while it fills each window.
+// BenchmarkRDetectorDetect runs on raw floats. Each op scans one window
+// of ten, in turn; above_floor is the share of samples at or above the
+// scan's floor, the samples that reach the neighbour test's comparisons.
+func BenchmarkScanSystolic(b *testing.B) {
+	const windows = 10
+	rec, err := physio.Generate(physio.DefaultSubject(), 3*windows, physio.DefaultSampleRate, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wlen := len(rec.ABP) / windows
+	type cut struct {
+		abp       []float64
+		sum, maxV float64
+	}
+	cuts := make([]cut, windows)
+	above := 0
+	for k := range cuts {
+		c := &cuts[k]
+		c.abp = make([]float64, wlen)
+		for i, v := range rec.ABP[k*wlen : (k+1)*wlen] {
+			c.abp[i] = fixedpoint.FromFloat(v).Float()
+			c.sum += c.abp[i]
+		}
+		c.maxV = slices.Max(c.abp)
+		mean := c.sum / float64(wlen)
+		floor := mean + 0.4*(c.maxV-mean)
+		for _, v := range c.abp {
+			if v >= floor {
+				above++
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := &cuts[i%windows]
+		if _, err := ScanSystolic(c.abp, rec.SampleRate, c.sum, c.maxV); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(above)/float64(windows*wlen), "above_floor")
+}

@@ -114,6 +114,12 @@ func (nc NetConfig) serve(ctx context.Context, station *BaseStation, pump func(e
 		return err
 	}
 
+	// Both sensors connect before either streams. A sink that dialed
+	// late would let its partner lead by a whole sink buffer before the
+	// station had a connection to hold that partner back for.
+	ecgSink.awaitDial(ctx)
+	abpSink.awaitDial(ctx)
+
 	// The ReconnectSinks absorb transport faults behind the stream's
 	// back. On failure, abort both sinks (skipping the flush wait) before
 	// tearing the station down so nothing leaks.

@@ -205,7 +205,8 @@ func (l *mutedListener) Close() error {
 // TestServeFlushStopsAtCancel cancels the context while both sinks
 // flush frames the station never acknowledges: the teardown ends at
 // the cancellation rather than after each sink's CloseTimeout, and the
-// error names each sink's undelivered frames and wraps ctx.Err().
+// error names each sink's undelivered frames and wraps ErrUndelivered
+// and ctx.Err().
 func TestServeFlushStopsAtCancel(t *testing.T) {
 	rec, err := physio.Generate(physio.DefaultSubject(), 3, physio.DefaultSampleRate, 31)
 	if err != nil {
@@ -229,6 +230,9 @@ func TestServeFlushStopsAtCancel(t *testing.T) {
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want it to wrap context.Canceled", err)
+	}
+	if !errors.Is(err, ErrUndelivered) {
+		t.Errorf("err = %v, want it to wrap ErrUndelivered", err)
 	}
 	if n := strings.Count(err.Error(), "frames undelivered"); n != 2 {
 		t.Errorf("err = %v, want both sinks' undelivered counts", err)

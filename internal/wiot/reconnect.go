@@ -1,6 +1,7 @@
 package wiot
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -22,6 +23,7 @@ var (
 	obsSinkWriteTimeouts = obs.NewCounter("wiot.sink.writeTimeouts")
 	obsSinkGapsDeclared  = obs.NewCounter("wiot.sink.gapsDeclared")
 	obsSinkHandshakes    = obs.NewCounter("wiot.sink.handshakes")
+	obsSinkUndelivered   = obs.NewCounter("wiot.sink.undelivered")
 	obsSinkConn          = obs.NewTimer("wiot.sink.conn")
 )
 
@@ -29,6 +31,10 @@ var (
 var (
 	ErrSinkClosed = errors.New("wiot: sink closed")
 	ErrBufferFull = errors.New("wiot: sink buffer full")
+	// ErrUndelivered is Close's error when the station had not
+	// acknowledged every buffered frame by the time the flush ended; it
+	// is wrapped with the count of frames left.
+	ErrUndelivered = errors.New("wiot: sink flush incomplete")
 
 	// errStopping is the internal signal that a dial loop was interrupted
 	// by Close rather than by exhausting its attempts.
@@ -170,6 +176,8 @@ type ReconnectSink struct {
 
 	abortOnce sync.Once
 	abortCh   chan struct{}
+	dialOnce  sync.Once
+	dialed    chan struct{} // closed by the first successful dial, or once the sink stops dialing
 	wg        sync.WaitGroup
 
 	connects      atomic.Int64
@@ -202,6 +210,7 @@ func newReconnectSink(cfg ReconnectConfig) *ReconnectSink {
 		nextSeq: make(map[SensorID]uint32),
 		gapPend: make(map[SensorID]bool),
 		abortCh: make(chan struct{}),
+		dialed:  make(chan struct{}),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	return r
@@ -399,6 +408,7 @@ func (r *ReconnectSink) connect(rng *rand.Rand) (net.Conn, error) {
 // install publishes the new connection and rewinds the transmit cursor
 // so every unacknowledged frame is replayed on it.
 func (r *ReconnectSink) install(conn net.Conn) uint64 {
+	r.markDialed()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.conn = conn
@@ -657,9 +667,23 @@ func (r *ReconnectSink) declareGapLocked(sensor SensorID) {
 	}
 }
 
+// markDialed releases awaitDial: the sink has connected, or stopped
+// trying to.
+func (r *ReconnectSink) markDialed() { r.dialOnce.Do(func() { close(r.dialed) }) }
+
+// awaitDial waits until the sink's first dial has succeeded or the sink
+// has stopped dialing, or until ctx is done.
+func (r *ReconnectSink) awaitDial(ctx context.Context) {
+	select {
+	case <-r.dialed:
+	case <-ctx.Done():
+	}
+}
+
 // fail marks the sink terminally failed (dial attempts exhausted):
 // buffered and future frames are undeliverable.
 func (r *ReconnectSink) fail(err error) {
+	r.markDialed()
 	logx.L().Warn("sink failed terminally", "addr", r.cfg.Addr, "err", err)
 	r.mu.Lock()
 	r.failedErr = err
@@ -671,6 +695,7 @@ func (r *ReconnectSink) fail(err error) {
 // interrupted.
 func (r *ReconnectSink) abort() {
 	r.abortOnce.Do(func() { close(r.abortCh) })
+	r.markDialed()
 	r.mu.Lock()
 	r.deadlineHit = true
 	conn := r.conn
@@ -702,7 +727,8 @@ func (r *ReconnectSink) Close() error {
 	if r.closing {
 		r.mu.Unlock()
 		r.wg.Wait()
-		return r.closeResult()
+		_, err := r.closeResult()
+		return err
 	}
 	r.closing = true
 	drained := len(r.queue) == 0
@@ -722,18 +748,23 @@ func (r *ReconnectSink) Close() error {
 	// All goroutines are gone; make sure any still-open conn is freed and
 	// late Close callers see a closed abort channel.
 	r.abort()
-	return r.closeResult()
+	n, err := r.closeResult()
+	obsSinkUndelivered.Add(int64(n))
+	return err
 }
 
-func (r *ReconnectSink) closeResult() error {
+// closeResult returns how many frames the closed sink never delivered,
+// and the ErrUndelivered error that names them, if any.
+func (r *ReconnectSink) closeResult() (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n := len(r.queue); n > 0 {
-		err := fmt.Errorf("wiot: sink closed with %d frames undelivered", n)
-		if r.failedErr != nil {
-			err = fmt.Errorf("%w (%v)", err, r.failedErr)
-		}
-		return err
+	n := len(r.queue)
+	if n == 0 {
+		return 0, nil
 	}
-	return nil
+	err := fmt.Errorf("%w: %d frames undelivered", ErrUndelivered, n)
+	if r.failedErr != nil {
+		err = fmt.Errorf("%w (%v)", err, r.failedErr)
+	}
+	return n, err
 }

@@ -116,11 +116,14 @@ type BaseStation struct {
 	stats StationStats
 }
 
-// freeCap bounds a station's free list of window arrays. Steady
-// streaming needs two (one window per sensor in flight); the cap keeps
-// a long-lived station from pinning the arrays of a burst lead, whose
-// queued windows all come back at once when the partner catches up.
-const freeCap = 4
+// freeCap bounds a station's free list of window arrays. A lead of at
+// most leadBound windows, which the TCP station holds its connections to,
+// keeps leadBound+2 arrays in use at its peak (the leader's queued
+// windows and both filling ones), and all of them come back once the
+// partner catches up, so a steady stream stops making arrays after its
+// first leadBound+2. The cap keeps a long-lived station from pinning the
+// arrays of a longer lead, as a lossy link or a lone sensor can build.
+const freeCap = leadBound + 2
 
 // windowArrays is a station's free list of window arrays, at most
 // freeCap of them, the most recently returned first.
@@ -276,6 +279,14 @@ func (b *BaseStation) Stats() StationStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.stats
+}
+
+// lead returns how many complete windows sensor holds that its partner
+// lacks.
+func (b *BaseStation) lead(sensor SensorID) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.ch[sensor-1].waiting()
 }
 
 // HandleFrame ingests one sensor frame from a lossy link, classifying

@@ -26,6 +26,8 @@ var (
 	obsTCPAcks         = obs.NewCounter("wiot.tcp.acks")
 	obsTCPNacks        = obs.NewCounter("wiot.tcp.nacks")
 	obsStationConn     = obs.NewTimer("wiot.station.conn")
+	obsLeadStalls      = obs.NewCounter("wiot.station.lead_stalls")
+	obsLeadTimeouts    = obs.NewCounter("wiot.station.lead_timeouts")
 
 	// Auth-layer counters: every handshake and every rejected attempt is
 	// accounted for, so an attack campaign can prove zero forged frames
@@ -53,7 +55,24 @@ const (
 var (
 	ErrDialTimeout  = errors.New("wiot: dial timeout")
 	ErrWriteTimeout = errors.New("wiot: write timeout")
+	// ErrPartnerStalled is recorded (Errors) when a lead stall reaches
+	// leadStallTimeout; the error names the stalled sensor and its lead.
+	ErrPartnerStalled = errors.New("wiot: partner sensor stalled")
 )
+
+// leadBound is the most complete windows one sensor may hold that its
+// partner lacks before the station stops reading that sensor's
+// connection. Over TCP each sensor streams on a connection of its own,
+// and without the bound one runs ahead by as much as its sink buffers
+// (Buffer frames, 21 windows by default): more window arrays than a
+// device base station could hold.
+const leadBound = 4
+
+// leadStallTimeout ends a stall whose partner does not catch up. It sits
+// well under the sink's default RetransmitTimeout (150 ms), so a stall
+// on honest traffic never draws a retransmit. It is a variable only so
+// a test can hold a stall open.
+var leadStallTimeout = 50 * time.Millisecond
 
 // TCPConfig tunes the hardened station transport. The zero value gets
 // sensible defaults everywhere.
@@ -103,6 +122,8 @@ type TCPStats struct {
 	Acks          int64 // frames acknowledged: one per in-order frame, one per stale re-ack
 	Nacks         int64 // nacks sent on reliable connections
 	DroppedErrors int64 // errors evicted from the bounded ring
+	LeadStalls    int64 // connections stopped at a lead of leadBound windows
+	LeadTimeouts  int64 // stalls that reached leadStallTimeout (ErrPartnerStalled)
 
 	AuthHandshakes      int64 // v3 sessions established
 	AuthFrames          int64 // v3 frames accepted (MAC verified)
@@ -137,6 +158,8 @@ type TCPStation struct {
 	errs    []error // ring: errHead is the logical start once full
 	errHead int
 
+	gate leadGate
+
 	conns64   atomic.Int64
 	resyncs   atomic.Int64
 	skipped   atomic.Int64
@@ -145,6 +168,8 @@ type TCPStation struct {
 	acks      atomic.Int64
 	nacks     atomic.Int64
 	dropped   atomic.Int64
+	stalls    atomic.Int64
+	timeouts  atomic.Int64
 
 	sids           atomic.Uint32 // session-id allocator (v3)
 	authHandshakes atomic.Int64
@@ -228,6 +253,7 @@ func (s *TCPStation) acceptLoop() {
 			_ = conn.Close()
 			return
 		}
+		s.gate.join()
 		s.conns64.Add(1)
 		obsTCPConns.Add(1)
 		logx.L().Debug("station accepted conn", "remote", conn.RemoteAddr().String())
@@ -286,11 +312,16 @@ func (d deadlineReader) Read(p []byte) (int, error) {
 // the TCP boundary. The deferred End covers every exit path — including
 // the teardown of a mid-run reconnect — so no station-side span is left
 // open across reconnects.
+//
+// A connection that carries one sensor's frames stops reading while
+// that sensor holds leadBound windows its partner lacks (boundLead).
 func (s *TCPStation) serveConn(conn net.Conn) {
 	sc := newFrameScanner(deadlineReader{conn})
 	cw := &ctrlWriter{conn: conn}
 	var connSpan obs.Span
 	defer connSpan.End()
+	var cl connLead
+	defer s.gate.leave(&cl)
 	// sess is this connection's v3 handshake state. It is owned by this
 	// goroutine: only serveConn's dispatch mutates it.
 	var sess stationSession
@@ -331,7 +362,7 @@ func (s *TCPStation) serveConn(conn net.Conn) {
 		case rec.isCtrl:
 			s.handleCtrl(rec.ctrl, &sess)
 		case rec.authed:
-			s.handleAuthFrame(cw, rec, &sess)
+			s.handleAuthFrame(cw, &cl, rec, &sess)
 		case s.cfg.Keys != nil:
 			// Auth is required on this station: a v2 frame — however
 			// well-formed — carries no proof of origin. No ack, no nack:
@@ -339,7 +370,7 @@ func (s *TCPStation) serveConn(conn net.Conn) {
 			s.authRejPlain.Add(1)
 			obsAuthRejectPlain.Add(1)
 		default:
-			s.handleReliable(cw, rec.frame)
+			s.handleReliable(cw, &cl, rec.frame)
 		}
 	}
 }
@@ -479,7 +510,7 @@ func (s *TCPStation) handleAuth(cw *ctrlWriter, c ctrlRecord, ss *stationSession
 // carry a MAC over its exact bytes (sequence number included), so a
 // replayed, spliced, or cross-sensor frame dies here even on an
 // authenticated connection. Rejected frames get no ack and no nack.
-func (s *TCPStation) handleAuthFrame(cw *ctrlWriter, rec wireRecord, ss *stationSession) {
+func (s *TCPStation) handleAuthFrame(cw *ctrlWriter, cl *connLead, rec wireRecord, ss *stationSession) {
 	switch {
 	case ss.state != 2:
 		s.authRejNoSess.Add(1)
@@ -493,7 +524,7 @@ func (s *TCPStation) handleAuthFrame(cw *ctrlWriter, rec wireRecord, ss *station
 	default:
 		s.authFrames.Add(1)
 		obsAuthFrames.Add(1)
-		s.handleReliable(cw, rec.frame)
+		s.handleReliable(cw, cl, rec.frame)
 	}
 }
 
@@ -524,8 +555,10 @@ func (s *TCPStation) handleCtrl(c ctrlRecord, ss *stationSession) {
 // one past the cursor nacked with the sequence still needed. Acks counts
 // frames acknowledged. Acks and nacks are counted before they are
 // written, so a sensor that has seen one never reads a smaller count.
-func (s *TCPStation) handleReliable(cw *ctrlWriter, f Frame) {
+// An in-order frame then answers to the lead bound (boundLead).
+func (s *TCPStation) handleReliable(cw *ctrlWriter, cl *connLead, f Frame) {
 	verdict, next, err := s.Station.admit(f)
+	s.gate.carry(cl, f.Sensor)
 	switch verdict {
 	case admitted:
 		if err != nil {
@@ -539,6 +572,7 @@ func (s *TCPStation) handleReliable(cw *ctrlWriter, f Frame) {
 		s.acks.Add(1)
 		obsTCPAcks.Add(1)
 		cw.ack(f.Sensor, f.Seq)
+		s.boundLead(cw, cl, f.Sensor)
 	case admitStale:
 		// Duplicate from a retransmit overlap; re-ack so the sender's
 		// window advances.
@@ -549,6 +583,164 @@ func (s *TCPStation) handleReliable(cw *ctrlWriter, f Frame) {
 		s.nacks.Add(1)
 		obsTCPNacks.Add(1)
 		s.sendCtrl(cw, ctrlRecord{Kind: ctrlNack, Sensor: f.Sensor, Seq: next})
+	}
+}
+
+// leadGate is what a station's connection handlers share to bound the
+// lead between the two sensors: which sensors the live connections
+// carry, and per sensor the channel that connections stalled on its lead
+// wait on.
+type leadGate struct {
+	mu      sync.Mutex
+	idle    int              // live connections that have delivered no frame yet
+	senders [2]int           // live connections that have delivered a frame of sensor i+1
+	drained [2]chan struct{} // closed once sensor i+1's lead drains to 0 or no live connection may carry its partner; nil while no connection waits
+	armed   [2]atomic.Bool   // drained[i] != nil, read without mu after every admitted frame
+}
+
+// connLead is one connection's part in the lead bound, owned by its
+// handler.
+type connLead struct {
+	carried [2]bool       // the connection has delivered a frame of sensor i+1
+	free    chan struct{} // a stall timed out: read without stalling until this closes
+}
+
+// join counts a new connection, which has delivered no frame yet.
+func (g *leadGate) join() {
+	g.mu.Lock()
+	g.idle++
+	g.mu.Unlock()
+}
+
+// carry records that cl's connection delivered a frame of sensor.
+func (g *leadGate) carry(cl *connLead, sensor SensorID) {
+	if i := sensor - 1; !cl.carried[i] {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if !cl.carried[1-i] {
+			g.idle--
+		}
+		cl.carried[i] = true
+		g.senders[i]++
+		g.settleLocked()
+	}
+}
+
+// leave retires a closing connection.
+func (g *leadGate) leave(cl *connLead) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if cl.carried == [2]bool{} {
+		g.idle--
+	}
+	for i, carried := range cl.carried {
+		if carried {
+			g.senders[i]--
+		}
+	}
+	g.settleLocked()
+}
+
+// partnerLocked reports whether a live connection may carry the partner
+// of sensor i+1: one that has delivered the partner's frames, or one
+// that has delivered none yet, such as a sensor still in its handshake.
+// Caller holds mu.
+func (g *leadGate) partnerLocked(i int) bool { return g.idle+g.senders[1-i] > 0 }
+
+// settleLocked releases the connections stalled on a lead whose partner
+// no live connection may carry: they would wait for frames nobody is
+// sending. Caller holds mu.
+func (g *leadGate) settleLocked() {
+	for i := range g.drained {
+		if !g.partnerLocked(i) {
+			g.releaseLocked(i)
+		}
+	}
+}
+
+// arm returns the channel a connection stalled on sensor's lead waits
+// on, or nil when no live connection may carry the partner: a lone
+// sensor never stalls.
+func (g *leadGate) arm(sensor SensorID) chan struct{} {
+	i := int(sensor - 1)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.partnerLocked(i) {
+		return nil
+	}
+	if g.drained[i] == nil {
+		g.drained[i] = make(chan struct{})
+		g.armed[i].Store(true)
+	}
+	return g.drained[i]
+}
+
+// release wakes every connection waiting on sensor's lead.
+func (g *leadGate) release(sensor SensorID) {
+	g.mu.Lock()
+	g.releaseLocked(int(sensor - 1))
+	g.mu.Unlock()
+}
+
+func (g *leadGate) releaseLocked(i int) {
+	if ch := g.drained[i]; ch != nil {
+		close(ch)
+		g.drained[i] = nil
+		g.armed[i].Store(false)
+	}
+}
+
+// boundLead runs after each in-order frame of sensor. A frame that drains
+// its partner's lead to 0 wakes the partner's stalled connections. A
+// frame that gives sensor a lead of leadBound windows stalls its own
+// connection, once its pending acks are written, until the partner has
+// drained the lead to 0, the station closes, or leadStallTimeout passes;
+// TCP then pushes back on the sender, and no frame is dropped. Only a
+// connection that carries sensor alone stalls, since one that has
+// carried both sensors would wait on itself, and only while another
+// live connection may carry the partner (partnerLocked). A stall that
+// times out is recorded as ErrPartnerStalled, and the connection reads
+// freely until its partner catches up.
+func (s *TCPStation) boundLead(cw *ctrlWriter, cl *connLead, sensor SensorID) {
+	partner := SensorECG + SensorABP - sensor
+	if s.gate.armed[partner-1].Load() && s.Station.lead(partner) == 0 {
+		s.gate.release(partner)
+	}
+	if cl.free != nil {
+		select {
+		case <-cl.free:
+			cl.free = nil
+		default:
+			return
+		}
+	}
+	if cl.carried[partner-1] || s.Station.lead(sensor) < leadBound {
+		return
+	}
+	drained := s.gate.arm(sensor)
+	if drained == nil {
+		return
+	}
+	// The partner may have drained the lead before the gate was armed,
+	// and then it did not look.
+	if s.Station.lead(sensor) == 0 {
+		s.gate.release(sensor)
+		return
+	}
+	s.flushAcks(cw)
+	s.stalls.Add(1)
+	obsLeadStalls.Add(1)
+	timer := time.NewTimer(leadStallTimeout)
+	defer timer.Stop()
+	select {
+	case <-drained:
+	case <-s.done:
+	case <-timer.C:
+		s.timeouts.Add(1)
+		obsLeadTimeouts.Add(1)
+		s.recordErr(fmt.Errorf("%w: sensor %v held a lead of %d windows for %v",
+			ErrPartnerStalled, sensor, s.Station.lead(sensor), leadStallTimeout))
+		cl.free = drained
 	}
 }
 
@@ -632,6 +824,8 @@ func (s *TCPStation) Stats() TCPStats {
 		Acks:          s.acks.Load(),
 		Nacks:         s.nacks.Load(),
 		DroppedErrors: s.dropped.Load(),
+		LeadStalls:    s.stalls.Load(),
+		LeadTimeouts:  s.timeouts.Load(),
 
 		AuthHandshakes:      s.authHandshakes.Load(),
 		AuthFrames:          s.authFrames.Load(),
