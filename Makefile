@@ -7,7 +7,7 @@ GO ?= go
 # Coverage floor (percent) enforced on the packages PR 1 race-proofed.
 COVER_FLOOR ?= 85.0
 
-.PHONY: check fmt-check vet build test poison race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-marshal fuzz-features fuzz-auth fuzz-station fuzz-peaks fuzz-campaign fleet-demo lint lint-custom campaigns vuln cover bench bench-check perf-smoke
+.PHONY: check fmt-check vet build test poison race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-marshal fuzz-features fuzz-auth fuzz-station fuzz-peaks fuzz-physio fuzz-campaign fleet-demo lint lint-custom campaigns vuln cover bench bench-check perf-smoke
 
 check: vet build race
 
@@ -153,6 +153,12 @@ fuzz-station:
 # patterns at every length up to 2.5 station windows.
 fuzz-peaks:
 	$(GO) test ./internal/peaks/ -run '^$$' -fuzz FuzzRDetectorMatchesMultiPass -fuzztime 30s -fuzzminimizetime 2s
+
+# Differential fuzz: the ECG generator's skipping wave sum against the
+# plain left fold of every Gaussian term, bit for bit, on fuzzed phases
+# and 1-8 waves with negative, zero, subnormal or huge amplitudes.
+fuzz-physio:
+	$(GO) test ./internal/physio/ -run '^$$' -fuzz FuzzWaveSumMatchesFold -fuzztime 30s -fuzzminimizetime 2s
 
 # Fuzz campaign canonical text: ParseCanonical never panics, and any
 # text it accepts reaches a fixed point after one Canonical() re-render

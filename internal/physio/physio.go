@@ -74,21 +74,46 @@ type Subject struct {
 }
 
 // Validate reports whether the subject parameters are physiologically and
-// numerically sane for the generator.
+// numerically sane for the generator. Every comparison is written so that
+// NaN fails it, and every field must be finite; the bound that lets the
+// generator skip a wave term (termBound) holds only for a finite
+// amplitude.
 func (s *Subject) Validate() error {
 	switch {
-	case s.HeartRate < 20 || s.HeartRate > 250:
+	case !(s.HeartRate >= 20 && s.HeartRate <= 250):
 		return fmt.Errorf("physio: subject %s: heart rate %.1f bpm out of range", s.ID, s.HeartRate)
 	case len(s.Waves) == 0:
 		return fmt.Errorf("physio: subject %s: no ECG waves", s.ID)
-	case s.Systolic <= s.Diastolic:
+	case !(s.Systolic > s.Diastolic):
 		return fmt.Errorf("physio: subject %s: systolic %.1f <= diastolic %.1f", s.ID, s.Systolic, s.Diastolic)
-	case s.PeakFrac <= 0 || s.PeakFrac >= 1:
+	case !(s.PeakFrac > 0 && s.PeakFrac < 1):
 		return fmt.Errorf("physio: subject %s: peak fraction %.3f outside (0,1)", s.ID, s.PeakFrac)
-	case s.TransitLag < 0:
-		return fmt.Errorf("physio: subject %s: negative transit lag", s.ID)
+	case !(s.TransitLag >= 0):
+		return fmt.Errorf("physio: subject %s: transit lag %.3g s must not be negative", s.ID, s.TransitLag)
+	}
+	for i, w := range s.Waves {
+		if !(w.B > 0) {
+			return fmt.Errorf("physio: subject %s: wave %d width %.3g must be positive", s.ID, i, w.B)
+		}
+		if !finite(w.Theta, w.Amp, w.B) {
+			return fmt.Errorf("physio: subject %s: wave %d has a non-finite parameter", s.ID, i)
+		}
+	}
+	if !finite(s.HeartRate, s.HRVLowFreq, s.HRVNoise, s.Systolic, s.Diastolic, s.TransitLag,
+		s.PeakFrac, s.DecayRate, s.NotchDepth, s.NotchFrac, s.ECGNoise, s.ABPNoise) {
+		return fmt.Errorf("physio: subject %s: non-finite parameter", s.ID)
 	}
 	return nil
+}
+
+// finite reports whether every value is neither infinite nor NaN.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // DefaultWaves returns a textbook PQRST morphology (amplitudes in mV,
@@ -228,17 +253,22 @@ func clampF(v, lo, hi float64) float64 {
 func synthesizeECG(rec *Record, s Subject, beats []float64, rng *rand.Rand) {
 	fs := rec.SampleRate
 	n := len(rec.ECG)
+	waves := newWaveSum(s.Waves)
+	next := 0 // first beat at or after t, or the last beat; t only grows
 	for i := 0; i < n; i++ {
 		t := float64(i) / fs
-		k := nearestBeat(beats, t)
+		for next < len(beats)-1 && beats[next] < t {
+			next++
+		}
+		// The nearest beat is next or the one before it.
+		k := next
+		if k > 0 && t-beats[k-1] < beats[k]-t {
+			k--
+		}
 		// Local RR: distance between surrounding beats.
 		rr := localRR(beats, k)
 		theta := 2 * math.Pi * (t - beats[k]) / rr
-		var v float64
-		for _, w := range s.Waves {
-			d := theta - w.Theta
-			v += w.Amp * math.Exp(-d*d/(2*w.B*w.B))
-		}
+		v := waves.at(theta)
 		// Baseline wander (respiratory, ~0.25 Hz) and measurement noise.
 		v += 0.03 * math.Sin(2*math.Pi*0.25*t)
 		v += s.ECGNoise * rng.NormFloat64()
@@ -252,22 +282,125 @@ func synthesizeECG(rec *Record, s Subject, beats []float64, rng *rand.Rand) {
 	}
 }
 
-// nearestBeat returns the index of the beat time closest to t.
-func nearestBeat(beats []float64, t float64) int {
-	lo, hi := 0, len(beats)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if beats[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
+// waveSum evaluates the ECG's Gaussian wave sum at a phase θ: the left
+// fold 0 + t₀ + t₁ + … over the waves, tₖ = Ampₖ·exp(−d²/2Bₖ²) with
+// d = θ − Thetaₖ, bit for bit, without calling exp for a term that
+// cannot change the sum. A term whose bound (termBound) lies below a
+// quarter ulp of the running sum rounds away to nearest, so it is
+// skipped. The term with the largest bound is evaluated first; when the
+// bound on the fold of the terms before it lies below a quarter ulp of
+// it, that fold would round away too and is not computed.
+type waveSum struct {
+	waves []Wave
+	amp   []float64 // per wave, e with |Amp| < 2^e
+	x     []float64 // per wave, exp's argument at the current phase
+	bound []float64 // per wave, termBound at the current phase
+	// fold is the extra exponent on the fold of up to n terms: the n
+	// bounds add up to at most 2^⌈log2 n⌉ times the largest, and the
+	// rounding of up to n additions to less than another factor of 2.
+	fold float64
+}
+
+func newWaveSum(waves []Wave) *waveSum {
+	n := len(waves)
+	w := &waveSum{
+		waves: waves,
+		amp:   make([]float64, n),
+		x:     make([]float64, n),
+		bound: make([]float64, n),
+		fold:  math.Ceil(math.Log2(float64(n))) + 1,
+	}
+	for k, wv := range waves {
+		w.amp[k] = ampExp(wv.Amp)
+	}
+	return w
+}
+
+// at returns the wave sum at phase theta.
+func (w *waveSum) at(theta float64) float64 {
+	top := 0
+	for k, wv := range w.waves {
+		d := theta - wv.Theta
+		x := -d * d / (2 * wv.B * wv.B)
+		w.x[k] = x
+		w.bound[k] = termBound(x, w.amp[k])
+		if w.bound[k] > w.bound[top] {
+			top = k
 		}
 	}
-	// lo is the first beat >= t; the nearest is lo or lo-1.
-	if lo > 0 && t-beats[lo-1] < beats[lo]-t {
-		return lo - 1
+	t := w.term(top)
+	var v float64
+	if !w.foldAbsorbed(t, top) {
+		for k := 0; k < top; k++ {
+			v = w.add(v, k)
+		}
 	}
-	return lo
+	v += t
+	for k := top + 1; k < len(w.waves); k++ {
+		v = w.add(v, k)
+	}
+	return v
+}
+
+// foldAbsorbed reports whether the fold of the first top terms is below
+// a quarter ulp of t, so that adding t to it returns t: it is when each
+// of their bounds is, less the fold's margin.
+func (w *waveSum) foldAbsorbed(t float64, top int) bool {
+	limit := absorbLimit(t) - w.fold
+	for k := 0; k < top; k++ {
+		if !(w.bound[k] < limit) {
+			return false
+		}
+	}
+	return true
+}
+
+// add returns v + tₖ, evaluating tₖ only when it can change v.
+func (w *waveSum) add(v float64, k int) float64 {
+	if w.bound[k] < absorbLimit(v) {
+		return v
+	}
+	return v + w.term(k)
+}
+
+// term evaluates tₖ. The conversion rounds the product, so no platform
+// fuses it into the sum it joins.
+func (w *waveSum) term(k int) float64 {
+	return float64(w.waves[k].Amp * math.Exp(w.x[k]))
+}
+
+// ampExp returns e with |a| < 2^e for a finite amplitude a, as Validate
+// guarantees.
+func ampExp(a float64) float64 {
+	_, e := math.Frexp(a)
+	return float64(e)
+}
+
+// termBound returns b with |float64(a·exp(x))| ≤ 2^b, for x ≤ 0 and
+// |a| < 2^e, without calling exp; b is NaN when x is. It holds for any
+// exp within 8 ulp of e^x. Below 2^−1070 the bound stays at 2^−1070, so
+// that a subnormal result with an error of a few of its ulp is covered;
+// one bit of margin covers exp's relative error and the error of
+// x·log2(e), and two more the rounding of the product, subnormal
+// included.
+func termBound(x, e float64) float64 {
+	y := float64(x * math.Log2E)
+	if y < -1070 {
+		y = -1070
+	}
+	return e + y + 3
+}
+
+// absorbLimit returns L such that adding any t with |t| < 2^L to v
+// returns v under round-to-nearest: a quarter ulp of v, 2^(E−1077) for
+// v's biased exponent E. It is −Inf when v is zero, subnormal or not
+// finite, so that nothing is absorbed.
+func absorbLimit(v float64) float64 {
+	e := int(math.Float64bits(v) >> 52 & 0x7ff)
+	if e == 0 || e == 0x7ff {
+		return math.Inf(-1)
+	}
+	return float64(e) - 1077
 }
 
 func localRR(beats []float64, k int) float64 {
@@ -290,6 +423,7 @@ func synthesizeABP(rec *Record, s Subject, beats []float64, rng *rand.Rand) {
 	fs := rec.SampleRate
 	n := len(rec.ABP)
 	pp := s.Systolic - s.Diastolic
+	notch := ampExp(s.NotchDepth)
 
 	// Pulse feet: one per beat, delayed by the transit lag.
 	feet := make([]float64, len(beats))
@@ -297,16 +431,20 @@ func synthesizeABP(rec *Record, s Subject, beats []float64, rng *rand.Rand) {
 		feet[i] = bt + s.TransitLag
 	}
 
+	next := 0 // first foot after t; t only grows
 	for i := 0; i < n; i++ {
 		t := float64(i) / fs
-		k := precedingFoot(feet, t)
+		for next < len(feet) && feet[next] <= t {
+			next++
+		}
+		k := next - 1
 		if k < 0 {
 			rec.ABP[i] = s.Diastolic
 			continue
 		}
 		span := localRR(feet, k)
 		u := (t - feet[k]) / span // fraction of the current cycle
-		rec.ABP[i] = s.Diastolic + pp*pulseShape(u, s) + s.ABPNoise*rng.NormFloat64()
+		rec.ABP[i] = s.Diastolic + pp*pulseShape(u, &s, notch) + s.ABPNoise*rng.NormFloat64()
 	}
 
 	for k := range feet {
@@ -319,34 +457,23 @@ func synthesizeABP(rec *Record, s Subject, beats []float64, rng *rand.Rand) {
 	}
 }
 
-// precedingFoot returns the index of the last foot time <= t, or -1.
-func precedingFoot(feet []float64, t float64) int {
-	lo, hi := 0, len(feet)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if feet[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
 // pulseShape maps cycle fraction u in [0, ~1) to a normalized pressure in
 // [0, 1]: raised-cosine upstroke to the systolic peak, exponential decay
-// with a Gaussian dicrotic bump after it.
-func pulseShape(u float64, s Subject) float64 {
+// with a Gaussian dicrotic bump after it. notch is ampExp(s.NotchDepth);
+// the bump is not evaluated where it cannot change the decay's bits.
+func pulseShape(u float64, s *Subject, notch float64) float64 {
 	if u < 0 {
 		return 0
 	}
 	if u < s.PeakFrac {
 		return 0.5 * (1 - math.Cos(math.Pi*u/s.PeakFrac))
 	}
-	decay := math.Exp(-s.DecayRate * (u - s.PeakFrac))
+	v := math.Exp(-s.DecayRate * (u - s.PeakFrac))
 	d := u - s.NotchFrac
-	notch := s.NotchDepth * math.Exp(-d*d/(2*0.03*0.03))
-	v := decay + notch
+	x := -d * d / (2 * 0.03 * 0.03)
+	if !(termBound(x, notch) < absorbLimit(v)) {
+		v += float64(s.NotchDepth * math.Exp(x))
+	}
 	if v > 1 {
 		v = 1
 	}

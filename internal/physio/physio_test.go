@@ -115,6 +115,26 @@ func TestValidate(t *testing.T) {
 		{"inverted pressure", func(s *Subject) { s.Systolic, s.Diastolic = 60, 100 }},
 		{"bad peak frac", func(s *Subject) { s.PeakFrac = 1.5 }},
 		{"negative lag", func(s *Subject) { s.TransitLag = -1 }},
+		{"NaN heart rate", func(s *Subject) { s.HeartRate = math.NaN() }},
+		{"NaN peak frac", func(s *Subject) { s.PeakFrac = math.NaN() }},
+		{"NaN systolic", func(s *Subject) { s.Systolic = math.NaN() }},
+		{"infinite systolic", func(s *Subject) { s.Systolic = math.Inf(1) }},
+		{"NaN diastolic", func(s *Subject) { s.Diastolic = math.NaN() }},
+		{"NaN lag", func(s *Subject) { s.TransitLag = math.NaN() }},
+		{"infinite lag", func(s *Subject) { s.TransitLag = math.Inf(1) }},
+		{"infinite R amp", func(s *Subject) { s.Waves[2].Amp = math.Inf(1) }},
+		{"NaN wave theta", func(s *Subject) { s.Waves[0].Theta = math.NaN() }},
+		{"zero wave width", func(s *Subject) { s.Waves[1].B = 0 }},
+		{"negative wave width", func(s *Subject) { s.Waves[1].B = -0.1 }},
+		{"NaN wave width", func(s *Subject) { s.Waves[4].B = math.NaN() }},
+		{"infinite wave width", func(s *Subject) { s.Waves[4].B = math.Inf(1) }},
+		{"NaN HRV", func(s *Subject) { s.HRVLowFreq = math.NaN() }},
+		{"infinite HRV noise", func(s *Subject) { s.HRVNoise = math.Inf(-1) }},
+		{"NaN decay", func(s *Subject) { s.DecayRate = math.NaN() }},
+		{"infinite notch depth", func(s *Subject) { s.NotchDepth = math.Inf(1) }},
+		{"NaN notch frac", func(s *Subject) { s.NotchFrac = math.NaN() }},
+		{"NaN ECG noise", func(s *Subject) { s.ECGNoise = math.NaN() }},
+		{"infinite ABP noise", func(s *Subject) { s.ABPNoise = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,6 +148,16 @@ func TestValidate(t *testing.T) {
 	good := DefaultSubject()
 	if err := good.Validate(); err != nil {
 		t.Errorf("default subject should validate: %v", err)
+	}
+}
+
+// TestGenerateRejectsNaNHeartRate: a NaN heart rate would leave the beat
+// train empty, so Generate must refuse it before indexing any beat.
+func TestGenerateRejectsNaNHeartRate(t *testing.T) {
+	s := DefaultSubject()
+	s.HeartRate = math.NaN()
+	if _, err := Generate(s, 3, DefaultSampleRate, 1); err == nil {
+		t.Fatal("Generate accepted a NaN heart rate")
 	}
 }
 
@@ -345,5 +375,19 @@ func TestQuickGenerateAlwaysBounded(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 20}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkGenerate synthesizes one 300 s record of a cohort subject.
+func BenchmarkGenerate(b *testing.B) {
+	subjects, err := Cohort(8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(subjects[0], 300, DefaultSampleRate, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -469,3 +469,29 @@ func TestConcurrentClassifySharedDetector(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkTrainForSubject trains one wearer as the cohort benchmark
+// does: 300 s of the wearer's own record against the same span of its
+// two cohort neighbours, the Original version, at most 150 SMO passes.
+func BenchmarkTrainForSubject(b *testing.B) {
+	subjects, err := physio.Cohort(8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var recs []*physio.Record
+	for k := 0; k < 3; k++ {
+		rec, err := physio.Generate(subjects[k], 300, physio.DefaultSampleRate, 2+int64(k))
+		if err != nil {
+			b.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	cfg := Config{Version: features.Original, SVM: svm.Config{Seed: 1, MaxIter: 150}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainForSubject(recs[0], recs[1:], cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

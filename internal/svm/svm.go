@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/wiot-security/sift/internal/fixedpoint"
 )
@@ -249,12 +250,15 @@ func smo(gram [][]float64, y []Label, cfg Config) (alpha []float64, b float64, i
 	alpha = make([]float64, m)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
+	// nz lists the indices with a nonzero α in ascending order, so f sums
+	// the terms a scan of every index would, in the same order. It reads
+	// row i, which mirrors column i bit for bit.
+	var nz []int
 	f := func(i int) float64 {
+		row := gram[i]
 		var s float64
-		for k := 0; k < m; k++ {
-			if alpha[k] != 0 {
-				s += alpha[k] * float64(y[k]) * gram[k][i]
-			}
+		for _, k := range nz {
+			s += alpha[k] * float64(y[k]) * row[k]
 		}
 		return s + b
 	}
@@ -309,6 +313,8 @@ func smo(gram [][]float64, y []Label, cfg Config) (alpha []float64, b float64, i
 				b = (b1 + b2) / 2
 			}
 			alpha[i], alpha[j] = aiNew, ajNew
+			nz = track(nz, i, aiNew != 0)
+			nz = track(nz, j, ajNew != 0)
 			changed++
 		}
 		if changed == 0 {
@@ -318,6 +324,19 @@ func smo(gram [][]float64, y []Label, cfg Config) (alpha []float64, b float64, i
 		}
 	}
 	return alpha, b, iter
+}
+
+// track returns the ascending index list nz with k in it when in is set,
+// and without it otherwise.
+func track(nz []int, k int, in bool) []int {
+	at, found := slices.BinarySearch(nz, k)
+	switch {
+	case in && !found:
+		return slices.Insert(nz, at, k)
+	case !in && found:
+		return slices.Delete(nz, at, at+1)
+	}
+	return nz
 }
 
 func dot(a, b []float64) float64 {
